@@ -49,7 +49,7 @@ fn bench_ablations(c: &mut Criterion) {
             base,
             ..CoverTreeConfig::default()
         };
-        let tree = CoverTree::build_with(ds.clone(), Euclidean, cfg);
+        let tree = CoverTree::build_with(ds.clone(), Euclidean, cfg).expect("cover tree");
         g.bench_function(format!("knn_base{base}"), |b| {
             b.iter(|| {
                 let mut st = rknn_core::SearchStats::new();

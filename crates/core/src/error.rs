@@ -30,6 +30,12 @@ pub enum CoreError {
     },
     /// A point id did not refer to a live point.
     UnknownPoint(usize),
+    /// An index structure would exceed the number of entries its internal
+    /// links can address.
+    CapacityExceeded {
+        /// The largest entry count the structure supports.
+        capacity: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -52,6 +58,9 @@ impl fmt::Display for CoreError {
                 )
             }
             CoreError::UnknownPoint(id) => write!(f, "unknown point id {id}"),
+            CoreError::CapacityExceeded { capacity } => {
+                write!(f, "index capacity exceeded: at most {capacity} entries")
+            }
         }
     }
 }
@@ -81,6 +90,8 @@ mod tests {
         assert!(e.to_string().contains("k=0"));
         assert!(CoreError::EmptyDataset.to_string().contains("no points"));
         assert!(CoreError::UnknownPoint(3).to_string().contains('3'));
+        let e = CoreError::CapacityExceeded { capacity: 9 };
+        assert!(e.to_string().contains("at most 9"));
     }
 
     #[test]

@@ -134,7 +134,8 @@ impl CursorScratch {
 ///
 /// The generic tree cursor (`rknn_index::traversal::TreeCursor`) owns no
 /// containers of its own: the traversal queue, the bounded-mode emission
-/// frontier and the leaf-point tile batch all live here, so a batch worker
+/// frontier, the leaf-point tile batch and the staged child pivots all
+/// live here, so a batch worker
 /// that opens thousands of cursors allocates them once and reuses their
 /// capacity for every query. All are cleared (allocation kept) each time a
 /// cursor is opened on the scratch.
@@ -146,8 +147,12 @@ pub struct TreeScratch {
     /// `(distance, id)` keys pushed so far, whose top is the pruning
     /// threshold. Empty and unused for unbounded cursors.
     pub frontier: BinaryHeap<MaxByDist>,
-    /// Gather-tile buffers for batched candidate-point evaluation.
+    /// Gather-tile buffers for batched candidate-point and child-pivot
+    /// evaluation.
     pub tiles: TileEvalScratch,
+    /// Child subtrees staged by the current expansion for one batched
+    /// pivot evaluation: `(node, pivot point, covering radius)`.
+    pub children: Vec<(usize, PointId, f64)>,
 }
 
 impl TreeScratch {
@@ -161,6 +166,7 @@ impl TreeScratch {
         self.queue.clear();
         self.frontier.clear();
         self.tiles.ids.clear();
+        self.children.clear();
     }
 }
 

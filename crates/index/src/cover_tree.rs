@@ -10,6 +10,30 @@
 //!
 //! Deletions are handled by tombstoning: removed points keep routing the
 //! search but are filtered from results.
+//!
+//! # Layout
+//!
+//! All nodes live in one flat arena of 24-byte `Copy` records: each holds
+//! its `max_dist`, point id and level, plus `first_child` / `next_sibling`
+//! links. Links and point ids are `u32`, with `u32::MAX` as the null link.
+//! There are no per-node allocations, so cloning a tree (a snapshot
+//! successor) copies the arena in one `memcpy`. A point id or node count
+//! past that range is refused with [`CoreError::CapacityExceeded`] by
+//! [`CoverTree::build_with`] and [`DynamicIndex::insert`], never wrapped.
+//!
+//! [`CoverTree::build_with`] and [`DynamicIndex::compact`] insert every
+//! point, then renumber the arena breadth-first from the root in one O(n)
+//! pass, so every node's children are one contiguous run of records that
+//! an expansion reads front to back. [`DynamicIndex::insert`] appends the
+//! new node at the arena's tail and links it at the end of its parent's
+//! sibling chain, so child order stays insertion order, as before the
+//! renumbering; the next compaction restores the contiguous layout.
+//!
+//! An expansion stages every child through
+//! [`ExpandSink::covered_child`], so all child pivots of a node are
+//! evaluated by one batched kernel call at one frontier snapshot, with the
+//! decisions, distance bits and counters of one
+//! [`ExpandSink::pivot`] call per child.
 
 use crate::pool::{PointPool, RebuildPolicy};
 use crate::traits::{DynamicIndex, KnnIndex, NnCursor};
@@ -37,13 +61,40 @@ impl Default for CoverTreeConfig {
     }
 }
 
-#[derive(Debug, Clone)]
+/// The null arena link.
+const NIL: u32 = u32::MAX;
+
+/// The most nodes, and point ids, the `u32` fields can hold (`NIL` is
+/// reserved).
+const MAX_NODES: usize = NIL as usize;
+
+/// Checked conversion of an arena index or point id to its `u32` field:
+/// values it cannot hold, `NIL` included, are a capacity error.
+fn link(index: usize) -> Result<u32, CoreError> {
+    u32::try_from(index)
+        .ok()
+        .filter(|&l| l != NIL)
+        .ok_or(CoreError::CapacityExceeded {
+            capacity: MAX_NODES,
+        })
+}
+
+#[derive(Debug, Clone, Copy)]
 struct CtNode {
-    point: PointId,
-    level: i32,
     /// Upper bound on the distance from `point` to any descendant's point.
     max_dist: f64,
-    children: Vec<u32>,
+    /// The node's point id, narrowed by `link`.
+    point: u32,
+    level: i32,
+    first_child: u32,
+    next_sibling: u32,
+}
+
+impl CtNode {
+    #[inline]
+    fn point(&self) -> PointId {
+        self.point as PointId
+    }
 }
 
 /// A simplified cover tree index.
@@ -73,12 +124,25 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 impl<M: Metric> CoverTree<M> {
     /// Builds a cover tree over a shared dataset with default configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dataset has more points than the tree can address
+    /// (see [`CoverTree::build_with`]).
     pub fn build(ds: Arc<Dataset>, metric: M) -> Self {
         Self::build_with(ds, metric, CoverTreeConfig::default())
+            .expect("dataset exceeds the cover tree's node capacity")
     }
 
     /// Builds a cover tree with explicit configuration.
-    pub fn build_with(ds: Arc<Dataset>, metric: M, cfg: CoverTreeConfig) -> Self {
+    ///
+    /// Fails with [`CoreError::CapacityExceeded`] when the dataset has more
+    /// points than the `u32` links and point ids can address.
+    pub fn build_with(
+        ds: Arc<Dataset>,
+        metric: M,
+        cfg: CoverTreeConfig,
+    ) -> Result<Self, CoreError> {
         let n = ds.len();
         let mut tree = CoverTree {
             pool: PointPool::new(ds),
@@ -99,9 +163,10 @@ impl<M: Metric> CoverTree<M> {
             order.swap(i, j);
         }
         for id in order {
-            tree.attach(id);
+            tree.attach(id)?;
         }
-        tree
+        tree.renumber_breadth_first();
+        Ok(tree)
     }
 
     /// Covering radius at a level.
@@ -120,22 +185,39 @@ impl<M: Metric> CoverTree<M> {
         self.nodes.len()
     }
 
-    /// Attaches an existing pool point to the tree structure.
-    fn attach(&mut self, id: PointId) {
-        let Some(root) = self.root else {
-            self.nodes.push(CtNode {
-                point: id,
-                level: 0,
-                max_dist: 0.0,
-                children: Vec::new(),
-            });
-            self.root = Some(self.nodes.len() - 1);
-            return;
+    /// The arena indices of node `i`'s children, in sibling order.
+    fn children(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let mut c = self.nodes[i].first_child;
+        std::iter::from_fn(move || {
+            let here = c;
+            (here != NIL).then(|| {
+                c = self.nodes[here as usize].next_sibling;
+                here as usize
+            })
+        })
+    }
+
+    /// Attaches an existing pool point to the tree structure as a new node
+    /// at the arena's tail, linked last among its parent's children.
+    fn attach(&mut self, id: PointId) -> Result<(), CoreError> {
+        let new = link(self.nodes.len())?;
+        let point = link(id)?;
+        let leaf = |level| CtNode {
+            max_dist: 0.0,
+            point,
+            level,
+            first_child: NIL,
+            next_sibling: NIL,
         };
-        let x = id;
+        let Some(root) = self.root else {
+            self.nodes.push(leaf(0));
+            self.root = Some(0);
+            return Ok(());
+        };
+        let x = self.pool.point(id);
         let d_root = self
             .metric
-            .dist(self.pool.point(x), self.pool.point(self.nodes[root].point));
+            .dist(x, self.pool.point(self.nodes[root].point()));
         // Raise the root level until its cover radius reaches the new point.
         while d_root > self.covdist(self.nodes[root].level) {
             self.nodes[root].level += 1;
@@ -149,60 +231,99 @@ impl<M: Metric> CoverTree<M> {
                 self.nodes[cur].max_dist = d_cur;
             }
             let mut best: Option<(usize, f64)> = None;
-            for ci in 0..self.nodes[cur].children.len() {
-                let child = self.nodes[cur].children[ci] as usize;
-                let d = self
-                    .metric
-                    .dist(self.pool.point(x), self.pool.point(self.nodes[child].point));
-                if d <= self.covdist(self.nodes[child].level)
-                    && best.map(|(_, bd)| d < bd).unwrap_or(true)
-                {
+            let mut last = None;
+            for child in self.children(cur) {
+                let node = &self.nodes[child];
+                let d = self.metric.dist(x, self.pool.point(node.point()));
+                if d <= self.covdist(node.level) && best.map(|(_, bd)| d < bd).unwrap_or(true) {
                     best = Some((child, d));
                 }
+                last = Some(child);
             }
-            match best {
-                Some((child, d)) => {
-                    cur = child;
-                    d_cur = d;
-                }
-                None => {
-                    let level = self.nodes[cur].level - 1;
-                    self.nodes.push(CtNode {
-                        point: x,
-                        level,
-                        max_dist: 0.0,
-                        children: Vec::new(),
-                    });
-                    let new_idx = (self.nodes.len() - 1) as u32;
-                    self.nodes[cur].children.push(new_idx);
-                    return;
-                }
+            if let Some((child, d)) = best {
+                cur = child;
+                d_cur = d;
+                continue;
             }
+            let level = self.nodes[cur].level - 1;
+            self.nodes.push(leaf(level));
+            match last {
+                Some(l) => self.nodes[l].next_sibling = new,
+                None => self.nodes[cur].first_child = new,
+            }
+            return Ok(());
         }
     }
 
-    /// Checks the `max_dist` invariant over the whole tree (test support):
-    /// every node's cached radius bounds the distance to each descendant.
+    /// Renumbers the arena breadth-first from the root, keeping sibling
+    /// order: the root becomes node 0 and every sibling list becomes one
+    /// contiguous run of records.
+    fn renumber_breadth_first(&mut self) {
+        let Some(root) = self.root else {
+            return;
+        };
+        let old = std::mem::take(&mut self.nodes);
+        // `order[p]` is the old index of the node that gets index `p`.
+        let mut order = Vec::with_capacity(old.len());
+        order.push(root);
+        let mut nodes = Vec::with_capacity(old.len());
+        while let Some(&i) = order.get(nodes.len()) {
+            let mut rec = old[i];
+            let first = order.len();
+            let mut c = rec.first_child;
+            while c != NIL {
+                order.push(c as usize);
+                c = old[c as usize].next_sibling;
+            }
+            let renumbered = "renumbering keeps the node count `link` accepted";
+            if order.len() > first {
+                rec.first_child = link(first).expect(renumbered);
+            }
+            if rec.next_sibling != NIL {
+                rec.next_sibling = link(nodes.len() + 1).expect(renumbered);
+            }
+            nodes.push(rec);
+        }
+        self.nodes = nodes;
+        self.root = Some(0);
+    }
+
+    /// Checks the tree's structural invariants (test support): every node
+    /// is reached exactly once through the sibling chains from the root,
+    /// and every node's cached radius bounds the distance to each of its
+    /// descendants.
     #[doc(hidden)]
     pub fn check_invariants(&self) -> bool {
         let Some(root) = self.root else {
             return self.nodes.is_empty();
         };
+        let mut seen = vec![false; self.nodes.len()];
         let mut stack = vec![root];
         while let Some(i) = stack.pop() {
-            let here = self.pool.point(self.nodes[i].point);
-            // Walk this node's entire subtree.
+            if std::mem::replace(&mut seen[i], true) {
+                return false;
+            }
+            let here = self.pool.point(self.nodes[i].point());
+            // Walk this node's entire subtree (bounded by the node count,
+            // so a cyclic chain cannot hang the check).
             let mut sub = vec![i];
+            let mut walked = 0;
             while let Some(j) = sub.pop() {
-                let d = self.metric.dist(here, self.pool.point(self.nodes[j].point));
+                walked += 1;
+                if walked > self.nodes.len() {
+                    return false;
+                }
+                let d = self
+                    .metric
+                    .dist(here, self.pool.point(self.nodes[j].point()));
                 if d > self.nodes[i].max_dist + 1e-9 {
                     return false;
                 }
-                sub.extend(self.nodes[j].children.iter().map(|&c| c as usize));
+                sub.extend(self.children(j));
             }
-            stack.extend(self.nodes[i].children.iter().map(|&c| c as usize));
+            stack.extend(self.children(i));
         }
-        true
+        seen.iter().all(|&s| s)
     }
 }
 
@@ -222,7 +343,7 @@ impl<M: Metric> TreeSubstrate<M> for CoverTree<M> {
     fn seed(&self, sink: &mut ExpandSink<'_, M, Self>) {
         if let Some(root) = self.root {
             let node = &self.nodes[root];
-            if let Some(d) = sink.pivot(node.point, node.max_dist) {
+            if let Some(d) = sink.pivot(node.point(), node.max_dist) {
                 sink.child(root, (d - node.max_dist).max(0.0), d);
             }
         }
@@ -231,13 +352,10 @@ impl<M: Metric> TreeSubstrate<M> for CoverTree<M> {
     fn expand(&self, id: usize, d_pivot: f64, sink: &mut ExpandSink<'_, M, Self>) {
         // Every node carries a point; its exact distance was evaluated when
         // the node was queued by its parent (or the seed).
-        let node = &self.nodes[id];
-        sink.point_at(node.point, d_pivot);
-        for &c in &node.children {
-            let child = &self.nodes[c as usize];
-            if let Some(d) = sink.pivot(child.point, child.max_dist) {
-                sink.child(c as usize, (d - child.max_dist).max(0.0), d);
-            }
+        sink.point_at(self.nodes[id].point(), d_pivot);
+        for c in self.children(id) {
+            let child = &self.nodes[c];
+            sink.covered_child(c, child.point(), child.max_dist);
         }
     }
 }
@@ -293,8 +411,11 @@ impl<M: Metric> KnnIndex<M> for CoverTree<M> {
 
 impl<M: Metric> DynamicIndex<M> for CoverTree<M> {
     fn insert(&mut self, point: &[f64]) -> Result<PointId, CoreError> {
+        // Refuse before the pool grows, so a full tree stays consistent.
+        // Point ids are never fewer than nodes, so the next id bounds both.
+        link(self.pool.total())?;
         let id = self.pool.insert(point)?;
-        self.attach(id);
+        self.attach(id)?;
         Ok(id)
     }
 
@@ -312,8 +433,10 @@ impl<M: Metric> DynamicIndex<M> for CoverTree<M> {
         // to create.
         let live: Vec<PointId> = self.pool.iter_live().map(|(id, _)| id).collect();
         for id in live {
-            self.attach(id);
+            self.attach(id)
+                .expect("compaction never grows the node count");
         }
+        self.renumber_breadth_first();
         self.stale = 0;
     }
 
@@ -477,5 +600,53 @@ mod tests {
             .collect();
         assert_eq!(got.len(), want.len());
         assert_eq!(tree.range_count(&q, r, false, Some(0), &mut st), want.len(),);
+    }
+
+    #[test]
+    fn links_refuse_indices_past_their_range() {
+        assert_eq!(link(0), Ok(0));
+        assert_eq!(link(MAX_NODES - 1), Ok(NIL - 1));
+        let full = Err(CoreError::CapacityExceeded {
+            capacity: MAX_NODES,
+        });
+        assert_eq!(link(MAX_NODES), full, "the null link is reserved");
+        assert_eq!(link(MAX_NODES + 1), full);
+        assert_eq!(link(usize::MAX), full);
+        assert_eq!(std::mem::size_of::<CtNode>(), 24);
+    }
+
+    /// Whether every node's children are one contiguous run of records
+    /// numbered after their parent, starting from root 0.
+    fn breadth_first(tree: &CoverTree<Euclidean>) -> bool {
+        tree.root == Some(0)
+            && (0..tree.node_count()).all(|i| {
+                let kids: Vec<usize> = tree.children(i).collect();
+                kids.windows(2).all(|w| w[1] == w[0] + 1) && kids.iter().all(|&c| c > i)
+            })
+    }
+
+    #[test]
+    fn build_and_compact_lay_siblings_out_breadth_first() {
+        let ds = random_dataset(400, 3, 10);
+        let mut tree = CoverTree::build(ds, Euclidean);
+        assert!(breadth_first(&tree));
+        let snapshot = tree.clone();
+        let mut appended = Vec::new();
+        for i in 0..30 {
+            let x = f64::from(i) * 0.37 - 5.0;
+            tree.insert(&[x, -x, 0.5 * x]).unwrap();
+            appended.push(tree.node_count() - 1);
+            assert!(tree.check_invariants());
+        }
+        // Inserts append at the tail: the clone's arena is untouched.
+        assert_eq!(snapshot.node_count(), 400);
+        assert_eq!(appended, (400..430).collect::<Vec<_>>());
+        assert!(breadth_first(&snapshot));
+        for id in (0..430).step_by(4) {
+            assert!(tree.remove(id));
+        }
+        tree.compact();
+        assert!(tree.check_invariants());
+        assert!(breadth_first(&tree));
     }
 }

@@ -25,6 +25,11 @@
 //!   [`Metric::dist_tile`] kernel call per batch — every substrate's leaf
 //!   scan runs at SIMD speed, with decisions, streams, and counters
 //!   byte-identical to per-point evaluation;
+//! * child subtrees covered by a ball around a routing point
+//!   ([`ExpandSink::covered_child`]) are staged the same way: one
+//!   expansion's child pivots are gathered into the tile and evaluated by
+//!   one [`Metric::dist_tile`] call, byte-identical to one
+//!   [`ExpandSink::pivot`] call per child;
 //! * every future hot-path optimization of the loop benefits all substrates
 //!   at once.
 //!
@@ -168,6 +173,7 @@ impl<'c, M: Metric, S: TreeSubstrate<M>> ExpandSink<'c, M, S> {
     /// points, the end of the expansion) flushes first, so the queue and
     /// frontier evolve exactly as in per-point evaluation.
     pub fn point(&mut self, id: PointId) {
+        self.flush_children();
         if Some(id) == self.exclude || !self.tree.is_emittable(id) {
             return;
         }
@@ -244,7 +250,7 @@ impl<'c, M: Metric, S: TreeSubstrate<M>> ExpandSink<'c, M, S> {
     /// (typically a pivot evaluated earlier via [`ExpandSink::pivot`]); no
     /// distance computation is charged.
     pub fn point_at(&mut self, id: PointId, d: f64) {
-        self.flush_points();
+        self.flush();
         if Some(id) == self.exclude || !self.tree.is_emittable(id) {
             return;
         }
@@ -277,22 +283,105 @@ impl<'c, M: Metric, S: TreeSubstrate<M>> ExpandSink<'c, M, S> {
     /// beyond the frontier. `reach` must be at least the largest covering
     /// radius the caller will subtract from the returned distance.
     pub fn pivot(&mut self, pivot: PointId, reach: f64) -> Option<f64> {
-        self.flush_points();
+        self.flush();
         self.stats.count_dist();
-        let bound = match self.tau() {
-            Some(t) => (t.dist + reach).next_up(),
-            None => f64::INFINITY,
-        };
-        self.tree
-            .metric()
-            .dist_under(self.q, self.tree.coords(pivot), bound)
+        self.tree.metric().dist_under(
+            self.q,
+            self.tree.coords(pivot),
+            pivot_bound(self.tau(), reach),
+        )
+    }
+
+    /// Stages child subtree `node`, whose points all lie within `radius`
+    /// of its routing point `pivot`. It is queued exactly as
+    /// `pivot(pivot, radius)` followed by `child(node, max(d − radius, 0),
+    /// d)` would queue it, but the pivots of all children staged in a row
+    /// are evaluated together by one batched call
+    /// (`ExpandSink::eval_pivots`) when the next sink operation or the end
+    /// of the expansion flushes them.
+    pub fn covered_child(&mut self, node: usize, pivot: PointId, radius: f64) {
+        self.flush_points();
+        self.scratch.children.push((node, pivot, radius));
+    }
+
+    /// Evaluates the pivots of every staged child at one frontier snapshot
+    /// and returns how many there are: `tiles.out[i]` holds the distance
+    /// `pivot(pivot_i, radius_i)` would return, or NaN where it would
+    /// return `None`.
+    ///
+    /// Queuing a child never moves the frontier, so per-child `pivot`
+    /// calls interleaved with the children's pushes would all see this
+    /// same snapshot: bounds, decisions, distance bits and counters are
+    /// identical to the per-pivot path. Fewer than [`MIN_POINT_TILE`]
+    /// pivots take the per-pivot kernel; more are gathered into the tile
+    /// and evaluated by one [`Metric::dist_tile`] call.
+    fn eval_pivots(&mut self) -> usize {
+        let staged = self.scratch.children.len();
+        let dim = self.q.len();
+        let (tree, q, tau) = (self.tree, self.q, self.tau());
+        let TreeScratch {
+            children, tiles, ..
+        } = &mut *self.scratch;
+        let stride = tiles.ensure_rows(dim, staged);
+        if staged < MIN_POINT_TILE || dim == 0 {
+            for (&(_, pivot, radius), out) in children.iter().zip(&mut tiles.out) {
+                *out = tree
+                    .metric()
+                    .dist_under(q, tree.coords(pivot), pivot_bound(tau, radius))
+                    .unwrap_or(f64::NAN);
+            }
+        } else {
+            tiles.set_query(q);
+            for (i, &(_, pivot, radius)) in children.iter().enumerate() {
+                tiles.fill_row(i, tree.coords(pivot));
+                tiles.bounds[i] = pivot_bound(tau, radius);
+            }
+            tree.metric().dist_tile(
+                &tiles.qpad,
+                &tiles.rows[..staged * stride],
+                stride,
+                dim,
+                &tiles.bounds[..staged],
+                &mut tiles.out[..staged],
+            );
+        }
+        self.stats.count_dists(staged as u64);
+        staged
+    }
+
+    /// Evaluates and queues the staged children.
+    fn flush_children(&mut self) {
+        if self.scratch.children.is_empty() {
+            return;
+        }
+        let staged = self.eval_pivots();
+        for i in 0..staged {
+            let (node, _, radius) = self.scratch.children[i];
+            let d = self.scratch.tiles.out[i];
+            if !d.is_nan() {
+                self.push_child(node, (d - radius).max(0.0), d);
+            }
+        }
+        self.scratch.children.clear();
+    }
+
+    /// Evaluates and queues everything pending: at most one of the point
+    /// batch and the staged children is non-empty, since staging either
+    /// flushes the other.
+    fn flush(&mut self) {
+        self.flush_points();
+        self.flush_children();
     }
 
     /// Queues a child subtree with distance lower bound `lower` and payload
     /// `d_pivot` (handed back verbatim to [`TreeSubstrate::expand`]).
     /// Subtrees provably beyond the frontier are dropped.
     pub fn child(&mut self, node: usize, lower: f64, d_pivot: f64) {
-        self.flush_points();
+        self.flush();
+        self.push_child(node, lower, d_pivot);
+    }
+
+    fn push_child(&mut self, node: usize, lower: f64, d_pivot: f64) {
         if let Some(t) = self.tau() {
             if lower > t.dist {
                 return;
@@ -300,6 +389,15 @@ impl<'c, M: Metric, S: TreeSubstrate<M>> ExpandSink<'c, M, S> {
         }
         self.scratch.queue.push_node(node, lower, d_pivot);
         self.stats.count_push();
+    }
+}
+
+/// The `dist_under` bound of a pivot whose children subtract up to `reach`
+/// from its distance, against frontier threshold `tau`.
+fn pivot_bound(tau: Option<Neighbor>, reach: f64) -> f64 {
+    match tau {
+        Some(t) => (t.dist + reach).next_up(),
+        None => f64::INFINITY,
     }
 }
 
@@ -353,7 +451,7 @@ impl<'a, M: Metric, S: TreeSubstrate<M>, T: BorrowMut<TreeScratch>> TreeCursor<'
                 _metric: PhantomData,
             };
             tree.seed(&mut sink);
-            sink.flush_points();
+            sink.flush();
         }
         cursor
     }
@@ -378,7 +476,7 @@ impl<'a, M: Metric, S: TreeSubstrate<M>, T: BorrowMut<TreeScratch>> NnCursor
                         _metric: PhantomData,
                     };
                     self.tree.expand(id, payload, &mut sink);
-                    sink.flush_points();
+                    sink.flush();
                 }
             }
         }
@@ -442,8 +540,12 @@ where
 
 #[cfg(test)]
 mod tests {
+    use super::{ExpandSink, MIN_POINT_TILE};
     use crate::{BallTree, CoverTree, KnnIndex, MTree, RTree, VpTree};
-    use rknn_core::{CursorScratch, Dataset, Euclidean, Neighbor, PointId};
+    use rknn_core::{
+        CursorScratch, Dataset, Euclidean, Neighbor, PointId, SearchStats, TreeScratch,
+    };
+    use std::marker::PhantomData;
     use std::sync::Arc;
 
     /// A tie-heavy dataset: coordinates on a coarse half-integer grid.
@@ -567,6 +669,74 @@ mod tests {
                 assert!(drained.iter().all(|n| n.id != 7), "{}", idx.name());
                 let mut seen = std::collections::HashSet::<PointId>::new();
                 assert!(drained.iter().all(|n| seen.insert(n.id)), "{}", idx.name());
+            }
+        }
+    }
+
+    #[test]
+    fn batched_pivots_match_per_pivot_calls() {
+        let ds = grid(200, 5);
+        let tree = CoverTree::build(ds.clone(), Euclidean);
+        let q = ds.point(3).to_vec();
+        type Tree = CoverTree<Euclidean>;
+        /// A sink whose frontier has seen the same 30 points on both sides:
+        /// enough to fill a bounded frontier, so τ is set and pivots can be
+        /// pruned.
+        fn open<'c>(
+            tree: &'c Tree,
+            q: &'c [f64],
+            limit: Option<usize>,
+            scratch: &'c mut TreeScratch,
+            stats: &'c mut SearchStats,
+        ) -> ExpandSink<'c, Euclidean, Tree> {
+            let mut sink = ExpandSink {
+                tree,
+                q,
+                exclude: None,
+                limit,
+                scratch,
+                stats,
+                _metric: PhantomData,
+            };
+            for id in 0..30 {
+                sink.point(id);
+            }
+            sink.flush();
+            sink
+        }
+        for limit in [None, Some(4)] {
+            for batch in [MIN_POINT_TILE - 1, MIN_POINT_TILE, 3 * MIN_POINT_TILE + 5] {
+                let (mut sa, mut sb) = (TreeScratch::new(), TreeScratch::new());
+                let (mut ca, mut cb) = (SearchStats::new(), SearchStats::new());
+                let mut batched = open(&tree, &q, limit, &mut sa, &mut ca);
+                let mut single = open(&tree, &q, limit, &mut sb, &mut cb);
+                let tau = batched.tau().map(|t| t.dist);
+                assert_eq!(tau.is_some(), limit.is_some());
+                let staged: Vec<(PointId, f64)> =
+                    (0..batch).map(|i| (44 + i, (i % 4) as f64 * 0.5)).collect();
+                for (node, &(pivot, radius)) in staged.iter().enumerate() {
+                    batched.covered_child(node, pivot, radius);
+                }
+                assert_eq!(batched.eval_pivots(), batch);
+                let got: Vec<Option<u64>> = batched.scratch.tiles.out[..batch]
+                    .iter()
+                    .map(|d| (!d.is_nan()).then(|| d.to_bits()))
+                    .collect();
+                let want: Vec<Option<u64>> = staged
+                    .iter()
+                    .map(|&(pivot, radius)| single.pivot(pivot, radius).map(f64::to_bits))
+                    .collect();
+                assert_eq!(got, want, "limit={limit:?} batch={batch}");
+                if let Some(t) = tau {
+                    // Both decisions occur, including a pivot beyond τ
+                    // that only its radius admits.
+                    assert!(got.iter().any(Option::is_none), "nothing pruned");
+                    assert!(
+                        got.iter().flatten().any(|&d| f64::from_bits(d) > t),
+                        "no pivot admitted by its radius alone"
+                    );
+                }
+                assert_eq!(ca, cb, "limit={limit:?} batch={batch}");
             }
         }
     }

@@ -24,7 +24,12 @@
 //! * the sequential scan's **SIMD tile fast path** (contiguous padded
 //!   dataset streamed through `Metric::dist_tile`) is byte-identical —
 //!   streams, direct traversals, and work counters — to its per-point
-//!   fallback (forced via the dynamic pool).
+//!   fallback (forced via the dynamic pool);
+//! * a **churned cover tree** — inserted nodes linked outside its
+//!   breadth-first arena order, removed points still routing — streams
+//!   the same table as the linear scan over the same live points, before
+//!   and after compaction, and a clone's inserts leave the original's
+//!   stream untouched.
 //!
 //! All assertions run on whatever kernel backend dispatch selects; CI
 //! reruns this suite with `RKNN_KERNEL=scalar` (and `RKNN_KERNEL=avx2` on
@@ -68,6 +73,30 @@ fn drain(cur: &mut dyn rknn_index::NnCursor, cap: usize) -> Vec<Neighbor> {
         }
     }
     out
+}
+
+/// Checks `idx`'s full stream from `q` against the linear scan `linear`
+/// over the same live points: nondecreasing, and bit-identical to its
+/// `(dist, id)`-sorted table once sorted the same way. Returns the stream.
+fn check_stream_against_scan(
+    idx: &dyn KnnIndex<Euclidean>,
+    linear: &LinearScan<Euclidean>,
+    q: &[f64],
+) -> Vec<Neighbor> {
+    let name = idx.name();
+    let reference = drain(&mut *linear.cursor(q, None), usize::MAX);
+    let stream = drain(&mut *idx.cursor(q, None), usize::MAX);
+    assert!(
+        stream.windows(2).all(|w| w[0].dist <= w[1].dist),
+        "{name}: order violated"
+    );
+    let mut sorted = stream.clone();
+    rknn_core::neighbor::sort_neighbors(&mut sorted);
+    let bits = |ns: &[Neighbor]| -> Vec<(usize, u64)> {
+        ns.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+    };
+    assert_eq!(bits(&sorted), bits(&reference), "{name}: table diverged");
+    stream
 }
 
 #[test]
@@ -270,5 +299,50 @@ proptest! {
                 "range_count diverged at r={} strict={}", r, strict
             );
         }
+    }
+
+    #[test]
+    fn churned_cover_tree_streams_the_scan_table(
+        levels in proptest::collection::vec(0u8..9, 24..120),
+        inserted in proptest::collection::vec(0u8..9, 0..80),
+        dim in 1usize..5,
+        remove_every in 2usize..5,
+        q_sel in 0usize..64,
+    ) {
+        let ds = grid_dataset(&levels, dim);
+        let lattice = |row: &[u8]| -> Vec<f64> { row.iter().map(|&v| f64::from(v) * 0.5).collect() };
+        let mut tree = CoverTree::build(ds.clone(), Euclidean);
+        let mut linear = LinearScan::build(ds.clone(), Euclidean);
+        // Inserted nodes land at the arena's tail, outside breadth-first
+        // order; removed points keep routing the tree's searches.
+        for row in inserted.chunks_exact(dim) {
+            let id = tree.insert(&lattice(row)).expect("insert");
+            prop_assert_eq!(linear.insert(&lattice(row)).expect("insert"), id);
+        }
+        let total = ds.len() + inserted.len() / dim;
+        for id in (0..total).step_by(remove_every) {
+            prop_assert!(tree.remove(id));
+            prop_assert!(linear.remove(id));
+        }
+        prop_assert!(tree.check_invariants());
+        let q = ds.point(q_sel % ds.len()).to_vec();
+        let before = check_stream_against_scan(&tree, &linear, &q);
+
+        // A clone's updates never reach the original.
+        let mut fork = tree.clone();
+        fork.insert(&q).expect("insert");
+        fork.insert(&vec![0.25; dim]).expect("insert");
+        prop_assert!(fork.remove(1));
+        prop_assert!(fork.check_invariants());
+        let untouched = drain(&mut *tree.cursor(&q, None), usize::MAX);
+        prop_assert_eq!(untouched.len(), before.len());
+        for (a, b) in untouched.iter().zip(&before) {
+            prop_assert_eq!((a.id, a.dist.to_bits()), (b.id, b.dist.to_bits()));
+        }
+
+        tree.compact();
+        prop_assert!(tree.check_invariants());
+        prop_assert_eq!(tree.node_count(), linear.num_points());
+        check_stream_against_scan(&tree, &linear, &q);
     }
 }
