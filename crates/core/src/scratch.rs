@@ -313,6 +313,9 @@ pub struct QueryScratch {
     /// Tile-evaluation buffers for the witness pass (padded candidate
     /// point, per-block bounds and outputs).
     pub wtile: TileEvalScratch,
+    /// Ascending indices into `filter` of the members whose witness census
+    /// is still open (not lazily accepted, fewer than `k` witnesses).
+    pub open: Vec<usize>,
 }
 
 impl QueryScratch {
@@ -323,6 +326,7 @@ impl QueryScratch {
             filter: Vec::new(),
             tile: CandidateTile::new(dim),
             wtile: TileEvalScratch::new(),
+            open: Vec::new(),
         }
     }
 }
@@ -413,6 +417,7 @@ mod tests {
             filter,
             tile,
             wtile,
+            open,
         } = &mut s;
         cursor.entries.push(Neighbor::new(0, 1.0));
         filter.push(FilterCandidate {
@@ -423,9 +428,11 @@ mod tests {
         });
         tile.push(&[0.5, 0.5]);
         wtile.set_query(&[0.5, 0.5]);
+        open.push(0);
         assert_eq!(s.cursor.entries.len(), 1);
         assert_eq!(s.filter.len(), 1);
         assert_eq!(s.tile.len(), 1);
         assert_eq!(s.wtile.qpad.len(), 4);
+        assert_eq!(s.open, [0]);
     }
 }

@@ -34,10 +34,13 @@ pub struct RdtQueryStats {
     pub verified: usize,
     /// How many verifications accepted the candidate.
     pub verified_accepted: usize,
-    /// Witness-maintenance pair updates — the paper's cost model for the
-    /// filter phase (bounded by `(s choose 2)` in §4.2, and the quantity
-    /// the §4.3 candidate-set reduction provably shrinks: RDT+'s filter set
-    /// is a subset of RDT's at every retrieval rank).
+    /// Witness-maintenance pairs of the paper's cost model for the filter
+    /// phase: each retrieval adds the filter-set size at that moment
+    /// (bounded by `(s choose 2)` in §4.2, and the quantity the §4.3
+    /// candidate-set reduction provably shrinks: RDT+'s filter set is a
+    /// subset of RDT's at every retrieval rank). This is the model's count,
+    /// not the number of pairs the engine touches: the engine never visits
+    /// a pair whose both sides are decided.
     pub witness_pairs: u64,
     /// Distance computations actually evaluated during witness
     /// maintenance. At most [`witness_pairs`](Self::witness_pairs): the

@@ -84,6 +84,9 @@ impl BichromaticRdt {
         // Discovered services (distances from q), in retrieval order.
         let mut found_services: Vec<Neighbor> = Vec::new();
         let mut candidates: Vec<ClientCand> = Vec::new();
+        // Ascending indices of the candidates neither accepted nor
+        // rejected: the only ones a new service can still affect.
+        let mut open: Vec<usize> = Vec::new();
         let mut omega = f64::INFINITY;
         let mut witness_dist_comps = 0u64;
         let mut lazy_accepts = 0usize;
@@ -102,6 +105,7 @@ impl BichromaticRdt {
         let mut advance_services = |target: f64,
                                     found: &mut Vec<Neighbor>,
                                     cands: &mut Vec<ClientCand>,
+                                    open: &mut Vec<usize>,
                                     omega: &mut f64,
                                     witness_dist_comps: &mut u64,
                                     lazy_accepts: &mut usize,
@@ -114,12 +118,11 @@ impl BichromaticRdt {
                     break;
                 };
                 let s_rank = found.len() + 1;
-                // Witness updates: the new service may witness any client.
+                // Witness updates: the new service may witness any open
+                // client; clients it rejects leave the open list.
                 let srv_point = services.point(srv.id);
-                for c in cands.iter_mut() {
-                    if c.rejected || c.accepted {
-                        continue;
-                    }
+                open.retain(|&i| {
+                    let c = &mut cands[i];
                     *witness_dist_comps += 1;
                     if metric.dist(srv_point, clients.point(c.id)) < c.dist {
                         c.witnesses += 1;
@@ -127,7 +130,8 @@ impl BichromaticRdt {
                             c.rejected = true;
                         }
                     }
-                }
+                    !c.rejected
+                });
                 // Dimensional test on the service stream.
                 if s_rank > k && srv.dist > 0.0 {
                     let denom = (s_rank as f64 / kf).powf(inv_t) - 1.0;
@@ -146,16 +150,14 @@ impl BichromaticRdt {
             // Lazy accepts for clients whose census is complete: the
             // frontier passed 2·d(q,c) or every service has been seen.
             let frontier = found.last().map(|s| s.dist).unwrap_or(0.0);
-            for c in cands.iter_mut() {
-                if !c.accepted
-                    && !c.rejected
-                    && c.witnesses < k
-                    && (frontier >= 2.0 * c.dist || *exhausted)
-                {
+            open.retain(|&i| {
+                let c = &mut cands[i];
+                if frontier >= 2.0 * c.dist || *exhausted {
                     c.accepted = true;
                     *lazy_accepts += 1;
                 }
-            }
+                !c.accepted
+            });
         };
 
         // Expand the client stream; terminate via the service-side ω.
@@ -174,6 +176,7 @@ impl BichromaticRdt {
                 2.0 * client.dist,
                 &mut found_services,
                 &mut candidates,
+                &mut open,
                 &mut omega,
                 &mut witness_dist_comps,
                 &mut lazy_accepts,
@@ -199,6 +202,8 @@ impl BichromaticRdt {
             let accepted = !rejected && w < k && (frontier >= 2.0 * client.dist || svc_exhausted);
             if accepted {
                 lazy_accepts += 1;
+            } else if !rejected {
+                open.push(candidates.len());
             }
             candidates.push(ClientCand {
                 id: client.id,

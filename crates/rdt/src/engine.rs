@@ -78,6 +78,18 @@ where
     }
 }
 
+/// Whether `open` lists, in ascending order, exactly the filter members
+/// whose witness census is open (not lazily accepted, fewer than `k`
+/// witnesses) — the witness pass's invariant between retrievals.
+fn open_list_is_exact(filter: &[FilterCandidate], open: &[usize], k: usize) -> bool {
+    let is_open = |x: &FilterCandidate| !x.accepted && x.witnesses < k;
+    open.windows(2).all(|w| w[0] < w[1])
+        && open
+            .iter()
+            .all(|&i| i < filter.len() && is_open(&filter[i]))
+        && filter.iter().filter(|x| is_open(x)).count() == open.len()
+}
+
 /// Which flavor of the engine to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RdtVariant {
@@ -358,14 +370,21 @@ impl DkCache {
 /// [`run_query_scheduled`] — reuse changes where buffers live, never what
 /// is computed.
 ///
-/// The witness pass prunes its metric evaluations with
-/// [`Metric::dist_lt`]: a pair's distance accumulation is abandoned as soon
-/// as it provably exceeds every comparison radius still undecided for that
-/// pair (`d(q, v)` while `v` needs witnesses — the larger of the two radii,
-/// since the cursor yields `d(q, x) <= d(q, v)` — and `d(q, x)` once only
-/// `x`'s census is open). Abandonment affects neither `witness_pairs` nor
-/// `witness_dist_comps`: an abandoned evaluation still counts as one
-/// distance computation, it just touches fewer coordinates.
+/// The witness pass for a retrieved point `v` runs in two phases over the
+/// filter set. While `v` still needs witnesses (fewer than `k`), whole
+/// blocks of filter members stream through [`Metric::dist_tile`] at the
+/// radius `d(q, v)` — the larger of the two open radii, since the cursor
+/// yields `d(q, x) <= d(q, v)`. Once `v` has `k` witnesses, only members
+/// whose own census is still open can change a decision, so the pass visits
+/// just those, each through [`Metric::dist_lt`] at its radius `d(q, x)`.
+/// The open members live in an ascending index list (`QueryScratch::open`)
+/// that always holds exactly the members neither lazily accepted nor
+/// carrying `k` witnesses; a member leaves it once decided and never
+/// returns, so decided members are not walked again. Every pair the
+/// row-by-row listing evaluates is evaluated and no other, so results and
+/// counters match it exactly. Abandoning a distance early changes neither
+/// `witness_pairs` nor `witness_dist_comps`: an abandoned evaluation still
+/// counts as one distance computation, it just touches fewer coordinates.
 ///
 /// The witness pass, like the traversal feeding it, evaluates every pair
 /// through the one metric instance, so it runs in whatever kernel tier
@@ -478,8 +497,10 @@ where
         filter,
         tile,
         wtile,
+        open,
     } = scratch;
     filter.clear();
+    open.clear();
     tile.reset(index.dim().max(1));
     let mut excluded = 0usize;
     let mut lazy_accepts = 0usize;
@@ -550,89 +571,99 @@ where
         let v_point = index.point(v.id);
         // Witness pass against the filter set (lines 8–19). Every filter
         // member is one maintenance pair (`witness_pairs`, the (s choose 2)
-        // cost the paper bounds). Witness counts beyond k never influence a
-        // decision, so the pair's *distance* is only evaluated while at
-        // least one side is still undecided (`witness_dist_comps`) — the
-        // decisions (and hence results and Figure 7 proportions) are
-        // identical to the literal listing, at a fraction of the metric
-        // evaluations.
+        // cost the paper bounds), but witness counts beyond k never
+        // influence a decision, so a pair's distance is only evaluated
+        // (`witness_dist_comps`) while at least one side is still open:
+        // v while w_v < k, x while it sits on the `open` list.
         //
-        // While v itself still needs witnesses (w_v < k) every pair shares
-        // the uniform comparison radius d(q, v) — the farther of the two
-        // open radii, since the cursor yields x.dist <= v.dist — so whole
-        // blocks of the padded candidate tile stream through the SIMD
-        // `Metric::dist_tile` kernel at that bound. Once w_v reaches k,
-        // fully decided members are skipped and the remaining pairs fall
-        // back to per-row `dist_lt` at the member-specific radius x.dist.
-        // Both paths only *admit* distances into the exact comparisons
+        // Phase 1: while v needs witnesses every pair shares the uniform
+        // comparison radius d(q, v) — the larger of the two open radii,
+        // since the cursor yields x.dist <= v.dist — so whole WITNESS_TILE
+        // blocks of the padded candidate tile, aligned at multiples of
+        // WITNESS_TILE, stream through `Metric::dist_tile` at that bound.
+        // Rows of the block in which w_v reaches k are still consumed for
+        // open members only.
+        // Phase 2: past the last streamed block only open members can
+        // change a decision, so the pass visits just the `open` indices
+        // there, one per-row `dist_lt` at the member's own radius x.dist.
+        //
+        // Both kernels only *admit* distances into the exact comparisons
         // below (a distance at or beyond the open radii decides every
-        // comparison negatively whether it arrives as a pruned evaluation
-        // or an admitted value that fails the comparisons), and admitted
-        // values are bit-identical across the tile and one-to-one kernels,
-        // so decisions, counters and results match the row-by-row listing
-        // exactly. Rows of a fetched block that post-crossing skipping
-        // would not have evaluated are simply not consumed (bounded
-        // overshoot of one block per query; they are not counted).
+        // comparison negatively whether it arrives pruned or admitted), and
+        // admitted values are bit-identical across the tile and one-to-one
+        // kernels, so decisions, counters and results match the row-by-row
+        // listing exactly while decided members are never walked again.
         let mut w_v = 0usize;
         if witnesses_enabled {
             witness_pairs += filter.len() as u64;
             let stride = tile.stride();
-            let mut vpad_ready = false;
-            let mut block = 0usize..0usize;
-            for i in 0..filter.len() {
-                let x_state = filter[i];
-                let x_active = !x_state.accepted && x_state.witnesses < k;
-                if x_active || w_v < k {
+            let mut streamed = 0usize;
+            if !filter.is_empty() {
+                wtile.set_query(v_point);
+            }
+            while w_v < k && streamed < filter.len() {
+                let start = streamed;
+                let end = (start + WITNESS_TILE).min(filter.len());
+                let m = end - start;
+                if wtile.out.len() < m {
+                    wtile.out.resize(m, 0.0);
+                }
+                if wtile.bounds.len() < m {
+                    wtile.bounds.resize(m, 0.0);
+                }
+                wtile.bounds[..m].fill(v.dist);
+                metric.dist_tile(
+                    &wtile.qpad,
+                    &tile.padded()[start * stride..end * stride],
+                    stride,
+                    tile.dim(),
+                    &wtile.bounds[..m],
+                    &mut wtile.out[..m],
+                );
+                for (x, &d) in filter[start..end].iter_mut().zip(&wtile.out[..m]) {
+                    let x_open = !x.accepted && x.witnesses < k;
+                    if !x_open && w_v >= k {
+                        continue;
+                    }
                     witness_dist_comps += 1;
-                    let d_opt: Option<f64> = if block.contains(&i) {
-                        let d = wtile.out[i - block.start];
-                        (!d.is_nan()).then_some(d)
-                    } else if w_v < k {
-                        if !vpad_ready {
-                            wtile.set_query(v_point);
-                            vpad_ready = true;
-                        }
-                        let end = (i + WITNESS_TILE).min(filter.len());
-                        let m = end - i;
-                        if wtile.out.len() < m {
-                            wtile.out.resize(m, 0.0);
-                        }
-                        if wtile.bounds.len() < m {
-                            wtile.bounds.resize(m, 0.0);
-                        }
-                        wtile.bounds[..m].fill(v.dist);
-                        metric.dist_tile(
-                            &wtile.qpad,
-                            &tile.padded()[i * stride..end * stride],
-                            stride,
-                            tile.dim(),
-                            &wtile.bounds[..m],
-                            &mut wtile.out[..m],
-                        );
-                        block = i..end;
-                        let d = wtile.out[0];
-                        (!d.is_nan()).then_some(d)
-                    } else {
-                        metric.dist_lt(v_point, tile.row(i), x_state.dist)
-                    };
-                    if let Some(d_vx) = d_opt {
-                        let x = &mut filter[i];
-                        if x_active && d_vx < x.dist {
-                            x.witnesses += 1; // v is a witness of x.
-                        }
-                        if w_v < k && d_vx < v.dist {
-                            w_v += 1; // x is a witness of v.
-                        }
+                    if d.is_nan() {
+                        continue;
+                    }
+                    if x_open && d < x.dist {
+                        x.witnesses += 1; // v is a witness of x.
+                    }
+                    if w_v < k && d < v.dist {
+                        w_v += 1; // x is a witness of v.
                     }
                 }
-                // Lazy accept (Assertion 2, line 16): the search has passed
-                // 2·d(q,x), so x's witness census is complete.
+                streamed = end;
+            }
+            let past = open.partition_point(|&i| i < streamed);
+            for &i in &open[past..] {
                 let x = &mut filter[i];
-                if !x.accepted && x.witnesses < k && v.dist >= 2.0 * x.dist {
-                    x.accepted = true;
-                    lazy_accepts += 1;
+                witness_dist_comps += 1;
+                if let Some(d_vx) = metric.dist_lt(v_point, tile.row(i), x.dist) {
+                    if d_vx < x.dist {
+                        x.witnesses += 1; // v is a witness of x.
+                    }
                 }
             }
+            // Compaction. Lazy accept (Assertion 2, line 16): the search has
+            // passed 2·d(q,x), so x's witness census is complete. Members
+            // that reached k witnesses or were just accepted are decided
+            // and leave the list.
+            open.retain(|&i| {
+                let x = &mut filter[i];
+                if x.witnesses >= k {
+                    return false;
+                }
+                if v.dist >= 2.0 * x.dist {
+                    x.accepted = true;
+                    lazy_accepts += 1;
+                    return false;
+                }
+                true
+            });
         }
         // RDT+ candidate-set reduction (§4.3): drop v if its first witness
         // pass already disqualified it. (The first k retrieved points can
@@ -641,6 +672,9 @@ where
         if plus && w_v >= k {
             excluded += 1;
         } else {
+            if witnesses_enabled && w_v < k {
+                open.push(filter.len());
+            }
             filter.push(FilterCandidate {
                 id: v.id,
                 dist: v.dist,
@@ -649,6 +683,10 @@ where
             });
             tile.push(v_point);
         }
+        debug_assert!(
+            !witnesses_enabled || open_list_is_exact(filter, open, k),
+            "open list must hold exactly the open filter members, ascending"
+        );
         // Dimensional test update (Theorem 1, lines 21–23).
         if test_armed && s > k && v.dist > 0.0 {
             let denom = (s as f64 / kf).powf(inv_t) - 1.0;
@@ -1016,6 +1054,239 @@ mod tests {
         let bits: Vec<u64> = with_token.result.iter().map(|n| n.dist.to_bits()).collect();
         let want: Vec<u64> = plain.result.iter().map(|n| n.dist.to_bits()).collect();
         assert_eq!(bits, want);
+    }
+
+    /// The witness pass exactly as the listing reads it: for every
+    /// retrieval a full walk over the filter set, one `dist_lt` per pair
+    /// with an open side at the larger open radius (`d(q, v)` while `v`
+    /// needs witnesses, `d(q, x)` after), and the lazy accept checked in
+    /// place. Cursor, termination and refinement mirror the engine, so the
+    /// engine must match this reference bit for bit and counter for counter.
+    fn reference_query<M: Metric, I: KnnIndex<M>>(
+        index: &I,
+        q: &[f64],
+        exclude: Option<PointId>,
+        params: RdtParams,
+        variant: RdtVariant,
+        schedule: TSchedule,
+        dk_cache: Option<&DkCache>,
+    ) -> RknnAnswer {
+        let k = params.k;
+        let metric = index.metric();
+        let n = index
+            .num_points()
+            .saturating_sub(usize::from(exclude.is_some()));
+        let (mut t, mut cap) = (params.t, params.rank_cap(n));
+        let mut cursor_scratch = CursorScratch::new();
+        let mut cursor = match schedule {
+            TSchedule::Fixed => index.cursor_bounded(q, exclude, cap, &mut cursor_scratch),
+            TSchedule::Adaptive { .. } => index.cursor_with(q, exclude, &mut cursor_scratch),
+        };
+        let mut filter: Vec<FilterCandidate> = Vec::new();
+        let (mut s, mut excluded, mut lazy_accepts) = (0usize, 0usize, 0usize);
+        let (mut witness_pairs, mut witness_dist_comps) = (0u64, 0u64);
+        let (mut sum_ln_d, mut pos_count) = (0.0f64, 0usize);
+        let mut test_armed = matches!(schedule, TSchedule::Fixed);
+        let mut omega = f64::INFINITY;
+        let mut termination = Termination::Exhausted;
+        while let Some(v) = cursor.next() {
+            s += 1;
+            if let TSchedule::Adaptive { safety } = schedule {
+                if v.dist > 0.0 {
+                    sum_ln_d += v.dist.ln();
+                    pos_count += 1;
+                }
+                if pos_count >= k.max(8) {
+                    let denom = pos_count as f64 * v.dist.ln() - sum_ln_d;
+                    if denom > 0.0 {
+                        let new_t = (safety * pos_count as f64 / denom).max(params.t);
+                        if new_t.is_finite() && new_t > 0.0 {
+                            t = new_t;
+                            cap = RdtParams::new(k, t).rank_cap(n);
+                            test_armed = true;
+                        }
+                    }
+                }
+            }
+            let v_point = index.point(v.id);
+            let mut w_v = 0usize;
+            if variant != RdtVariant::NoWitness {
+                witness_pairs += filter.len() as u64;
+                for x in filter.iter_mut() {
+                    let x_open = !x.accepted && x.witnesses < k;
+                    if x_open || w_v < k {
+                        witness_dist_comps += 1;
+                        let radius = if w_v < k { v.dist } else { x.dist };
+                        if let Some(d) = metric.dist_lt(v_point, index.point(x.id), radius) {
+                            if x_open && d < x.dist {
+                                x.witnesses += 1;
+                            }
+                            if w_v < k && d < v.dist {
+                                w_v += 1;
+                            }
+                        }
+                    }
+                    if !x.accepted && x.witnesses < k && v.dist >= 2.0 * x.dist {
+                        x.accepted = true;
+                        lazy_accepts += 1;
+                    }
+                }
+            }
+            if variant == RdtVariant::Plus && w_v >= k {
+                excluded += 1;
+            } else {
+                filter.push(FilterCandidate {
+                    id: v.id,
+                    dist: v.dist,
+                    witnesses: w_v,
+                    accepted: false,
+                });
+            }
+            if test_armed && s > k && v.dist > 0.0 {
+                let denom = (s as f64 / k as f64).powf(1.0 / t) - 1.0;
+                if denom > 0.0 {
+                    omega = omega.min(v.dist / denom);
+                }
+            }
+            if v.dist > omega {
+                termination = Termination::Omega;
+                break;
+            }
+            if test_armed && s >= cap {
+                termination = if s >= n {
+                    Termination::Exhausted
+                } else {
+                    Termination::RankCap
+                };
+                break;
+            }
+        }
+        let mut search = cursor.stats();
+        drop(cursor);
+        let mut result = Vec::new();
+        let (mut lazy_rejects, mut verified, mut verified_accepted) = (0usize, 0usize, 0usize);
+        for cand in &filter {
+            if cand.accepted {
+                result.push(Neighbor::new(cand.id, cand.dist));
+            } else if cand.witnesses >= k {
+                lazy_rejects += 1;
+            } else {
+                verified += 1;
+                let dk = match dk_cache {
+                    Some(c) => c.dk_or_compute(index, cand.id, &mut cursor_scratch, &mut search),
+                    None => dk_via_cursor(index, cand.id, k, &mut cursor_scratch, &mut search),
+                };
+                if dk >= cand.dist {
+                    verified_accepted += 1;
+                    result.push(Neighbor::new(cand.id, cand.dist));
+                }
+            }
+        }
+        rknn_core::neighbor::sort_neighbors(&mut result);
+        RknnAnswer {
+            result,
+            stats: RdtQueryStats {
+                retrieved: s,
+                filter_set_size: filter.len(),
+                excluded,
+                lazy_accepts,
+                lazy_rejects,
+                verified,
+                verified_accepted,
+                witness_pairs,
+                witness_dist_comps,
+                omega,
+                termination,
+                search,
+            },
+        }
+    }
+
+    #[test]
+    fn open_set_witness_pass_matches_the_row_by_row_reference() {
+        // A tie-heavy integer grid (many duplicates and coincident
+        // distances) and uniform data, large enough that full-scan filter
+        // sets cross several WITNESS_TILE blocks.
+        let mut rng = SmallRng::seed_from_u64(60);
+        let grid_rows: Vec<Vec<f64>> = (0..300)
+            .map(|_| (0..2).map(|_| rng.random_range(0u32..6) as f64).collect())
+            .collect();
+        let grid = Dataset::from_rows(&grid_rows).unwrap().into_shared();
+        let runs = [
+            (RdtVariant::Plain, TSchedule::Fixed),
+            (RdtVariant::Plus, TSchedule::Fixed),
+            (RdtVariant::NoWitness, TSchedule::Fixed),
+            (RdtVariant::Plain, TSchedule::Adaptive { safety: 1.0 }),
+            (RdtVariant::Plus, TSchedule::Adaptive { safety: 2.0 }),
+        ];
+        let bits =
+            |a: &RknnAnswer| -> Vec<u64> { a.result.iter().map(|n| n.dist.to_bits()).collect() };
+        let mut cases = Vec::new();
+        for t in [3.0, 20.0] {
+            for run in runs {
+                for cached in [false, true] {
+                    cases.push((t, run, cached));
+                }
+            }
+        }
+        let mut scratch = QueryScratch::new(3);
+        let mut widest_filter = 0usize;
+        for ds in [grid, uniform(300, 3, 61)] {
+            let idx = LinearScan::build(ds.clone(), Euclidean);
+            let external = vec![2.5; ds.dim()];
+            let queries = [
+                (idx.point(0), Some(0)),
+                (idx.point(150), Some(150)),
+                (&external[..], None),
+            ];
+            for k in [1usize, 3, 10] {
+                // A half-warm cache: verifications both hit and miss it.
+                let warm = DkCache::new(k, ds.len());
+                let mut cs = CursorScratch::new();
+                for id in (0..ds.len()).step_by(2) {
+                    warm.dk_or_compute(&idx, id, &mut cs, &mut SearchStats::new());
+                }
+                for &(t, (variant, schedule), cached) in &cases {
+                    for &(q, exclude) in &queries {
+                        let params = RdtParams::new(k, t);
+                        let (c1, c2) = (warm.warm_copy(), warm.warm_copy());
+                        let (c1, c2) = if cached {
+                            (Some(&c1), Some(&c2))
+                        } else {
+                            (None, None)
+                        };
+                        let got = run_query_full(
+                            &idx,
+                            q,
+                            exclude,
+                            params,
+                            variant,
+                            schedule,
+                            &mut scratch,
+                            c1,
+                        );
+                        let want = reference_query(&idx, q, exclude, params, variant, schedule, c2);
+                        let dim = ds.dim();
+                        let ctx = format!(
+                            "dim={dim} k={k} t={t} {variant:?} {schedule:?} {exclude:?} {cached}"
+                        );
+                        assert_eq!(got.ids(), want.ids(), "{ctx}");
+                        assert_eq!(bits(&got), bits(&want), "{ctx}");
+                        assert_eq!(got.stats, want.stats, "{ctx}");
+                        assert_eq!(
+                            got.stats.omega.to_bits(),
+                            want.stats.omega.to_bits(),
+                            "{ctx}"
+                        );
+                        widest_filter = widest_filter.max(got.stats.filter_set_size);
+                    }
+                }
+            }
+        }
+        assert!(
+            widest_filter > 4 * WITNESS_TILE,
+            "filter sets must cross several tile blocks: {widest_filter}"
+        );
     }
 
     #[test]
