@@ -5,8 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rknn_core::Euclidean;
 use rknn_index::{cover_tree::CoverTreeConfig, CoverTree, KnnIndex, LinearScan, MTree};
-use rknn_rdt::engine::{run_query_variant, RdtVariant};
-use rknn_rdt::RdtParams;
+use rknn_rdt::{RdtAlgorithm, RdtParams, RdtVariant};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -26,16 +25,9 @@ fn bench_ablations(c: &mut Criterion) {
         ("plus", RdtVariant::Plus),
         ("no_witness", RdtVariant::NoWitness),
     ] {
+        let rdt = RdtAlgorithm::new(params).with_variant(variant);
         g.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(run_query_variant(
-                    &idx,
-                    idx.point(9),
-                    Some(9),
-                    params,
-                    black_box(variant),
-                ))
-            })
+            b.iter(|| black_box(rdt.answer(&idx, black_box(9))))
         });
     }
     g.finish();

@@ -4,7 +4,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rknn_baselines::{MRkNNCoP, NaiveRknn, RdnnTree, Sft, Tpl};
 use rknn_core::{Euclidean, SearchStats};
 use rknn_index::CoverTree;
-use rknn_rdt::{RdtParams, RdtPlus};
+use rknn_rdt::{RdtAlgorithm, RdtParams};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,13 +18,13 @@ fn bench_baselines(c: &mut Criterion) {
     let tpl = Tpl::build(ds.clone(), Euclidean);
     let sft = Sft::new(k, 4.0);
     let naive = NaiveRknn::new(k);
-    let plus = RdtPlus::new(RdtParams::new(k, 6.0));
+    let plus = RdtAlgorithm::plus(RdtParams::new(k, 6.0));
 
     let mut g = c.benchmark_group("rknn_query_k10_n3000");
     g.sample_size(20);
     g.measurement_time(Duration::from_secs(2));
     g.bench_function("rdt_plus_t6", |b| {
-        b.iter(|| black_box(plus.query(&forward, black_box(5))))
+        b.iter(|| black_box(plus.answer(&forward, black_box(5))))
     });
     g.bench_function("sft_a4", |b| {
         b.iter(|| {

@@ -4,8 +4,8 @@
 //! RkNN job (n=2000, d=32, k=10) over the sequential-scan substrate,
 //! comparing
 //!
-//! * the pre-batch-engine execution path — one `run_query` per point,
-//!   per-query allocations, full-precision distances
+//! * the pre-batch-engine execution path — one `RdtAlgorithm::answer` per
+//!   point, per-query allocations, full-precision distances
 //!   ([`rknn_core::FullPrecision`] disables threshold pruning and the
 //!   uncached engine recomputes every verification threshold); against
 //! * the batch driver with one worker (scratch reuse, early abandonment,
@@ -19,10 +19,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rknn_core::{Euclidean, FullPrecision};
-use rknn_index::{KnnIndex, LinearScan};
-use rknn_rdt::batch::{run_all_points, BatchConfig};
-use rknn_rdt::engine::run_query;
-use rknn_rdt::RdtParams;
+use rknn_index::LinearScan;
+use rknn_rdt::{
+    run_algorithm_all_points, AlgorithmOutcome, RdtAlgorithm, RdtParams, RknnAlgorithm, RknnAnswer,
+};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -35,13 +35,19 @@ fn bench_batch(c: &mut Criterion) {
     let ds = rknn_data::gaussian_blobs(N, DIM, 8, 0.3, 0xbe7c).into_shared();
     let scalar_index = LinearScan::build(ds.clone(), FullPrecision(Euclidean));
     let fast_index = LinearScan::build(ds, Euclidean);
-    let params = RdtParams::new(K, T);
+    let rdt = RdtAlgorithm::new(RdtParams::new(K, T));
+    // The batch driver with a freshly prepared shared d_k cache per run.
+    let all_points = |threads: usize| -> AlgorithmOutcome<RknnAnswer> {
+        let mut algo = rdt.fresh();
+        algo.prepare(&fast_index);
+        run_algorithm_all_points(&algo, &fast_index, threads)
+    };
 
     // Identical result sets across every path, checked before timing.
-    let batch = run_all_points(&fast_index, params, &BatchConfig::default().with_threads(4));
-    let seq = run_all_points(&fast_index, params, &BatchConfig::sequential());
+    let batch = all_points(4);
+    let seq = all_points(1);
     for q in 0..N {
-        let scalar = run_query(&scalar_index, scalar_index.point(q), Some(q), params, false);
+        let scalar = rdt.answer(&scalar_index, q);
         assert_eq!(
             scalar.ids(),
             batch.answers[q].ids(),
@@ -64,35 +70,15 @@ fn bench_batch(c: &mut Criterion) {
     g.bench_function("scalar_sequential_loop", |b| {
         b.iter(|| {
             (0..N)
-                .map(|q| {
-                    run_query(&scalar_index, scalar_index.point(q), Some(q), params, false)
-                        .result
-                        .len()
-                })
+                .map(|q| rdt.answer(&scalar_index, q).result.len())
                 .sum::<usize>()
         })
     });
     g.bench_function("batch_driver_1worker", |b| {
-        b.iter(|| {
-            black_box(run_all_points(
-                &fast_index,
-                params,
-                &BatchConfig::sequential(),
-            ))
-            .stats
-            .result_members
-        })
+        b.iter(|| black_box(all_points(1)).stats.result_members)
     });
     g.bench_function("batch_driver_4workers", |b| {
-        b.iter(|| {
-            black_box(run_all_points(
-                &fast_index,
-                params,
-                &BatchConfig::default().with_threads(4),
-            ))
-            .stats
-            .result_members
-        })
+        b.iter(|| black_box(all_points(4)).stats.result_members)
     });
     g.finish();
 }

@@ -10,8 +10,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rknn_core::{Dataset, Euclidean};
 use rknn_index::{BallTree, CoverTree, KnnIndex, LinearScan, MTree, RTree, VpTree};
-use rknn_rdt::batch::{run_all_points, BatchConfig};
-use rknn_rdt::RdtParams;
+use rknn_rdt::{
+    run_algorithm_all_points, AlgorithmOutcome, RdtAlgorithm, RdtParams, RknnAlgorithm, RknnAnswer,
+};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,16 +33,22 @@ fn substrates(ds: &Arc<Dataset>) -> Vec<Box<dyn KnnIndex<Euclidean>>> {
     ]
 }
 
+/// The all-points batch on four workers with a freshly prepared shared
+/// `d_k` cache per run.
+fn all_points(index: &dyn KnnIndex<Euclidean>) -> AlgorithmOutcome<RknnAnswer> {
+    let mut algo = RdtAlgorithm::new(RdtParams::new(K, T));
+    algo.prepare(index);
+    run_algorithm_all_points(&algo, index, 4)
+}
+
 fn bench_substrates(c: &mut Criterion) {
     let ds = rknn_data::gaussian_blobs(N, DIM, 8, 0.3, 0x5b57).into_shared();
-    let params = RdtParams::new(K, T);
-    let cfg = BatchConfig::default().with_threads(4);
     let indexes = substrates(&ds);
 
     // Identical result sets across every substrate, checked before timing.
-    let reference = run_all_points(&*indexes[0], params, &cfg);
+    let reference = all_points(&*indexes[0]);
     for index in &indexes[1..] {
-        let out = run_all_points(&**index, params, &cfg);
+        let out = all_points(&**index);
         for (q, (a, b)) in reference.answers.iter().zip(&out.answers).enumerate() {
             assert_eq!(a.ids(), b.ids(), "{} diverged at q={q}", index.name());
         }
@@ -52,11 +59,7 @@ fn bench_substrates(c: &mut Criterion) {
     g.measurement_time(Duration::from_secs(2));
     for index in &indexes {
         g.bench_function(index.name(), |b| {
-            b.iter(|| {
-                black_box(run_all_points(&**index, params, &cfg))
-                    .stats
-                    .result_members
-            })
+            b.iter(|| black_box(all_points(&**index)).stats.result_members)
         });
     }
     g.finish();

@@ -6,8 +6,8 @@
 //! all-points RkNN job (n≈2000, d=32, k=10) on the sequential-scan
 //! substrate — measured three ways:
 //!
-//! 1. **scalar sequential**: one `run_query` per point with per-query
-//!    allocations and full-precision distances
+//! 1. **scalar sequential**: one `RdtAlgorithm::answer` per point with
+//!    per-query allocations and full-precision distances
 //!    ([`rknn_core::FullPrecision`] disables threshold pruning) — the
 //!    pre-batch-engine execution path;
 //! 2. **fast sequential**: the batch driver with one worker — scratch
@@ -88,10 +88,11 @@ use rknn_eval::experiments::churn::{run_churn, ChurnConfig, ChurnReport};
 use rknn_eval::experiments::scaling::{run_scaling, ScalingConfig, ScalingPoint};
 use rknn_eval::experiments::substrates::{run_substrate_sweep, SubstrateSweepConfig};
 use rknn_index::{CoverTree, KnnIndex, LinearScan};
-use rknn_rdt::algorithm::{run_algorithm_batch, AlgorithmAnswer, RdtAlgorithm, RknnAlgorithm};
-use rknn_rdt::batch::{run_all_points, BatchConfig};
-use rknn_rdt::engine::run_query;
-use rknn_rdt::{BatchOutcome, RdtParams};
+use rknn_rdt::algorithm::{
+    run_algorithm_all_points, run_algorithm_batch, AlgorithmAnswer, AlgorithmOutcome, RdtAlgorithm,
+    RknnAlgorithm,
+};
+use rknn_rdt::{RdtParams, RknnAnswer};
 use std::time::Instant;
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -506,25 +507,25 @@ fn main() {
     let fast_index = LinearScan::build(ds.clone(), Euclidean);
 
     // 1. Sequential scalar per-query loop (the pre-batch-engine path).
+    let scalar_rdt = RdtAlgorithm::new(params);
     let (scalar_ms, scalar_answers) = best_of(reps, || {
         (0..scalar_index.num_points())
-            .map(|q| run_query(&scalar_index, scalar_index.point(q), Some(q), params, false))
+            .map(|q| scalar_rdt.answer(&scalar_index, q))
             .collect::<Vec<_>>()
     });
 
+    // 2./3. The batch driver with a freshly prepared shared d_k cache per
+    // repetition, so every repetition starts cold.
+    let all_points = |workers: usize| -> AlgorithmOutcome<RknnAnswer> {
+        let mut algo = RdtAlgorithm::new(params);
+        algo.prepare(&fast_index);
+        run_algorithm_all_points(&algo, &fast_index, workers)
+    };
     // 2. Batch driver, one worker: scratch reuse + early abandonment only.
-    let (fast_seq_ms, fast_seq): (f64, BatchOutcome) = best_of(reps, || {
-        run_all_points(&fast_index, params, &BatchConfig::sequential())
-    });
+    let (fast_seq_ms, fast_seq) = best_of(reps, || all_points(1));
 
     // 3. Batch driver, `threads` workers.
-    let (batch_ms, batch): (f64, BatchOutcome) = best_of(reps, || {
-        run_all_points(
-            &fast_index,
-            params,
-            &BatchConfig::default().with_threads(threads),
-        )
-    });
+    let (batch_ms, batch) = best_of(reps, || all_points(threads));
 
     // Identical result sets (and terminations) across all three paths.
     for (q, scalar_ans) in scalar_answers.iter().enumerate() {
@@ -1036,7 +1037,13 @@ fn main() {
         cr = crossover_json.join(",\n"),
     );
 
-    let st = &batch.stats;
+    // Query-order sums over the batch answers. `total_dist_comps` is index
+    // work plus witness maintenance; the other counters are RDT's own.
+    let sum = |f: fn(&RknnAnswer) -> u64| batch.answers.iter().map(f).sum::<u64>();
+    let index_dist = sum(|a| a.stats.search.dist_computations);
+    let witness_pairs = sum(|a| a.stats.witness_pairs);
+    let witness_dist = sum(|a| a.stats.witness_dist_comps);
+    let retrieved = sum(|a| a.stats.retrieved as u64);
     let speedup_batch = scalar_ms / batch_ms;
     let speedup_fast_seq = scalar_ms / fast_seq_ms;
     let json = format!(
@@ -1050,11 +1057,11 @@ fn main() {
         creps = churn_reps,
         b64 = ds.storage_bytes(),
         b32 = ds.f32_rows().bytes(),
-        dist = st.total_dist_comps(),
-        wp = st.witness_pairs,
-        wd = st.witness_dist_comps,
-        retr = st.retrieved,
-        members = st.result_members,
+        dist = index_dist + witness_dist,
+        wp = witness_pairs,
+        wd = witness_dist,
+        retr = retrieved,
+        members = batch.stats.result_members,
         dynamics = dynamic_json,
         streaming = streaming_json,
         scaling = scaling_json,

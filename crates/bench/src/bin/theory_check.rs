@@ -15,7 +15,7 @@ use rknn_eval::Table;
 use rknn_index::LinearScan;
 use rknn_lid::max_ged;
 use rknn_rdt::theory::{guarantee_radius, reverse_rank_bound};
-use rknn_rdt::{Rdt, RdtParams};
+use rknn_rdt::{RdtAlgorithm, RdtParams};
 
 fn main() {
     let opts = HarnessOpts::from_env();
@@ -71,20 +71,20 @@ fn main() {
         let bf = BruteForce::new(ds.clone(), Euclidean);
         let queries = rknn_data::sample_queries(n, 25, opts.seed);
         let mut st = SearchStats::new();
-        let rdt_exact = Rdt::new(RdtParams::new(k, t_star + 0.5));
+        let rdt_exact = RdtAlgorithm::new(RdtParams::new(k, t_star + 0.5));
         let mut exact_everywhere = true;
         for &q in &queries {
             let truth: Vec<_> = bf.rknn(q, k, &mut st).iter().map(|x| x.id).collect();
-            if rdt_exact.query(&idx, q).ids() != truth {
+            if rdt_exact.answer(&idx, q).ids() != truth {
                 exact_everywhere = false;
             }
         }
         // Below the threshold, misses must respect the guarantee radius.
         let t_low = (t_star * 0.3).max(0.8);
-        let rdt_low = Rdt::new(RdtParams::new(k, t_low));
+        let rdt_low = RdtAlgorithm::new(RdtParams::new(k, t_low));
         let mut radius_violations = 0usize;
         for &q in &queries {
-            let ans = rdt_low.query(&idx, q);
+            let ans = rdt_low.answer(&idx, q);
             let got: std::collections::HashSet<_> = ans.ids().into_iter().collect();
             let d_ref = dk_from(&ds, &m, ds.point(q), k + 1, Some(q)).unwrap_or(f64::INFINITY);
             let radius = guarantee_radius(d_ref, ans.stats.retrieved, k, t_low);

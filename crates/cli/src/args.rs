@@ -68,6 +68,17 @@ impl Args {
         }
     }
 
+    /// A parsed option that must be positive and finite (the scale
+    /// parameter `--t`, the adaptive `--safety` factor), with default.
+    pub fn get_positive(&self, key: &str, default: f64) -> Result<f64, String> {
+        let v: f64 = self.get_parsed(key, default)?;
+        if v.is_finite() && v > 0.0 {
+            Ok(v)
+        } else {
+            Err(format!("--{key} must be positive and finite, got {v}"))
+        }
+    }
+
     /// Whether a bare flag is present.
     pub fn has_flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)

@@ -9,7 +9,7 @@ use rknn_lid::{GpEstimator, HillEstimator, IdEstimator, TakensEstimator, TwoNnEs
 use rknn_rdt::algorithm::{
     run_algorithm_batch, AlgorithmAnswer, AlgorithmOutcome, RdtAlgorithm, RknnAlgorithm,
 };
-use rknn_rdt::{MaintainedStream, RdtParams, RdtPlus, RdtVariant};
+use rknn_rdt::{MaintainedStream, RdtParams, RdtVariant};
 use rknn_serve::{
     advance_snapshot, ChurnOp, Engine, EngineConfig, FaultPlan, QueryRequest, Snapshot,
 };
@@ -214,14 +214,14 @@ pub fn query(args: &Args) -> Result<(), String> {
     let (ids, note, prepare_ms, query_ms) = match method {
         "rdt" | "rdt+" => {
             let algo = if args.has_flag("adaptive") {
-                let safety: f64 = args.get_parsed("safety", 2.0)?;
+                let safety: f64 = args.get_positive("safety", 2.0)?;
                 RdtAlgorithm::adaptive(k, safety, 1.0).with_variant(if method == "rdt+" {
                     RdtVariant::Plus
                 } else {
                     RdtVariant::Plain
                 })
             } else {
-                let t: f64 = args.get_parsed("t", 4.0)?;
+                let t: f64 = args.get_positive("t", 4.0)?;
                 let params = RdtParams::new(k, t);
                 if method == "rdt+" {
                     RdtAlgorithm::plus(params)
@@ -344,7 +344,7 @@ pub fn bench(args: &Args) -> Result<(), String> {
     if ds.len() <= k + 2 {
         return Err(format!("dataset too small for k = {k} (n = {})", ds.len()));
     }
-    let t: f64 = args.get_parsed("t", 4.0)?;
+    let t: f64 = args.get_positive("t", 4.0)?;
     let alpha: f64 = args.get_parsed("alpha", 4.0)?;
     let k_max: usize = args.get_parsed("kmax", k)?;
     if k_max < k {
@@ -437,7 +437,7 @@ pub fn churn(args: &Args) -> Result<(), String> {
     if ds.len() <= k + 2 {
         return Err(format!("dataset too small for k = {k} (n = {})", ds.len()));
     }
-    let t: f64 = args.get_parsed("t", 50.0)?;
+    let t: f64 = args.get_positive("t", 50.0)?;
     let updates: usize = args.get_parsed("updates", 60)?;
     let seed: u64 = args.get_parsed("seed", 1)?;
     let threads: usize = args.get_parsed("threads", 2)?;
@@ -590,7 +590,7 @@ pub fn serve_io<R: BufRead, W: Write>(args: &Args, input: R, out: &mut W) -> Res
     if ds.len() <= k + 2 {
         return Err(format!("dataset too small for k = {k} (n = {})", ds.len()));
     }
-    let t: f64 = args.get_parsed("t", 4.0)?;
+    let t: f64 = args.get_positive("t", 4.0)?;
     let workers: usize = args.get_parsed("threads", 0)?;
     let queue_capacity: usize = args.get_parsed("queue-cap", 128)?;
     if queue_capacity == 0 {
@@ -870,14 +870,17 @@ where
 pub fn hubness(args: &Args) -> Result<(), String> {
     let ds = load_dataset(args)?;
     let k: usize = args.get_parsed("k", 10)?;
-    let t: f64 = args.get_parsed("t", 8.0)?;
+    if k == 0 {
+        return Err("k must be positive".into());
+    }
+    let t: f64 = args.get_positive("t", 8.0)?;
     let (metric, kernel_header) = kernel_selection(args)?;
     let (sub, _) = Substrate::build(args, ds.clone(), metric)?;
     let index = sub.as_index();
     println!("hubness [{} · {kernel_header}]", index.name());
-    let rdt = RdtPlus::new(RdtParams::new(k, t));
+    let rdt = RdtAlgorithm::plus(RdtParams::new(k, t));
     let mut counts: Vec<usize> = (0..ds.len())
-        .map(|q| rdt.query(index, q).result.len())
+        .map(|q| rdt.answer(index, q).result.len())
         .collect();
     let n = counts.len() as f64;
     let mean = counts.iter().sum::<usize>() as f64 / n;
@@ -1259,6 +1262,36 @@ mod tests {
         assert!(query(&args(&format!("query --data {path} --q 0 --k 3 --dims x"))).is_err());
         assert!(bench(&args(&format!("bench --input {path} --k 3 --methods warp"))).is_err());
         assert!(bench(&args("bench --k 3")).is_err());
+        // A scale parameter or safety factor that is not positive and
+        // finite is a typed error on every command that takes one.
+        let rejects = |result: Result<(), String>, flag: &str| {
+            let err = result.expect_err("a bad value must be rejected");
+            assert!(err.contains(&format!("--{flag} must be positive")), "{err}");
+        };
+        rejects(
+            query(&args(&format!("query --input {path} --k 3 --t 0"))),
+            "t",
+        );
+        let adaptive = format!("query --input {path} --k 3 --adaptive --safety -3");
+        rejects(query(&args(&adaptive)), "safety");
+        rejects(
+            bench(&args(&format!("bench --input {path} --k 3 --t nan"))),
+            "t",
+        );
+        rejects(
+            churn(&args(&format!("churn --input {path} --k 3 --t inf"))),
+            "t",
+        );
+        let serve_args = args(&format!("serve --input {path} --k 3 --t -1"));
+        rejects(
+            serve_io(&serve_args, "quit\n".as_bytes(), &mut Vec::new()),
+            "t",
+        );
+        rejects(
+            hubness(&args(&format!("hubness --input {path} --t nan"))),
+            "t",
+        );
+        assert!(hubness(&args(&format!("hubness --input {path} --k 0"))).is_err());
         let _ = std::fs::remove_file(&path);
     }
 }

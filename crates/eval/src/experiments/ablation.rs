@@ -11,11 +11,8 @@ use crate::metrics::QualityAccum;
 use crate::truth::{DkTable, GroundTruth};
 use rknn_core::{Dataset, Euclidean};
 use rknn_data::sample_queries;
-use rknn_rdt::batch::{run_batch, BatchConfig};
-use rknn_rdt::engine::RdtVariant;
-use rknn_rdt::{RdtAdaptive, RdtParams};
+use rknn_rdt::{run_algorithm_batch, RdtAlgorithm, RdtParams, RdtVariant, RknnAlgorithm};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Configuration of the ablation run.
 #[derive(Debug, Clone)]
@@ -81,63 +78,45 @@ pub fn run_ablation(ds: Arc<Dataset>, cfg: &AblationConfig) -> Vec<AblationRow> 
     let table = DkTable::compute(&forward, &[cfg.k], cfg.threads);
     let truth = GroundTruth::compute(&forward, &table, &queries, cfg.k, cfg.threads);
     let mut rows = Vec::new();
-    let variants: [(&str, RdtVariant); 3] = [
-        ("RDT", RdtVariant::Plain),
-        ("RDT+", RdtVariant::Plus),
-        ("no-witness", RdtVariant::NoWitness),
-    ];
+    let mut contenders: Vec<(f64, &str, RdtAlgorithm)> = Vec::new();
     for &t in &cfg.t_grid {
-        for (label, variant) in variants {
-            let params = RdtParams::new(cfg.k, t);
-            // Sequential batch execution: scratch reuse across the query
-            // list without changing what a "mean query time" means. The
-            // d_k cache stays off — this ablation's whole point is the
-            // per-query verification cost gap between variants, which
-            // cross-query threshold reuse would collapse.
-            let cfg_batch = BatchConfig::sequential()
-                .with_variant(variant)
-                .with_dk_reuse(false);
-            let out = run_batch(&forward, &queries, params, &cfg_batch);
-            let mut quality = QualityAccum::new();
-            for (i, ans) in out.answers.iter().enumerate() {
-                quality.add(&ans.ids(), truth.answer(i));
-            }
-            let nq = queries.len().max(1) as f64;
-            rows.push(AblationRow {
-                dataset: cfg.dataset.clone(),
-                t,
-                variant: label.to_string(),
-                recall: quality.recall(),
-                precision: quality.precision(),
-                query_ms: out.elapsed.as_secs_f64() * 1e3 / nq,
-                verified: out.stats.verified as f64 / nq,
-                witness_pairs: out.stats.witness_pairs as f64 / nq,
-            });
-        }
+        let params = RdtParams::new(cfg.k, t);
+        contenders.push((t, "RDT", RdtAlgorithm::new(params)));
+        contenders.push((t, "RDT+", RdtAlgorithm::plus(params)));
+        let no_witness = RdtAlgorithm::new(params).with_variant(RdtVariant::NoWitness);
+        contenders.push((t, "no-witness", no_witness));
     }
     // The adaptive-t schedule (§9 future work) as a fourth contender.
-    let adaptive = RdtAdaptive::new(cfg.k, 2.0);
-    let mut quality = QualityAccum::new();
-    let mut verified = 0usize;
-    let mut witness = 0u64;
-    let start = Instant::now();
-    for (i, &q) in queries.iter().enumerate() {
-        let ans = adaptive.query(&forward, q);
-        verified += ans.stats.verified;
-        witness += ans.stats.witness_pairs;
-        quality.add(&ans.ids(), truth.answer(i));
-    }
+    let adaptive = RdtAlgorithm::adaptive(cfg.k, 2.0, 1.0);
+    contenders.push((f64::NAN, "RDT+(adaptive)", adaptive));
     let nq = queries.len().max(1) as f64;
-    rows.push(AblationRow {
-        dataset: cfg.dataset.clone(),
-        t: f64::NAN,
-        variant: "RDT+(adaptive)".to_string(),
-        recall: quality.recall(),
-        precision: quality.precision(),
-        query_ms: start.elapsed().as_secs_f64() * 1e3 / nq,
-        verified: verified as f64 / nq,
-        witness_pairs: witness as f64 / nq,
-    });
+    for (t, label, algo) in contenders {
+        // Sequential batch execution: scratch reuse across the query list
+        // without changing what a "mean query time" means. The d_k cache
+        // stays off — this ablation's whole point is the per-query
+        // verification cost gap between variants, which cross-query
+        // threshold reuse would collapse.
+        let mut algo = algo.with_dk_reuse(false);
+        algo.prepare(&forward);
+        let out = run_algorithm_batch(&algo, &forward, &queries, 1);
+        let mut quality = QualityAccum::new();
+        let (mut verified, mut witness_pairs) = (0usize, 0u64);
+        for (i, ans) in out.answers.iter().enumerate() {
+            quality.add(&ans.ids(), truth.answer(i));
+            verified += ans.stats.verified;
+            witness_pairs += ans.stats.witness_pairs;
+        }
+        rows.push(AblationRow {
+            dataset: cfg.dataset.clone(),
+            t,
+            variant: label.to_string(),
+            recall: quality.recall(),
+            precision: quality.precision(),
+            query_ms: out.elapsed.as_secs_f64() * 1e3 / nq,
+            verified: verified as f64 / nq,
+            witness_pairs: witness_pairs as f64 / nq,
+        });
+    }
     rows
 }
 

@@ -10,8 +10,7 @@ use crate::metrics::QualityAccum;
 use crate::truth::{DkTable, GroundTruth};
 use rknn_core::{Dataset, Euclidean};
 use rknn_data::sample_queries;
-use rknn_rdt::batch::{run_batch, BatchConfig};
-use rknn_rdt::{RdtParams, RdtVariant};
+use rknn_rdt::{run_algorithm_batch, RdtAlgorithm, RdtParams, RknnAlgorithm};
 use std::sync::Arc;
 
 /// Configuration for the lazy-mechanism profile.
@@ -73,15 +72,14 @@ pub fn run_lazy_profile(ds: Arc<Dataset>, cfg: &LazyConfig) -> Vec<LazyRow> {
     let queries = sample_queries(ds.len(), cfg.queries, cfg.seed);
     let table = DkTable::compute(&forward, &[cfg.k], cfg.threads);
     let truth = GroundTruth::compute(&forward, &table, &queries, cfg.k, cfg.threads);
-    let batch_cfg = BatchConfig::default()
-        .with_threads(cfg.threads)
-        .with_variant(RdtVariant::Plus);
     let mut rows = Vec::new();
     for &t in &cfg.t_grid {
         // The whole query batch runs through the parallel driver; the
         // per-query proportions (a per-answer quantity) are then averaged
-        // in query order, identical to the former sequential loop.
-        let out = run_batch(&forward, &queries, RdtParams::new(cfg.k, t), &batch_cfg);
+        // in query order, identical to a sequential loop.
+        let mut algo = RdtAlgorithm::plus(RdtParams::new(cfg.k, t));
+        algo.prepare(&forward);
+        let out = run_algorithm_batch(&algo, &forward, &queries, cfg.threads);
         let mut verify = 0.0;
         let mut accept = 0.0;
         let mut reject = 0.0;
@@ -93,7 +91,7 @@ pub fn run_lazy_profile(ds: Arc<Dataset>, cfg: &LazyConfig) -> Vec<LazyRow> {
             reject += r;
             quality.add(&ans.ids(), truth.answer(i));
         }
-        let retrieved = out.stats.retrieved;
+        let retrieved: usize = out.answers.iter().map(|a| a.stats.retrieved).sum();
         let nq = queries.len().max(1) as f64;
         rows.push(LazyRow {
             dataset: cfg.dataset.clone(),

@@ -11,8 +11,9 @@
 
 use rknn_core::{Dataset, Euclidean};
 use rknn_index::{BallTree, CoverTree, KnnIndex, LinearScan, MTree, RTree, VpTree};
-use rknn_rdt::batch::{run_all_points, BatchConfig, BatchOutcome};
-use rknn_rdt::RdtParams;
+use rknn_rdt::{
+    run_algorithm_all_points, AlgorithmOutcome, RdtAlgorithm, RdtParams, RknnAlgorithm, RknnAnswer,
+};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -80,7 +81,7 @@ pub fn run_substrate_sweep(cfg: &SubstrateSweepConfig) -> Vec<SubstrateRow> {
     let ds =
         rknn_data::gaussian_blobs(cfg.n, cfg.dim, cfg.clusters, cfg.sigma, cfg.seed).into_shared();
     let params = RdtParams::new(cfg.k, cfg.t);
-    let batch_cfg = BatchConfig::default().with_threads(cfg.threads.max(1));
+    let threads = cfg.threads.max(1);
 
     let builds: Vec<(BoxedIndex, f64)> = substrate_builders()
         .into_iter()
@@ -91,10 +92,15 @@ pub fn run_substrate_sweep(cfg: &SubstrateSweepConfig) -> Vec<SubstrateRow> {
         })
         .collect();
 
-    let mut reference: Option<BatchOutcome> = None;
+    let mut reference: Option<AlgorithmOutcome<RknnAnswer>> = None;
     let mut rows = Vec::with_capacity(builds.len());
     for (index, build_ms) in &builds {
-        let out = run_all_points(&**index, params, &batch_cfg);
+        // The timed batch includes preparing the shared d_k cache.
+        let start = Instant::now();
+        let mut algo = RdtAlgorithm::new(params);
+        algo.prepare(&**index);
+        let out = run_algorithm_all_points(&algo, &**index, threads);
+        let batch_ms = start.elapsed().as_secs_f64() * 1e3;
         let matches_linear = match &reference {
             None => true, // the linear scan itself
             Some(r) => r
@@ -106,8 +112,9 @@ pub fn run_substrate_sweep(cfg: &SubstrateSweepConfig) -> Vec<SubstrateRow> {
         rows.push(SubstrateRow {
             substrate: index.name(),
             build_ms: *build_ms,
-            batch_ms: out.elapsed.as_secs_f64() * 1e3,
-            total_dist_comps: out.stats.total_dist_comps(),
+            batch_ms,
+            // Index work plus witness maintenance (`AlgorithmAnswer::work`).
+            total_dist_comps: out.stats.search.dist_computations,
             nodes_visited: out.stats.search.nodes_visited,
             heap_pushes: out.stats.search.heap_pushes,
             result_members: out.stats.result_members,

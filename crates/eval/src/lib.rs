@@ -22,7 +22,7 @@
 //!   against rebuild-from-scratch and verified byte-identical to it.
 //!
 //! Supporting modules: [`truth`] (exact ground truth via per-point kNN
-//! distance tables, parallelized with crossbeam), [`metrics`]
+//! distance tables, parallelized with scoped threads), [`metrics`]
 //! (recall/precision), [`report`] (ASCII tables + CSV), [`forward`] (the
 //! runtime choice between cover-tree and sequential-scan substrates, §7.1).
 

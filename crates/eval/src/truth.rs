@@ -12,12 +12,12 @@
 //! exact-tier metric — `Euclidean::exact()` — rather than the ambient
 //! default, which follows `RKNN_KERNEL_TIER`.
 
-use crossbeam::thread;
 use rknn_core::{CursorScratch, Dataset, Metric, PointId, SearchStats};
 use rknn_index::KnnIndex;
 use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::thread;
 use std::time::{Duration, Instant};
 
 /// Per-point kNN distances at a fixed set of ranks.
@@ -53,7 +53,7 @@ impl DkTable {
         thread::scope(|scope| {
             for (w, slice) in dk.chunks_mut(chunk).enumerate() {
                 let ks = &ks;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut stats = SearchStats::new();
                     for (off, row) in slice.iter_mut().enumerate() {
                         let i = w * chunk + off;
@@ -71,8 +71,7 @@ impl DkTable {
                     }
                 });
             }
-        })
-        .expect("dk workers do not panic");
+        });
         DkTable {
             ks,
             dk,
@@ -193,14 +192,13 @@ impl GroundTruth {
             let chunk = queries.len().div_ceil(threads);
             thread::scope(|scope| {
                 for (qs, out) in queries.chunks(chunk).zip(answers.chunks_mut(chunk)) {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         for (&q, slot) in qs.iter().zip(out.iter_mut()) {
                             *slot = answer_one(q);
                         }
                     });
                 }
-            })
-            .expect("ground-truth workers do not panic");
+            });
         }
         GroundTruth { k, answers }
     }
@@ -381,12 +379,11 @@ impl SampledTruth {
         } else {
             thread::scope(|scope| {
                 for (r, slot) in ranges.iter().zip(parts.iter_mut()) {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         *slot = sweep(r.clone());
                     });
                 }
-            })
-            .expect("sampled-truth workers do not panic");
+            });
         }
 
         let mut dist = 0u64;

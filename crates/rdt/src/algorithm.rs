@@ -14,19 +14,18 @@
 //!   [`Worker`](RknnAlgorithm::Worker) state (cursor scratch and any other
 //!   per-thread buffers, allocated once per worker and reused across
 //!   queries), and a per-query [`query`](RknnAlgorithm::query).
-//! * [`run_algorithm_batch`] — the crossbeam-sharded batch driver all
-//!   methods run through: contiguous query chunks across scoped workers,
+//! * [`run_algorithm_batch`] — the one batch driver all methods run
+//!   through: contiguous query chunks across `std::thread::scope` workers,
 //!   one worker state per thread, answers written into disjoint output
 //!   slots, statistics merged in query order so the outcome is
 //!   deterministic and independent of worker count and scheduling.
 //!
-//! RDT itself is ported onto the trait as [`RdtAlgorithm`]; the historical
-//! entry points [`crate::batch::run_batch`] / [`crate::batch::run_all_points`]
-//! are thin wrappers over this driver. The five baselines implement the
-//! trait in `rknn_baselines::algorithm`.
+//! RDT itself runs on the trait as [`RdtAlgorithm`], which is also the one
+//! handle for one-off RDT queries ([`RdtAlgorithm::answer`]). The five
+//! baselines implement the trait in `rknn_baselines::algorithm`.
 
 use crate::answer::RknnAnswer;
-use crate::engine::{run_query_full, run_query_interruptible, DkCache, RdtVariant, TSchedule};
+use crate::engine::{run_query, DkCache, RdtVariant, TSchedule};
 use crate::params::RdtParams;
 use rknn_core::{
     CancelToken, Cancelled, CoreError, Metric, Neighbor, PointId, QueryScratch, SearchStats,
@@ -394,12 +393,11 @@ where
         run_chunk(queries, &mut answers);
     } else {
         let chunk = queries.len().div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (ids, out) in queries.chunks(chunk).zip(answers.chunks_mut(chunk)) {
-                scope.spawn(move |_| run_chunk(ids, out));
+                scope.spawn(move || run_chunk(ids, out));
             }
-        })
-        .expect("batch workers do not panic");
+        });
     }
 
     let answers: Vec<A::Answer> = answers
@@ -437,14 +435,33 @@ where
 }
 
 /// RDT, RDT+, the no-witness ablation, and the adaptive-`t` variant as one
-/// [`RknnAlgorithm`].
+/// [`RknnAlgorithm`] — the one handle for RDT queries.
 ///
-/// The adapter owns the batch-level configuration the historical
-/// [`crate::batch::BatchConfig`] carried: engine variant, scale-parameter
-/// schedule, and the shared [`DkCache`] of verification thresholds
-/// (created in [`prepare`](RknnAlgorithm::prepare) when
-/// [`with_dk_reuse`](Self::with_dk_reuse) is on and shared by every worker
-/// of a batch).
+/// The handle owns the whole query configuration: parameters, engine
+/// variant, scale-parameter schedule, and the shared [`DkCache`] of
+/// verification thresholds (created in [`prepare`](RknnAlgorithm::prepare)
+/// when [`with_dk_reuse`](Self::with_dk_reuse) is on and shared by every
+/// worker of a batch). Batches run through [`run_algorithm_batch`];
+/// one-off queries through [`answer`](Self::answer) and
+/// [`answer_at`](Self::answer_at), which need no preparation.
+///
+/// # Example
+///
+/// ```
+/// use rknn_core::{Dataset, Euclidean};
+/// use rknn_index::LinearScan;
+/// use rknn_rdt::{RdtAlgorithm, RdtParams};
+///
+/// let ds = Dataset::from_rows(&[
+///     vec![0.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0], vec![9.0, 9.0],
+/// ]).unwrap().into_shared();
+/// let index = LinearScan::build(ds, Euclidean);
+/// let rdt = RdtAlgorithm::new(RdtParams::new(1, 8.0));
+/// let answer = rdt.answer(&index, 0);
+/// // The two near points have point 0 as their nearest neighbor;
+/// // the far point does not.
+/// assert_eq!(answer.ids(), vec![1, 2]);
+/// ```
 #[derive(Debug)]
 pub struct RdtAlgorithm {
     params: RdtParams,
@@ -466,18 +483,11 @@ impl RdtAlgorithm {
     /// long-lived maintained instance — prepare it against the current
     /// index and compare.
     pub fn fresh(&self) -> RdtAlgorithm {
-        RdtAlgorithm {
-            params: self.params,
-            variant: self.variant,
-            schedule: self.schedule,
-            reuse_dk: self.reuse_dk,
-            prewarm: self.prewarm,
-            cache: None,
-            prepare_time: Duration::ZERO,
-            prepare_stats: SearchStats::new(),
-            maint_time: Duration::ZERO,
-            maint_stats: SearchStats::new(),
-        }
+        RdtAlgorithm::new(self.params)
+            .with_variant(self.variant)
+            .with_schedule(self.schedule)
+            .with_dk_reuse(self.reuse_dk)
+            .with_prewarm(self.prewarm)
     }
 
     /// An **already-prepared** successor carrying this instance's warm
@@ -490,16 +500,8 @@ impl RdtAlgorithm {
     /// carried cache and recreate it cold.
     pub fn warmed(&self) -> RdtAlgorithm {
         RdtAlgorithm {
-            params: self.params,
-            variant: self.variant,
-            schedule: self.schedule,
-            reuse_dk: self.reuse_dk,
-            prewarm: self.prewarm,
             cache: self.cache.as_ref().map(DkCache::warm_copy),
-            prepare_time: Duration::ZERO,
-            prepare_stats: SearchStats::new(),
-            maint_time: Duration::ZERO,
-            maint_stats: SearchStats::new(),
+            ..self.fresh()
         }
     }
 
@@ -520,14 +522,41 @@ impl RdtAlgorithm {
     }
 
     /// RDT+ (the §4.3 candidate-set reduction) at the given parameters.
+    ///
+    /// A newly retrieved point that accumulates `k` or more witnesses
+    /// during its first witness pass is excluded from the filter set: it
+    /// cannot be a reverse neighbor (Assertion 1), and the paper argues such
+    /// points are unlikely to be decisive witnesses for other candidates.
+    /// The exclusion keeps the quadratic witness maintenance affordable on
+    /// large, high-dimensional data, at the risk of a precision drop: lazy
+    /// accepts then act on *undercounted* witness sets, so — unlike plain
+    /// RDT — RDT+ can report false positives.
     pub fn plus(params: RdtParams) -> Self {
         RdtAlgorithm::new(params).with_variant(RdtVariant::Plus)
     }
 
-    /// The adaptive-`t` variant (§9): RDT+ with a per-query online Hill
-    /// estimate scaled by `safety`, floored at `t_floor`.
+    /// The adaptive-`t` variant — the paper's stated future work (§9): RDT+
+    /// whose scale parameter follows an online Hill/MLE estimate of the
+    /// local intrinsic dimensionality over the distances the query's own
+    /// expanding search has observed, as `t = safety · estimate`, floored
+    /// at `t_floor` ([`TSchedule::Adaptive`]). The dimensional test stays
+    /// disarmed until the estimate has seen `max(k, 8)` positive distances,
+    /// so warm-up noise cannot terminate the search early. A `safety`
+    /// above 1 trades time for accuracy exactly like `t` does in plain RDT
+    /// (sensible range 1.0–4.0). Pair with
+    /// [`with_variant`](Self::with_variant) for adaptive plain RDT.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `safety` is not positive and finite, or if `k` or
+    /// `t_floor` fail [`RdtParams::new`]'s checks.
     pub fn adaptive(k: usize, safety: f64, t_floor: f64) -> Self {
-        RdtAlgorithm::plus(RdtParams::new(k, t_floor)).with_schedule(TSchedule::Adaptive { safety })
+        let params = RdtParams::new(k, t_floor);
+        assert!(
+            safety.is_finite() && safety > 0.0,
+            "safety factor must be positive and finite"
+        );
+        RdtAlgorithm::plus(params).with_schedule(TSchedule::Adaptive { safety })
     }
 
     /// Sets the engine variant.
@@ -578,6 +607,69 @@ impl RdtAlgorithm {
     /// reuse on (read access for cache-occupancy reporting).
     pub fn dk_cache(&self) -> Option<&DkCache> {
         self.cache.as_ref()
+    }
+
+    /// Answers one reverse-kNN query located at dataset point `q`
+    /// (self-excluding) with fresh working memory: the one-off counterpart
+    /// of [`RknnAlgorithm::query`], for callers without a worker. Uses the
+    /// `d_k` cache only if the handle was prepared; an unprepared handle
+    /// computes every verification threshold itself.
+    pub fn answer<M, I>(&self, index: &I, q: PointId) -> RknnAnswer
+    where
+        M: Metric,
+        I: KnnIndex<M> + ?Sized,
+    {
+        let mut scratch = QueryScratch::new(index.dim().max(1));
+        self.run_uncancelled(index, index.point(q), Some(q), &mut scratch)
+    }
+
+    /// [`answer`](Self::answer) at arbitrary coordinates `coords ∉ S`
+    /// (nothing excluded).
+    pub fn answer_at<M, I>(&self, index: &I, coords: &[f64]) -> RknnAnswer
+    where
+        M: Metric,
+        I: KnnIndex<M> + ?Sized,
+    {
+        let mut scratch = QueryScratch::new(index.dim().max(1));
+        self.run_uncancelled(index, coords, None, &mut scratch)
+    }
+
+    /// This configuration's [`run_query`] call.
+    fn run<M, I>(
+        &self,
+        index: &I,
+        q: &[f64],
+        exclude: Option<PointId>,
+        scratch: &mut QueryScratch,
+        cancel: &CancelToken,
+    ) -> Result<RknnAnswer, Cancelled>
+    where
+        M: Metric,
+        I: KnnIndex<M> + ?Sized,
+    {
+        let (params, variant, schedule) = (self.params, self.variant, self.schedule);
+        let cache = self.cache.as_ref();
+        run_query(
+            index, q, exclude, params, variant, schedule, scratch, cache, cancel,
+        )
+    }
+
+    /// [`run`](Self::run) under a token that never trips.
+    fn run_uncancelled<M, I>(
+        &self,
+        index: &I,
+        q: &[f64],
+        exclude: Option<PointId>,
+        scratch: &mut QueryScratch,
+    ) -> RknnAnswer
+    where
+        M: Metric,
+        I: KnnIndex<M> + ?Sized,
+    {
+        match self.run(index, q, exclude, scratch, &CancelToken::never()) {
+            Ok(answer) => answer,
+            Err(Cancelled) => unreachable!("a never-token cannot cancel"),
+        }
     }
 }
 
@@ -671,16 +763,7 @@ where
     }
 
     fn query(&self, index: &I, q: PointId, worker: &mut QueryScratch) -> RknnAnswer {
-        run_query_full(
-            index,
-            index.point(q),
-            Some(q),
-            self.params,
-            self.variant,
-            self.schedule,
-            worker,
-            self.cache.as_ref(),
-        )
+        self.run_uncancelled(index, index.point(q), Some(q), worker)
     }
 
     fn query_cancellable(
@@ -690,17 +773,7 @@ where
         worker: &mut QueryScratch,
         cancel: &CancelToken,
     ) -> Result<RknnAnswer, Cancelled> {
-        run_query_interruptible(
-            index,
-            index.point(q),
-            Some(q),
-            self.params,
-            self.variant,
-            self.schedule,
-            worker,
-            self.cache.as_ref(),
-            cancel,
-        )
+        self.run(index, index.point(q), Some(q), worker, cancel)
     }
 
     fn query_at(
@@ -710,30 +783,74 @@ where
         worker: &mut QueryScratch,
         cancel: &CancelToken,
     ) -> Option<Result<RknnAnswer, Cancelled>> {
-        Some(run_query_interruptible(
-            index,
-            coords,
-            None,
-            self.params,
-            self.variant,
-            self.schedule,
-            worker,
-            self.cache.as_ref(),
-            cancel,
-        ))
+        Some(self.run(index, coords, None, worker, cancel))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_query_scheduled;
-    use rknn_core::Euclidean;
-    use rknn_index::LinearScan;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use rknn_core::{BruteForce, Dataset, Euclidean};
+    use rknn_index::{CoverTree, LinearScan, VpTree};
+    use std::collections::HashSet;
+    use std::sync::Arc;
 
     fn index(n: usize, dim: usize, seed: u64) -> LinearScan<Euclidean> {
         let ds = rknn_data::uniform_cube(n, dim, seed).into_shared();
         LinearScan::build(ds, Euclidean)
+    }
+
+    /// Four well-separated 2-d unit squares.
+    fn clustered(n: usize, seed: u64) -> Arc<Dataset> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let c = (i % 4) as f64 * 8.0;
+                vec![c + rng.random::<f64>(), c + rng.random::<f64>()]
+            })
+            .collect();
+        Dataset::from_rows(&rows).unwrap().into_shared()
+    }
+
+    /// A uniform cloud in `[0, 10)^dim`.
+    fn uniform(n: usize, dim: usize, seed: u64) -> Arc<Dataset> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..dim).map(|_| rng.random::<f64>() * 10.0).collect())
+            .collect();
+        Dataset::from_rows(&rows).unwrap().into_shared()
+    }
+
+    /// The engine called directly: fresh scratch, no cache, never cancelled.
+    fn engine_answer(
+        idx: &LinearScan<Euclidean>,
+        q: PointId,
+        params: RdtParams,
+        variant: RdtVariant,
+        schedule: TSchedule,
+    ) -> RknnAnswer {
+        let mut scratch = QueryScratch::new(idx.dim());
+        let never = CancelToken::never();
+        let (qp, ex) = (idx.point(q), Some(q));
+        run_query(
+            idx,
+            qp,
+            ex,
+            params,
+            variant,
+            schedule,
+            &mut scratch,
+            None,
+            &never,
+        )
+        .unwrap()
+    }
+
+    fn truth_set(bf: &BruteForce<Euclidean>, q: PointId, k: usize) -> HashSet<PointId> {
+        let mut st = SearchStats::new();
+        bf.rknn(q, k, &mut st).iter().map(|n| n.id).collect()
     }
 
     #[test]
@@ -746,16 +863,13 @@ mod tests {
         assert_eq!(out.answers.len(), 250);
         assert_eq!(out.stats.queries, 250);
         for (q, ans) in out.answers.iter().enumerate() {
-            let want = run_query_scheduled(
-                &idx,
-                idx.point(q),
-                Some(q),
-                params,
-                RdtVariant::Plain,
-                TSchedule::Fixed,
-            );
+            let want = engine_answer(&idx, q, params, RdtVariant::Plain, TSchedule::Fixed);
             assert_eq!(ans.ids(), want.ids(), "q={q}");
             assert_eq!(ans.stats, want.stats, "q={q}");
+            // The one-off handle path agrees too (unprepared: no cache).
+            let one_off = RdtAlgorithm::new(params).answer(&idx, q);
+            assert_eq!(one_off.ids(), want.ids(), "q={q}");
+            assert_eq!(one_off.stats, want.stats, "q={q}");
         }
     }
 
@@ -793,8 +907,10 @@ mod tests {
         RknnAlgorithm::<_, LinearScan<Euclidean>>::prepare(&mut algo, &idx);
         let out = run_algorithm_batch(&algo, &idx, &[7, 99], 1);
         for (i, &q) in [7usize, 99].iter().enumerate() {
-            let want = crate::adaptive::RdtAdaptive::new(5, 2.0).query(&idx, q);
+            let adaptive = TSchedule::Adaptive { safety: 2.0 };
+            let want = engine_answer(&idx, q, RdtParams::new(5, 1.0), RdtVariant::Plus, adaptive);
             assert_eq!(out.answers[i].ids(), want.ids(), "q={q}");
+            assert_eq!(out.answers[i].stats, want.stats, "q={q}");
         }
         assert_eq!(
             RknnAlgorithm::<Euclidean, LinearScan<Euclidean>>::name(&algo),
@@ -905,5 +1021,297 @@ mod tests {
         assert!(out.answers.is_empty());
         assert_eq!(out.stats, AlgorithmBatchStats::default());
         assert_eq!(out.threads, 1);
+    }
+
+    #[test]
+    fn dk_reuse_changes_work_but_not_answers() {
+        let idx = index(350, 4, 95);
+        let params = RdtParams::new(5, 6.0);
+        let mut plain_algo = RdtAlgorithm::new(params).with_dk_reuse(false);
+        RknnAlgorithm::<_, LinearScan<Euclidean>>::prepare(&mut plain_algo, &idx);
+        let plain = run_algorithm_all_points(&plain_algo, &idx, 1);
+        // Per-answer sums of the filter-phase counters and the index work.
+        let sums = |answers: &[RknnAnswer]| {
+            answers.iter().fold((0usize, 0u64, 0u64, 0u64), |acc, a| {
+                (
+                    acc.0 + a.stats.retrieved,
+                    acc.1 + a.stats.witness_pairs,
+                    acc.2 + a.stats.witness_dist_comps,
+                    acc.3 + a.stats.search.dist_computations,
+                )
+            })
+        };
+        let plain_sums = sums(&plain.answers);
+        for threads in [1usize, 3] {
+            let mut algo = RdtAlgorithm::new(params).with_dk_reuse(true);
+            RknnAlgorithm::<_, LinearScan<Euclidean>>::prepare(&mut algo, &idx);
+            let cached = run_algorithm_all_points(&algo, &idx, threads);
+            for (q, (a, b)) in cached.answers.iter().zip(&plain.answers).enumerate() {
+                assert_eq!(a.ids(), b.ids(), "threads={threads} q={q}");
+                assert_eq!(a.result, b.result, "threads={threads} q={q}");
+                assert_eq!(
+                    a.stats.termination, b.stats.termination,
+                    "threads={threads} q={q}"
+                );
+                assert_eq!(
+                    a.stats.verified, b.stats.verified,
+                    "threads={threads} q={q}"
+                );
+            }
+            let cached_sums = sums(&cached.answers);
+            // Filter-phase counters are untouched by verification caching.
+            assert_eq!(cached_sums.0, plain_sums.0);
+            assert_eq!(cached_sums.1, plain_sums.1);
+            assert_eq!(cached_sums.2, plain_sums.2);
+            // Reuse can only reduce index work.
+            assert!(cached_sums.3 <= plain_sums.3, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn explicit_query_subset_and_plus_variant() {
+        let idx = index(220, 3, 93);
+        let params = RdtParams::new(4, 6.0);
+        let queries = [0usize, 7, 113, 219];
+        let mut algo = RdtAlgorithm::plus(params);
+        RknnAlgorithm::<_, LinearScan<Euclidean>>::prepare(&mut algo, &idx);
+        let out = run_algorithm_batch(&algo, &idx, &queries, 2);
+        assert_eq!(out.answers.len(), queries.len());
+        for (i, &q) in queries.iter().enumerate() {
+            let want = engine_answer(&idx, q, params, RdtVariant::Plus, TSchedule::Fixed);
+            assert_eq!(out.answers[i].ids(), want.ids(), "q={q}");
+        }
+    }
+
+    #[test]
+    fn recall_is_monotone_in_t() {
+        let ds = clustered(600, 60);
+        let idx = LinearScan::build(ds.clone(), Euclidean);
+        let bf = BruteForce::new(ds, Euclidean);
+        let queries = [5usize, 123, 402];
+        let mut prev_recall = 0.0;
+        for t in [1.0, 2.0, 4.0, 8.0, 16.0] {
+            let rdt = RdtAlgorithm::new(RdtParams::new(10, t));
+            let mut hits = 0usize;
+            let mut total = 0usize;
+            for &q in &queries {
+                let truth = truth_set(&bf, q, 10);
+                let got = rdt.answer(&idx, q);
+                hits += got.result.iter().filter(|n| truth.contains(&n.id)).count();
+                total += truth.len();
+            }
+            let recall = if total == 0 {
+                1.0
+            } else {
+                hits as f64 / total as f64
+            };
+            assert!(recall >= prev_recall - 0.05, "recall dropped hard at t={t}");
+            prev_recall = prev_recall.max(recall);
+        }
+        assert!(
+            prev_recall >= 0.99,
+            "exhaustive t reaches full recall, got {prev_recall}"
+        );
+    }
+
+    #[test]
+    fn no_false_positives_ever() {
+        // RDT's accepts are certificates: every reported point is a true
+        // reverse neighbor regardless of t.
+        let ds = clustered(400, 61);
+        let idx = CoverTree::build(ds.clone(), Euclidean);
+        let bf = BruteForce::new(ds, Euclidean);
+        for t in [0.5, 1.5, 3.0, 6.0] {
+            let rdt = RdtAlgorithm::new(RdtParams::new(5, t));
+            for q in [0usize, 200, 399] {
+                let truth = truth_set(&bf, q, 5);
+                let got = rdt.answer(&idx, q);
+                for n in &got.result {
+                    assert!(truth.contains(&n.id), "false positive at t={t}, q={q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn substrate_agreement() {
+        // The same parameters over different substrates give identical
+        // result sets (cursor order may differ on ties, results may not).
+        let ds = clustered(300, 62);
+        let linear = LinearScan::build(ds.clone(), Euclidean);
+        let cover = CoverTree::build(ds.clone(), Euclidean);
+        let vp = VpTree::build(ds, Euclidean);
+        let rdt = RdtAlgorithm::new(RdtParams::new(8, 12.0));
+        for q in [1usize, 50, 299] {
+            let a = rdt.answer(&linear, q).ids();
+            let b = rdt.answer(&cover, q).ids();
+            let c = rdt.answer(&vp, q).ids();
+            assert_eq!(a, b, "linear vs cover at q={q}");
+            assert_eq!(a, c, "linear vs vp at q={q}");
+        }
+    }
+
+    #[test]
+    fn query_stats_reflect_configuration() {
+        // The retrieval depth is monotone in t. Total distance work is NOT
+        // (§8.1's "conflicting influences"): small t leaves more candidates
+        // to explicit verification, large t pays witness maintenance on a
+        // bigger filter set — so only structural monotonicities are
+        // asserted here.
+        let ds = clustered(500, 63);
+        let idx = LinearScan::build(ds, Euclidean);
+        let small = RdtAlgorithm::new(RdtParams::new(10, 1.0)).answer(&idx, 0);
+        let large = RdtAlgorithm::new(RdtParams::new(10, 6.0)).answer(&idx, 0);
+        assert!(small.stats.retrieved <= large.stats.retrieved);
+        assert!(small.stats.witness_pairs <= large.stats.witness_pairs);
+        assert!(small.stats.filter_set_size <= large.stats.filter_set_size);
+    }
+
+    #[test]
+    fn excludes_candidates_that_plain_rdt_keeps() {
+        let ds = uniform(800, 4, 70);
+        let idx = LinearScan::build(ds, Euclidean);
+        let params = RdtParams::new(5, 5.0);
+        let mut total_excluded = 0usize;
+        for q in [0usize, 100, 500] {
+            let plain = RdtAlgorithm::new(params).answer(&idx, q);
+            let plus = RdtAlgorithm::plus(params).answer(&idx, q);
+            assert_eq!(plain.stats.excluded, 0, "plain RDT never excludes");
+            assert!(plus.stats.filter_set_size <= plain.stats.filter_set_size);
+            total_excluded += plus.stats.excluded;
+        }
+        assert!(
+            total_excluded > 0,
+            "exclusion fires on a uniform cloud at moderate t"
+        );
+    }
+
+    #[test]
+    fn witness_cost_not_higher_than_plain() {
+        let ds = uniform(1500, 6, 71);
+        let idx = LinearScan::build(ds, Euclidean);
+        let params = RdtParams::new(10, 4.0);
+        let plain = RdtAlgorithm::new(params).answer(&idx, 3);
+        let plus = RdtAlgorithm::plus(params).answer(&idx, 3);
+        assert!(
+            plus.stats.witness_pairs <= plain.stats.witness_pairs,
+            "RDT+ must not pay more witness maintenance: {} vs {}",
+            plus.stats.witness_pairs,
+            plain.stats.witness_pairs
+        );
+    }
+
+    #[test]
+    fn recall_close_to_plain_at_matched_t() {
+        let ds = uniform(600, 3, 72);
+        let idx = LinearScan::build(ds.clone(), Euclidean);
+        let bf = BruteForce::new(ds, Euclidean);
+        let params = RdtParams::new(8, 8.0);
+        let (plain, plus) = (RdtAlgorithm::new(params), RdtAlgorithm::plus(params));
+        let mut plain_hits = 0usize;
+        let mut plus_hits = 0usize;
+        let mut total = 0usize;
+        for q in 0..25usize {
+            let truth = truth_set(&bf, q, 8);
+            let hits =
+                |ans: RknnAnswer| ans.result.iter().filter(|n| truth.contains(&n.id)).count();
+            plain_hits += hits(plain.answer(&idx, q));
+            plus_hits += hits(plus.answer(&idx, q));
+            total += truth.len();
+        }
+        let plain_recall = plain_hits as f64 / total as f64;
+        let plus_recall = plus_hits as f64 / total as f64;
+        assert!(plain_recall > 0.95);
+        assert!(
+            plus_recall > plain_recall - 0.1,
+            "{plus_recall} vs {plain_recall}"
+        );
+    }
+
+    #[test]
+    fn first_k_candidates_are_never_excluded() {
+        // With a dataset of exactly k points (plus query), nothing can reach
+        // k witnesses, so RDT+ degenerates to RDT.
+        let ds = uniform(6, 2, 73);
+        let idx = LinearScan::build(ds, Euclidean);
+        let plus = RdtAlgorithm::plus(RdtParams::new(5, 10.0)).answer(&idx, 0);
+        assert_eq!(plus.stats.excluded, 0);
+    }
+
+    #[test]
+    fn reasonable_recall_without_manual_t() {
+        let ds = rknn_data::sequoia_like(2000, 61).into_shared();
+        let idx = LinearScan::build(ds.clone(), Euclidean);
+        let bf = BruteForce::new(ds.clone(), Euclidean);
+        let adaptive = RdtAlgorithm::adaptive(10, 2.0, 1.0);
+        let queries = rknn_data::sample_queries(ds.len(), 20, 5);
+        let mut hits = 0usize;
+        let mut total = 0usize;
+        for &q in &queries {
+            let truth = truth_set(&bf, q, 10);
+            let got = adaptive.answer(&idx, q);
+            hits += got.result.iter().filter(|n| truth.contains(&n.id)).count();
+            total += truth.len();
+        }
+        let recall = hits as f64 / total.max(1) as f64;
+        assert!(recall >= 0.9, "adaptive-t recall {recall} too low");
+    }
+
+    #[test]
+    fn terminates_well_before_exhaustion_on_low_id_data() {
+        let ds = rknn_data::sequoia_like(5000, 62).into_shared();
+        let idx = LinearScan::build(ds.clone(), Euclidean);
+        let ans = RdtAlgorithm::adaptive(10, 2.0, 1.0).answer(&idx, 17);
+        assert!(
+            ans.stats.retrieved < ds.len() / 4,
+            "adaptive search should stop early on 2-d data, retrieved {}",
+            ans.stats.retrieved
+        );
+    }
+
+    #[test]
+    fn safety_factor_trades_work_for_recall() {
+        let ds = rknn_data::fct_like(2000, 63).into_shared();
+        let idx = LinearScan::build(ds.clone(), Euclidean);
+        let small = RdtAlgorithm::adaptive(10, 1.0, 1.0).answer(&idx, 5);
+        let large = RdtAlgorithm::adaptive(10, 3.0, 1.0).answer(&idx, 5);
+        assert!(small.stats.retrieved <= large.stats.retrieved);
+    }
+
+    #[test]
+    fn plain_variant_has_no_exclusions_and_no_false_positives() {
+        let ds = rknn_data::fct_like(1200, 64).into_shared();
+        let idx = LinearScan::build(ds.clone(), Euclidean);
+        let bf = BruteForce::new(ds, Euclidean);
+        let adaptive = RdtAlgorithm::adaptive(5, 2.0, 1.0).with_variant(RdtVariant::Plain);
+        for q in [0usize, 600] {
+            let ans = adaptive.answer(&idx, q);
+            assert_eq!(ans.stats.excluded, 0);
+            let truth = truth_set(&bf, q, 5);
+            for n in &ans.result {
+                assert!(
+                    truth.contains(&n.id),
+                    "plain adaptive RDT reported non-member"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn external_queries_work() {
+        let ds = rknn_data::sequoia_like(1000, 65).into_shared();
+        let idx = LinearScan::build(ds.clone(), Euclidean);
+        let adaptive = RdtAlgorithm::adaptive(5, 2.5, 1.0);
+        let ans = adaptive.answer_at(&idx, &[0.5, 0.5]);
+        // Sanity: answers are dataset members with consistent distances.
+        for n in &ans.result {
+            assert!(n.id < ds.len());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "safety factor")]
+    fn rejects_bad_safety() {
+        let _ = RdtAlgorithm::adaptive(5, 0.0, 1.0);
     }
 }

@@ -15,6 +15,10 @@
 //!    (`d_k(v) ≥ d(q,v)`); candidates with `W ≥ k` are lazily rejected
 //!    (Assertion 1) at zero additional cost.
 //!
+//! [`run_query`] is the one entry point; the two phases are its private
+//! steps, meeting at the filter set the first leaves in the caller's
+//! [`QueryScratch`].
+//!
 //! **Witness-counter erratum.** The published listing increments `W(v)` under
 //! the condition `d(q,x) > d(v,x)` and `W(x)` under `d(q,v) > d(v,x)`, which
 //! contradicts the paper's own definition `W(x) = |{y ∈ F : d(x,y) <
@@ -103,34 +107,6 @@ pub enum RdtVariant {
     NoWitness,
 }
 
-/// Runs the filter–refinement query.
-///
-/// `exclude` is the query's own id when `q ∈ S` (self-excluding convention);
-/// `plus` enables the RDT+ candidate-set reduction of §4.3.
-pub fn run_query<M, I>(
-    index: &I,
-    q: &[f64],
-    exclude: Option<PointId>,
-    params: RdtParams,
-    plus: bool,
-) -> RknnAnswer
-where
-    M: Metric,
-    I: KnnIndex<M> + ?Sized,
-{
-    run_query_variant(
-        index,
-        q,
-        exclude,
-        params,
-        if plus {
-            RdtVariant::Plus
-        } else {
-            RdtVariant::Plain
-        },
-    )
-}
-
 /// How the scale parameter evolves during one query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TSchedule {
@@ -146,43 +122,6 @@ pub enum TSchedule {
         /// Multiplier on the online estimate.
         safety: f64,
     },
-}
-
-/// Runs the filter–refinement query with an explicit [`RdtVariant`].
-pub fn run_query_variant<M, I>(
-    index: &I,
-    q: &[f64],
-    exclude: Option<PointId>,
-    params: RdtParams,
-    variant: RdtVariant,
-) -> RknnAnswer
-where
-    M: Metric,
-    I: KnnIndex<M> + ?Sized,
-{
-    run_query_scheduled(index, q, exclude, params, variant, TSchedule::Fixed)
-}
-
-/// Runs the filter–refinement query with an explicit variant and
-/// scale-parameter schedule, allocating fresh working memory.
-///
-/// Batch callers that answer many queries should allocate one
-/// [`QueryScratch`] per worker and call [`run_query_with`] instead; this
-/// wrapper exists for one-off queries and produces byte-identical answers.
-pub fn run_query_scheduled<M, I>(
-    index: &I,
-    q: &[f64],
-    exclude: Option<PointId>,
-    params: RdtParams,
-    variant: RdtVariant,
-    schedule: TSchedule,
-) -> RknnAnswer
-where
-    M: Metric,
-    I: KnnIndex<M> + ?Sized,
-{
-    let mut scratch = QueryScratch::new(index.dim().max(1));
-    run_query_with(index, q, exclude, params, variant, schedule, &mut scratch)
 }
 
 /// A lazily filled, lock-free shared cache of verification thresholds
@@ -361,14 +300,38 @@ impl DkCache {
     }
 }
 
-/// Runs the filter–refinement query against caller-owned working memory.
+/// Runs the filter–refinement query (Algorithm 1) — the engine's one entry
+/// point.
+///
+/// `q` is the query location and `exclude` its own id when `q ∈ S`
+/// (self-excluding convention), `None` for an external location.
+/// `variant` selects RDT, RDT+ (the §4.3 candidate-set reduction) or the
+/// no-witness ablation, and `schedule` a fixed or adaptive scale
+/// parameter.
 ///
 /// `scratch` supplies the cursor buffer, the filter-set bookkeeping vector,
 /// and the candidate coordinate tile; all three are cleared on entry and
 /// keep their capacity afterwards, so a worker reuses one scratch for every
-/// query it executes. Results, terminations, and counters are identical to
-/// [`run_query_scheduled`] — reuse changes where buffers live, never what
-/// is computed.
+/// query it executes. Reuse changes where buffers live, never what is
+/// computed.
+///
+/// With a `dk_cache`, queries whose refinement phase re-verifies an
+/// already-known point skip the forward kNN query and reuse the exact
+/// threshold value, so their `verified` counter is unchanged but their
+/// index work shrinks. Without one (`None`), every verification runs its
+/// own bounded forward kNN.
+///
+/// `cancel` is checked at block granularity: once per `WITNESS_TILE` (32)
+/// retrievals during the filter phase and before each forward-kNN
+/// verification during refinement — the two places where a query spends
+/// unbounded time. A query whose token never trips
+/// ([`CancelToken::never`]) always returns `Ok`, and a live token that
+/// does not trip changes nothing (results, counters, terminations); a
+/// tripped token returns [`Cancelled`] within one block of work and leaves
+/// only the caller's reusable scratch behind (cleared on the next query).
+/// This is the serving engine's deadline/cancellation hook: a wedged or
+/// past-deadline query releases its worker instead of holding it to
+/// completion.
 ///
 /// The witness pass for a retrieved point `v` runs in two phases over the
 /// filter set. While `v` still needs witnesses (fewer than `k`), whole
@@ -392,78 +355,13 @@ impl DkCache {
 /// witness comparisons, and the verification kNN all agree within the
 /// tier, and under the fast tier answer *sets* on tie-free inputs match
 /// the exact tier while distances may differ by bounded ulps.
-pub fn run_query_with<M, I>(
-    index: &I,
-    q: &[f64],
-    exclude: Option<PointId>,
-    params: RdtParams,
-    variant: RdtVariant,
-    schedule: TSchedule,
-    scratch: &mut QueryScratch,
-) -> RknnAnswer
-where
-    M: Metric,
-    I: KnnIndex<M> + ?Sized,
-{
-    run_query_full(index, q, exclude, params, variant, schedule, scratch, None)
-}
-
-/// The fully parameterized engine entry point: caller-owned scratch plus an
-/// optional [`DkCache`] of verification thresholds.
-///
-/// With a cache, queries whose refinement phase re-verifies an
-/// already-known point skip the forward kNN query and reuse the exact
-/// threshold value, so their `verified` counter is unchanged but their
-/// index work shrinks. Without one (`None`), behavior and counters match
-/// [`run_query_with`] exactly.
 ///
 /// # Panics
 ///
 /// Panics if a supplied cache was built for a different rank than
 /// `params.k`.
-#[allow(clippy::too_many_arguments)] // the batch driver is the only caller with all knobs
-pub fn run_query_full<M, I>(
-    index: &I,
-    q: &[f64],
-    exclude: Option<PointId>,
-    params: RdtParams,
-    variant: RdtVariant,
-    schedule: TSchedule,
-    scratch: &mut QueryScratch,
-    dk_cache: Option<&DkCache>,
-) -> RknnAnswer
-where
-    M: Metric,
-    I: KnnIndex<M> + ?Sized,
-{
-    let never = CancelToken::never();
-    match run_query_interruptible(
-        index, q, exclude, params, variant, schedule, scratch, dk_cache, &never,
-    ) {
-        Ok(answer) => answer,
-        Err(Cancelled) => unreachable!("a never-token cannot cancel"),
-    }
-}
-
-/// [`run_query_full`] with a cooperative [`CancelToken`], checked at
-/// block granularity: once per `WITNESS_TILE` (32) retrievals during the
-/// filter phase and before each forward-kNN verification during
-/// refinement — the two places where a query spends unbounded time. A
-/// query whose token never trips is byte-identical (results, counters,
-/// terminations) to the uncancellable entry points; a tripped token
-/// returns [`Cancelled`] within one block of work and leaves only the
-/// caller's reusable scratch behind (cleared on the next query).
-///
-/// This is the serving engine's deadline/cancellation hook: a wedged or
-/// past-deadline query releases its worker instead of holding it to
-/// completion.
-///
-/// # Panics
-///
-/// Panics if a supplied cache was built for a different rank than
-/// `params.k`.
-#[allow(clippy::too_many_arguments)] // the serving engine is the only caller with all knobs
-pub fn run_query_interruptible<M, I>(
+#[allow(clippy::too_many_arguments)] // the one entry point carries every knob
+pub fn run_query<M, I>(
     index: &I,
     q: &[f64],
     exclude: Option<PointId>,
@@ -481,6 +379,31 @@ where
     if let Some(cache) = dk_cache {
         assert_eq!(cache.k(), params.k, "DkCache rank mismatch");
     }
+    let stats = filter(
+        index, q, exclude, params, variant, schedule, scratch, cancel,
+    )?;
+    refine(index, params.k, stats, scratch, dk_cache, cancel)
+}
+
+/// The filter phase (lines 2–24): the expanding search, the witness pass
+/// and the dimensional test. Leaves the filter set in `scratch.filter` and
+/// returns the filter-phase counters, termination and cursor work; the
+/// refinement counters are left at zero for [`refine`].
+#[allow(clippy::too_many_arguments)] // `run_query`'s knobs minus the cache
+fn filter<M, I>(
+    index: &I,
+    q: &[f64],
+    exclude: Option<PointId>,
+    params: RdtParams,
+    variant: RdtVariant,
+    schedule: TSchedule,
+    scratch: &mut QueryScratch,
+    cancel: &CancelToken,
+) -> Result<RdtQueryStats, Cancelled>
+where
+    M: Metric,
+    I: KnnIndex<M> + ?Sized,
+{
     let plus = variant == RdtVariant::Plus;
     let witnesses_enabled = variant != RdtVariant::NoWitness;
     let k = params.k;
@@ -715,22 +638,48 @@ where
             break;
         }
     }
-    let mut search = cursor.stats();
-    drop(cursor);
+    Ok(RdtQueryStats {
+        retrieved: s,
+        filter_set_size: filter.len(),
+        excluded,
+        lazy_accepts,
+        lazy_rejects: 0,
+        verified: 0,
+        verified_accepted: 0,
+        witness_pairs,
+        witness_dist_comps,
+        omega,
+        termination,
+        search: cursor.stats(),
+    })
+}
 
-    // Refinement phase (lines 25–32).
+/// The refinement phase (lines 25–32) over the filter set [`filter`] left
+/// in `scratch.filter`: lazy accepts are reported, candidates with `k`
+/// witnesses are lazily rejected (Assertion 1), and every other candidate
+/// is verified against `d_k`, through `dk_cache` when one is supplied.
+/// Completes the filter-phase `stats` and assembles the answer.
+fn refine<M, I>(
+    index: &I,
+    k: usize,
+    mut stats: RdtQueryStats,
+    scratch: &mut QueryScratch,
+    dk_cache: Option<&DkCache>,
+    cancel: &CancelToken,
+) -> Result<RknnAnswer, Cancelled>
+where
+    M: Metric,
+    I: KnnIndex<M> + ?Sized,
+{
     let mut result: Vec<Neighbor> = Vec::new();
-    let mut lazy_rejects = 0usize;
-    let mut verified = 0usize;
-    let mut verified_accepted = 0usize;
     let mut verify_stats = SearchStats::new();
-    for cand in filter.iter() {
+    for cand in &scratch.filter {
         if cand.accepted {
             result.push(Neighbor::new(cand.id, cand.dist));
             continue;
         }
         if cand.witnesses >= k {
-            lazy_rejects += 1; // Assertion 1: cannot be a reverse neighbor.
+            stats.lazy_rejects += 1; // Assertion 1: cannot be a reverse neighbor.
             continue;
         }
         // Each verification is one bounded forward-kNN query — the
@@ -738,38 +687,22 @@ where
         if cancel.is_cancelled() {
             return Err(Cancelled);
         }
-        verified += 1;
-        // The filter-phase cursor released `cursor_scratch` above, so the
+        stats.verified += 1;
+        // The filter-phase cursor has released the cursor scratch, so the
         // verification queries reuse the same buffers on any substrate.
+        let cursor = &mut scratch.cursor;
         let dk = match dk_cache {
-            Some(cache) => cache.dk_or_compute(index, cand.id, cursor_scratch, &mut verify_stats),
-            None => dk_via_cursor(index, cand.id, k, cursor_scratch, &mut verify_stats),
+            Some(cache) => cache.dk_or_compute(index, cand.id, cursor, &mut verify_stats),
+            None => dk_via_cursor(index, cand.id, k, cursor, &mut verify_stats),
         };
         if dk >= cand.dist {
-            verified_accepted += 1;
+            stats.verified_accepted += 1;
             result.push(Neighbor::new(cand.id, cand.dist));
         }
     }
-    search.absorb(&verify_stats);
+    stats.search.absorb(&verify_stats);
     rknn_core::neighbor::sort_neighbors(&mut result);
-
-    Ok(RknnAnswer {
-        result,
-        stats: RdtQueryStats {
-            retrieved: s,
-            filter_set_size: filter.len(),
-            excluded,
-            lazy_accepts,
-            lazy_rejects,
-            verified,
-            verified_accepted,
-            witness_pairs,
-            witness_dist_comps,
-            omega,
-            termination,
-            search,
-        },
-    })
+    Ok(RknnAnswer { result, stats })
 }
 
 #[cfg(test)]
@@ -790,17 +723,42 @@ mod tests {
         Dataset::from_rows(&rows).unwrap().into_shared()
     }
 
+    /// One uncached, never-cancelled query at a fixed `t` with fresh scratch.
+    fn query_once<M: Metric, I: KnnIndex<M>>(
+        index: &I,
+        q: &[f64],
+        exclude: Option<PointId>,
+        params: RdtParams,
+        variant: RdtVariant,
+    ) -> RknnAnswer {
+        let mut scratch = QueryScratch::new(index.dim().max(1));
+        let never = CancelToken::never();
+        let fixed = TSchedule::Fixed;
+        run_query(
+            index,
+            q,
+            exclude,
+            params,
+            variant,
+            fixed,
+            &mut scratch,
+            None,
+            &never,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn candidate_accounting_partitions_retrieved() {
         let ds = uniform(400, 2, 50);
         let idx = LinearScan::build(ds, Euclidean);
-        for plus in [false, true] {
-            let ans = run_query(&idx, idx.point(3), Some(3), RdtParams::new(5, 3.0), plus);
+        for variant in [RdtVariant::Plain, RdtVariant::Plus] {
+            let ans = query_once(&idx, idx.point(3), Some(3), RdtParams::new(5, 3.0), variant);
             let st = &ans.stats;
             assert_eq!(
                 st.verified + st.lazy_accepts + st.lazy_rejects + st.excluded,
                 st.retrieved,
-                "plus={plus}"
+                "{variant:?}"
             );
             assert_eq!(st.filter_set_size + st.excluded, st.retrieved);
         }
@@ -813,7 +771,13 @@ mod tests {
         let idx = LinearScan::build(ds.clone(), Euclidean);
         let bf = BruteForce::new(ds, Euclidean);
         for q in [0usize, 100, 299] {
-            let ans = run_query(&idx, idx.point(q), Some(q), RdtParams::new(4, 50.0), false);
+            let ans = query_once(
+                &idx,
+                idx.point(q),
+                Some(q),
+                RdtParams::new(4, 50.0),
+                RdtVariant::Plain,
+            );
             let mut st = SearchStats::new();
             let truth = bf.rknn(q, 4, &mut st);
             assert_eq!(
@@ -834,7 +798,13 @@ mod tests {
         let ds = uniform(250, 2, 52);
         let idx = LinearScan::build(ds.clone(), Euclidean);
         let bf = BruteForce::new(ds, Euclidean);
-        let ans = run_query(&idx, idx.point(7), Some(7), RdtParams::new(3, 40.0), true);
+        let ans = query_once(
+            &idx,
+            idx.point(7),
+            Some(7),
+            RdtParams::new(3, 40.0),
+            RdtVariant::Plus,
+        );
         let mut st = SearchStats::new();
         let truth: Vec<_> = bf.rknn(7, 3, &mut st).iter().map(|n| n.id).collect();
         let got: std::collections::HashSet<_> = ans.ids().into_iter().collect();
@@ -847,7 +817,13 @@ mod tests {
     fn small_t_terminates_early() {
         let ds = uniform(2000, 2, 53);
         let idx = LinearScan::build(ds, Euclidean);
-        let ans = run_query(&idx, idx.point(0), Some(0), RdtParams::new(10, 1.0), false);
+        let ans = query_once(
+            &idx,
+            idx.point(0),
+            Some(0),
+            RdtParams::new(10, 1.0),
+            RdtVariant::Plain,
+        );
         assert!(ans.stats.retrieved <= 20, "rank cap 2^1·10 = 20");
         assert_ne!(ans.stats.termination, Termination::Exhausted);
     }
@@ -856,7 +832,13 @@ mod tests {
     fn k_larger_than_dataset_returns_everything() {
         let ds = uniform(12, 2, 54);
         let idx = LinearScan::build(ds, Euclidean);
-        let ans = run_query(&idx, idx.point(0), Some(0), RdtParams::new(50, 5.0), false);
+        let ans = query_once(
+            &idx,
+            idx.point(0),
+            Some(0),
+            RdtParams::new(50, 5.0),
+            RdtVariant::Plain,
+        );
         assert_eq!(
             ans.result.len(),
             11,
@@ -872,7 +854,13 @@ mod tests {
         let ds = Dataset::from_rows(&rows).unwrap().into_shared();
         let idx = LinearScan::build(ds, Euclidean);
         // Query at the duplicate pile: first 29 retrieved distances are 0.
-        let ans = run_query(&idx, idx.point(0), Some(0), RdtParams::new(3, 2.0), false);
+        let ans = query_once(
+            &idx,
+            idx.point(0),
+            Some(0),
+            RdtParams::new(3, 2.0),
+            RdtVariant::Plain,
+        );
         assert!(ans.stats.omega.is_finite() || ans.stats.retrieved <= 12);
         // All co-located duplicates are mutual reverse neighbors.
         assert!(ans.result.iter().filter(|n| n.dist == 0.0).count() > 0);
@@ -883,8 +871,8 @@ mod tests {
         let ds = uniform(500, 3, 56);
         let idx = LinearScan::build(ds, Euclidean);
         let params = RdtParams::new(5, 30.0);
-        let with = run_query_variant(&idx, idx.point(9), Some(9), params, RdtVariant::Plain);
-        let without = run_query_variant(&idx, idx.point(9), Some(9), params, RdtVariant::NoWitness);
+        let with = query_once(&idx, idx.point(9), Some(9), params, RdtVariant::Plain);
+        let without = query_once(&idx, idx.point(9), Some(9), params, RdtVariant::NoWitness);
         assert_eq!(with.ids(), without.ids(), "same exact result set");
         assert!(
             without.stats.verified > with.stats.verified,
@@ -978,12 +966,12 @@ mod tests {
         let ds = uniform(400, 2, 57);
         let idx = LinearScan::build(ds.clone(), Euclidean);
         let k = 5;
-        let ans = run_query(
+        let ans = query_once(
             &idx,
             idx.point(11),
             Some(11),
             RdtParams::new(k, 60.0),
-            false,
+            RdtVariant::Plain,
         );
         // Re-derive censuses by brute force over the whole dataset (the
         // filter phase retrieved everything at t = 60).
@@ -1021,7 +1009,7 @@ mod tests {
         // A pre-tripped token aborts before any work.
         let tripped = CancelToken::new();
         tripped.cancel();
-        let got = run_query_interruptible(
+        let got = run_query(
             &idx,
             idx.point(4),
             Some(4),
@@ -1033,10 +1021,10 @@ mod tests {
             &tripped,
         );
         assert_eq!(got.unwrap_err(), Cancelled);
-        // An untripped token is byte-identical to the uncancellable path,
+        // An untripped token is byte-identical to a never-token run,
         // including all work counters — the checkpoints only read.
         let live = CancelToken::with_deadline(std::time::Instant::now() + Duration::from_secs(60));
-        let with_token = run_query_interruptible(
+        let with_token = run_query(
             &idx,
             idx.point(4),
             Some(4),
@@ -1048,7 +1036,7 @@ mod tests {
             &live,
         )
         .unwrap();
-        let plain = run_query(&idx, idx.point(4), Some(4), params, false);
+        let plain = query_once(&idx, idx.point(4), Some(4), params, RdtVariant::Plain);
         assert_eq!(with_token.ids(), plain.ids());
         assert_eq!(with_token.stats, plain.stats);
         let bits: Vec<u64> = with_token.result.iter().map(|n| n.dist.to_bits()).collect();
@@ -1255,7 +1243,7 @@ mod tests {
                         } else {
                             (None, None)
                         };
-                        let got = run_query_full(
+                        let got = run_query(
                             &idx,
                             q,
                             exclude,
@@ -1264,7 +1252,9 @@ mod tests {
                             schedule,
                             &mut scratch,
                             c1,
-                        );
+                            &CancelToken::never(),
+                        )
+                        .unwrap();
                         let want = reference_query(&idx, q, exclude, params, variant, schedule, c2);
                         let dim = ds.dim();
                         let ctx = format!(
@@ -1295,7 +1285,7 @@ mod tests {
         let idx = LinearScan::build(ds.clone(), Euclidean);
         let bf = BruteForce::new(ds, Euclidean);
         let q = vec![5.0, 5.0];
-        let ans = run_query(&idx, &q, None, RdtParams::new(5, 40.0), false);
+        let ans = query_once(&idx, &q, None, RdtParams::new(5, 40.0), RdtVariant::Plain);
         let mut st = SearchStats::new();
         let truth = bf.rknn_external(&q, 5, &mut st);
         assert_eq!(ans.ids(), truth.iter().map(|n| n.id).collect::<Vec<_>>());

@@ -6,9 +6,18 @@
 //! generalized expansion dimension, with *witness counters* driving lazy
 //! acceptance (Assertion 2) and lazy rejection (Assertion 1) of candidates.
 //!
-//! * [`rdt::Rdt`] — Algorithm 1 verbatim (modulo the documented witness-line
+//! * [`engine`] — Algorithm 1 itself: one entry point,
+//!   [`engine::run_query`], running the filter phase (expanding search,
+//!   witness pass, dimensional test) and then refinement, for RDT, RDT+
+//!   (the candidate-set reduction of §4.3), the no-witness ablation, and a
+//!   fixed or adaptive scale parameter (modulo the documented witness-line
 //!   erratum, see `DESIGN.md` §2);
-//! * [`rdt_plus::RdtPlus`] — the candidate-set–reduction variant of §4.3;
+//! * [`algorithm`] — the algorithm-generic RkNN abstraction: the
+//!   [`RknnAlgorithm`] lifecycle trait (prepare → per-worker state →
+//!   per-query work, with uniform precompute-time reporting), the scoped-
+//!   thread batch driver every method — RDT and the five baselines of
+//!   `rknn-baselines` — executes through, and [`RdtAlgorithm`], the one
+//!   handle for RDT, RDT+ and adaptive-`t` queries;
 //! * [`params`] — the scale parameter `t` and its automatic selection via
 //!   the estimators of §6;
 //! * [`theory`] — the quantitative statements of Lemma 1 and Theorem 1 as
@@ -17,14 +26,8 @@
 //!   the same witness/dimensional-test machinery (the paper discusses the
 //!   bichromatic problem in §1; this is our implementation of it on top of
 //!   RDT's primitives);
-//! * [`algorithm`] — the algorithm-generic RkNN abstraction: the
-//!   [`RknnAlgorithm`] lifecycle trait (prepare → per-worker state →
-//!   per-query work, with uniform precompute-time reporting) and the
-//!   crossbeam-sharded batch driver every method — RDT and the five
-//!   baselines of `rknn-baselines` — executes through;
-//! * [`batch`] — the RDT-flavored batch entry points: all-points (or any
-//!   query list) RkNN jobs with RDT's rich per-query statistics, thin
-//!   wrappers over the [`algorithm`] driver.
+//! * [`stream`] — the all-points answer table maintained under inserts and
+//!   deletes.
 //!
 //! The algorithms work on *any* [`rknn_index::KnnIndex`]; substrate
 //! agreement is covered by the workspace integration tests.
@@ -52,28 +55,20 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod algorithm;
 pub mod answer;
-pub mod batch;
 pub mod bichromatic;
 pub mod engine;
 pub mod params;
-pub mod rdt;
-pub mod rdt_plus;
 pub mod stream;
 pub mod theory;
 
-pub use adaptive::RdtAdaptive;
 pub use algorithm::{
     run_algorithm_all_points, run_algorithm_batch, AlgorithmAnswer, AlgorithmBatchStats,
     AlgorithmOutcome, BasicAnswer, IndexUpdate, MaintenanceCost, RdtAlgorithm, RknnAlgorithm,
 };
 pub use answer::{RdtQueryStats, RknnAnswer, Termination};
-pub use batch::{BatchConfig, BatchOutcome, BatchStats};
 pub use bichromatic::BichromaticRdt;
 pub use engine::{DkCache, RdtVariant, TSchedule};
 pub use params::{RdtParams, ScalePolicy};
-pub use rdt::Rdt;
-pub use rdt_plus::RdtPlus;
 pub use stream::{MaintainedStream, UpdateReport};

@@ -53,8 +53,8 @@ fn main() {
     let t_est = ScalePolicy::Gp(GpEstimator::new()).resolve(&ds, &Euclidean);
     println!("\nMNIST-like: GP-chosen t = {t_est:.2}");
     for (label, t) in [("estimated t", t_est), ("large t (no early stop)", 20.0)] {
-        let rdt = RdtPlus::new(RdtParams::new(10, t));
-        let ans = rdt.query(&index, 0);
+        let rdt = RdtAlgorithm::plus(RdtParams::new(10, t));
+        let ans = rdt.answer(&index, 0);
         println!(
             "  {label:<26} -> retrieved {:>5} candidates, {:>2} verification kNN queries, \
              {:>9} distance comps",

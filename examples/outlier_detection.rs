@@ -32,14 +32,14 @@ fn main() {
 
     let index = CoverTree::build(ds.clone(), Euclidean);
     let k = 15;
-    let rdt = Rdt::new(RdtParams::new(k, 8.0));
+    let rdt = RdtAlgorithm::new(RdtParams::new(k, 8.0));
 
     // Score every point by its reverse-neighbor count. Note the hubness
     // skew the paper cites [46]: even regular points in moderate dimensions
     // can have empty reverse neighborhoods ("anti-hubs"), so the count is a
     // *score*, with 0 marking the candidate outlier set.
     let scored: Vec<(PointId, usize)> = (0..ds.len())
-        .map(|q| (q, rdt.query(&index, q).result.len()))
+        .map(|q| (q, rdt.answer(&index, q).result.len()))
         .collect();
 
     let zero_count = scored.iter().filter(|&&(_, c)| c == 0).count();

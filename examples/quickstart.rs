@@ -27,8 +27,8 @@ fn main() {
 
     // 4. Reverse 10-NN query: which points have point 123 among their own
     //    ten nearest neighbors?
-    let rdt = RdtPlus::new(rknn::rdt::RdtParams::new(10, t));
-    let answer = rdt.query(&index, 123);
+    let rdt = RdtAlgorithm::plus(rknn::rdt::RdtParams::new(10, t));
+    let answer = rdt.answer(&index, 123);
     println!(
         "RkNN(123, 10): {} points {:?}",
         answer.result.len(),

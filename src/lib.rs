@@ -32,8 +32,8 @@
 //! let index = CoverTree::build(ds.clone(), Euclidean);
 //!
 //! // Reverse 10-NN query by dimensional testing with scale parameter t = 6.
-//! let rdt = Rdt::new(RdtParams::new(10, 6.0));
-//! let answer = rdt.query(&index, 0);
+//! let rdt = RdtAlgorithm::new(RdtParams::new(10, 6.0));
+//! let answer = rdt.answer(&index, 0);
 //!
 //! // Every reported point has the query among its 10 nearest neighbors.
 //! let brute = BruteForce::new(ds, Euclidean);
@@ -64,10 +64,8 @@ pub mod prelude {
         BallTree, CoverTree, KnnIndex, LinearScan, MTree, NnCursor, RTree, VpTree,
     };
     pub use rknn_lid::{GedEstimator, HillEstimator, IdEstimator};
-    pub use rknn_rdt::algorithm::{run_algorithm_all_points, run_algorithm_batch};
-    pub use rknn_rdt::batch::{run_all_points, run_batch};
     pub use rknn_rdt::{
-        BatchConfig, BatchOutcome, MaintainedStream, Rdt, RdtAlgorithm, RdtParams, RdtPlus,
+        run_algorithm_all_points, run_algorithm_batch, MaintainedStream, RdtAlgorithm, RdtParams,
         RknnAlgorithm, RknnAnswer, UpdateReport,
     };
     pub use rknn_serve::{

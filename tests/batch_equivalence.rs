@@ -18,10 +18,8 @@
 
 use proptest::prelude::*;
 use rknn_core::{Chebyshev, Dataset, Euclidean, FullPrecision, Manhattan, Metric, Minkowski};
-use rknn_index::{KnnIndex, LinearScan};
-use rknn_rdt::batch::{run_all_points, BatchConfig};
-use rknn_rdt::engine::{run_query_scheduled, RdtVariant, TSchedule};
-use rknn_rdt::RdtParams;
+use rknn_index::LinearScan;
+use rknn_rdt::{run_algorithm_all_points, RdtAlgorithm, RdtParams, RdtVariant, RknnAlgorithm};
 use std::sync::Arc;
 
 /// Builds a dataset on the half-integer grid `{0, 0.5, …, 4}` from raw
@@ -48,24 +46,10 @@ fn assert_fast_path_equivalence<M: Metric + Clone>(
 ) {
     let fast = LinearScan::build(ds.clone(), metric.clone());
     let scalar = LinearScan::build(ds.clone(), FullPrecision(metric));
-    let params = RdtParams::new(k, t);
+    let rdt = RdtAlgorithm::new(RdtParams::new(k, t)).with_variant(variant);
     for q in 0..ds.len() {
-        let a = run_query_scheduled(
-            &fast,
-            fast.point(q),
-            Some(q),
-            params,
-            variant,
-            TSchedule::Fixed,
-        );
-        let b = run_query_scheduled(
-            &scalar,
-            scalar.point(q),
-            Some(q),
-            params,
-            variant,
-            TSchedule::Fixed,
-        );
+        let a = rdt.answer(&fast, q);
+        let b = rdt.answer(&scalar, q);
         prop_assert_eq!(a.ids(), b.ids(), "result sets diverged at q={}", q);
         for (x, y) in a.result.iter().zip(&b.result) {
             prop_assert_eq!(
@@ -114,23 +98,21 @@ proptest! {
         let variant = if plus == 1 { RdtVariant::Plus } else { RdtVariant::Plain };
 
         // Work counters included: dk reuse off.
-        let cfg = BatchConfig::default()
-            .with_threads(threads)
-            .with_variant(variant)
-            .with_dk_reuse(false);
-        let out = run_all_points(&idx, params, &cfg);
+        let mut algo = RdtAlgorithm::new(params).with_variant(variant).with_dk_reuse(false);
+        algo.prepare(&idx);
+        let out = run_algorithm_all_points(&algo, &idx, threads);
         prop_assert_eq!(out.answers.len(), ds.len());
         for (q, ans) in out.answers.iter().enumerate() {
-            let want = run_query_scheduled(
-                &idx, idx.point(q), Some(q), params, variant, TSchedule::Fixed,
-            );
+            let want = algo.answer(&idx, q);
             prop_assert_eq!(ans.ids(), want.ids(), "threads={} q={}", threads, q);
             prop_assert_eq!(ans.stats, want.stats, "threads={} q={}", threads, q);
         }
 
         // With dk reuse: identical results and terminations, reduced or
         // equal index work.
-        let cached = run_all_points(&idx, params, &cfg.with_dk_reuse(true));
+        let mut cached_algo = RdtAlgorithm::new(params).with_variant(variant);
+        cached_algo.prepare(&idx);
+        let cached = run_algorithm_all_points(&cached_algo, &idx, threads);
         for (q, (a, b)) in cached.answers.iter().zip(&out.answers).enumerate() {
             prop_assert_eq!(a.ids(), b.ids(), "cached threads={} q={}", threads, q);
             prop_assert_eq!(

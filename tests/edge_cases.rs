@@ -3,7 +3,7 @@
 use rknn::baselines::{MRkNNCoP, NaiveRknn, RdnnTree, Sft, Tpl};
 use rknn::index::DynamicIndex;
 use rknn::prelude::*;
-use rknn::rdt::{Rdt, RdtAdaptive, RdtParams, RdtPlus};
+use rknn::rdt::RdtParams;
 use std::sync::Arc;
 
 fn duplicates_heavy() -> Arc<rknn::core::Dataset> {
@@ -46,7 +46,9 @@ fn duplicates_are_consistent_across_all_methods() {
             .map(|n| n.id)
             .collect();
         assert_eq!(naive, truth, "naive, q={q}");
-        let rdt: Vec<_> = Rdt::new(RdtParams::new(k, 50.0)).query(&forward, q).ids();
+        let rdt: Vec<_> = RdtAlgorithm::new(RdtParams::new(k, 50.0))
+            .answer(&forward, q)
+            .ids();
         assert_eq!(rdt, truth, "rdt, q={q}");
         let mrk = MRkNNCoP::build(ds.clone(), Euclidean, k, &forward);
         let got: Vec<_> = mrk
@@ -73,11 +75,13 @@ fn k_of_one_and_k_beyond_n() {
     // k = 1.
     let truth: Vec<_> = bf.rknn(3, 1, &mut st).iter().map(|n| n.id).collect();
     assert_eq!(
-        Rdt::new(RdtParams::new(1, 30.0)).query(&forward, 3).ids(),
+        RdtAlgorithm::new(RdtParams::new(1, 30.0))
+            .answer(&forward, 3)
+            .ids(),
         truth
     );
     // k ≥ n: everything is a reverse neighbor.
-    let ans = RdtPlus::new(RdtParams::new(100, 5.0)).query(&forward, 3);
+    let ans = RdtAlgorithm::plus(RdtParams::new(100, 5.0)).answer(&forward, 3);
     assert_eq!(ans.result.len(), 19);
     let sft = Sft::new(100, 1.0);
     assert_eq!(sft.query(&forward, 3, &mut st).len(), 19);
@@ -91,12 +95,12 @@ fn two_point_and_singleton_datasets() {
         .unwrap()
         .into_shared();
     let forward = CoverTree::build(ds.clone(), Euclidean);
-    let ans = Rdt::new(RdtParams::new(1, 10.0)).query(&forward, 0);
+    let ans = RdtAlgorithm::new(RdtParams::new(1, 10.0)).answer(&forward, 0);
     assert_eq!(ans.ids(), vec![1], "mutual 1-NN pair");
 
     let single = Dataset::from_rows(&[vec![7.0]]).unwrap().into_shared();
     let forward = LinearScan::build(single, Euclidean);
-    let ans = Rdt::new(RdtParams::new(1, 10.0)).query(&forward, 0);
+    let ans = RdtAlgorithm::new(RdtParams::new(1, 10.0)).answer(&forward, 0);
     assert!(ans.result.is_empty(), "no other points exist");
 }
 
@@ -116,7 +120,9 @@ fn zero_variance_dimensions_are_harmless() {
     let mut st = SearchStats::new();
     let truth: Vec<_> = bf.rknn(30, 3, &mut st).iter().map(|n| n.id).collect();
     assert_eq!(
-        Rdt::new(RdtParams::new(3, 30.0)).query(&forward, 30).ids(),
+        RdtAlgorithm::new(RdtParams::new(3, 30.0))
+            .answer(&forward, 30)
+            .ids(),
         truth
     );
     // Standardization maps the constant dims to zero without NaNs.
@@ -177,7 +183,7 @@ fn adaptive_rdt_on_degenerate_data() {
         .unwrap()
         .into_shared();
     let forward = LinearScan::build(ds, Euclidean);
-    let ans = RdtAdaptive::new(3, 2.0).query(&forward, 0);
+    let ans = RdtAlgorithm::adaptive(3, 2.0, 1.0).answer(&forward, 0);
     assert_eq!(
         ans.result.len(),
         24,
@@ -197,8 +203,8 @@ fn queries_far_outside_the_data_envelope() {
         .iter()
         .map(|n| n.id)
         .collect();
-    let got = Rdt::new(RdtParams::new(5, 30.0))
-        .query_at(&forward, &q)
+    let got = RdtAlgorithm::new(RdtParams::new(5, 30.0))
+        .answer_at(&forward, &q)
         .ids();
     assert_eq!(
         got, truth,

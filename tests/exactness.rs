@@ -4,7 +4,7 @@
 
 use rknn::baselines::{MRkNNCoP, NaiveRknn, RdnnTree, Sft, Tpl};
 use rknn::prelude::*;
-use rknn::rdt::{theory, Rdt, RdtParams};
+use rknn::rdt::{theory, RdtParams};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -64,11 +64,11 @@ fn theorem1_exactness_above_maxged() {
     let bf = BruteForce::new(ds.clone(), Euclidean);
     let k = 4;
     let t = theory::exactness_threshold(&ds, &Euclidean, k) + 0.5;
-    let rdt = Rdt::new(RdtParams::new(k, t));
+    let rdt = RdtAlgorithm::new(RdtParams::new(k, t));
     let queries = rknn::data::sample_queries(ds.len(), 20, 8);
     let truths = truth_sets(&bf, &queries, k);
     for (i, &q) in queries.iter().enumerate() {
-        let got: HashSet<_> = rdt.query(&forward, q).ids().into_iter().collect();
+        let got: HashSet<_> = rdt.answer(&forward, q).ids().into_iter().collect();
         assert_eq!(&got, &truths[i], "q={q}, t={t}");
     }
 }
@@ -99,11 +99,11 @@ fn exactness_holds_across_metrics() {
     // The analysis holds for any metric; check naive/RDT agreement in L1.
     let ds = dataset(250, 204);
     let forward = CoverTree::build(ds.clone(), rknn::core::Manhattan);
-    let rdt = Rdt::new(RdtParams::new(5, 40.0));
+    let rdt = RdtAlgorithm::new(RdtParams::new(5, 40.0));
     let naive = NaiveRknn::new(5);
     let mut st = SearchStats::new();
     for q in [0usize, 100, 249] {
-        let a: Vec<_> = rdt.query(&forward, q).ids();
+        let a: Vec<_> = rdt.answer(&forward, q).ids();
         let b: Vec<_> = naive
             .query(&forward, q, &mut st)
             .iter()

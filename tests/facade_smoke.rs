@@ -27,9 +27,9 @@ fn every_facade_module_is_wired() {
     let _: rknn::lid::HillEstimator = rknn::lid::HillEstimator::default();
 
     // rknn::rdt
-    let rdt = rknn::rdt::Rdt::new(rknn::rdt::RdtParams::new(2, 4.0));
-    let a = rdt.query(&scan, 0);
-    let b = rdt.query(&cover, 0);
+    let rdt = rknn::rdt::RdtAlgorithm::new(rknn::rdt::RdtParams::new(2, 4.0));
+    let a = rdt.answer(&scan, 0);
+    let b = rdt.answer(&cover, 0);
     assert_eq!(a.ids(), b.ids(), "substrates agree through the facade");
 
     // rknn::baselines
@@ -61,8 +61,8 @@ fn prelude_names_resolve() {
     // One name per prelude line, proving the use-glob carries them.
     let _ = (Manhattan.dist(&[0.0], &[2.0]), PointId::default());
     let _ = NaiveRknn::new(1);
-    let _ = Rdt::new(RdtParams::new(1, 2.0));
-    let _ = RdtPlus::new(RdtParams::new(1, 2.0));
+    let _ = RdtAlgorithm::new(RdtParams::new(1, 2.0));
+    let _ = RdtAlgorithm::plus(RdtParams::new(1, 2.0));
     let _: VpTree<Euclidean> = VpTree::build(ds.clone(), Euclidean);
     let _: BallTree<Euclidean> = BallTree::build(ds.clone(), Euclidean);
     let _: MTree<Euclidean> = MTree::build(ds.clone(), Euclidean);

@@ -396,21 +396,16 @@ proptest! {
 #[test]
 fn fast_tier_rdt_answers_match_exact_on_tie_free_data() {
     use rknn::index::LinearScan;
-    use rknn::rdt::batch::{run_all_points, BatchConfig};
-    use rknn::rdt::RdtParams;
+    use rknn::rdt::{run_algorithm_all_points, RdtAlgorithm, RdtParams, RknnAlgorithm};
 
     let ds = rknn::data::gaussian_blobs(300, 8, 4, 0.3, 0x5eed).into_shared();
-    let params = RdtParams::new(5, 4.0);
-    let exact = run_all_points(
-        &LinearScan::build(ds.clone(), Euclidean::exact()),
-        params,
-        &BatchConfig::sequential(),
-    );
-    let fast = run_all_points(
-        &LinearScan::build(ds.clone(), Euclidean::fast()),
-        params,
-        &BatchConfig::sequential(),
-    );
+    let all_points = |index: &LinearScan<Euclidean>| {
+        let mut algo = RdtAlgorithm::new(RdtParams::new(5, 4.0));
+        algo.prepare(index);
+        run_algorithm_all_points(&algo, index, 1)
+    };
+    let exact = all_points(&LinearScan::build(ds.clone(), Euclidean::exact()));
+    let fast = all_points(&LinearScan::build(ds.clone(), Euclidean::fast()));
     assert_eq!(exact.answers.len(), fast.answers.len());
     for (q, (e, f)) in exact.answers.iter().zip(&fast.answers).enumerate() {
         assert_eq!(e.ids(), f.ids(), "fast tier diverged from exact at q={q}");

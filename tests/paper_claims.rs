@@ -4,7 +4,7 @@
 
 use rknn::baselines::{MRkNNCoP, RdnnTree, Sft};
 use rknn::prelude::*;
-use rknn::rdt::{Rdt, RdtParams, RdtPlus};
+use rknn::rdt::RdtParams;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -46,8 +46,8 @@ fn recall_grows_with_t_and_reaches_one() {
     let truths = truth_sets(&ds, &queries, k);
     let mut last = 0.0;
     for t in [1.0, 2.0, 4.0, 8.0, 16.0] {
-        let rdt = RdtPlus::new(RdtParams::new(k, t));
-        let r = mean_recall(queries.iter().map(|&q| rdt.query(&idx, q).ids()), &truths);
+        let rdt = RdtAlgorithm::plus(RdtParams::new(k, t));
+        let r = mean_recall(queries.iter().map(|&q| rdt.answer(&idx, q).ids()), &truths);
         assert!(r >= last - 0.05, "recall regressed at t={t}: {r} < {last}");
         last = last.max(r);
     }
@@ -68,12 +68,12 @@ fn rdt_needs_fewer_candidates_than_sft_at_matched_recall() {
 
     let mut rdt_candidates = None;
     for t in [2.0, 3.0, 4.0, 6.0, 8.0, 12.0] {
-        let rdt = RdtPlus::new(RdtParams::new(k, t));
+        let rdt = RdtAlgorithm::plus(RdtParams::new(k, t));
         let mut total_retrieved = 0usize;
         let answers: Vec<_> = queries
             .iter()
             .map(|&q| {
-                let a = rdt.query(&idx, q);
+                let a = rdt.answer(&idx, q);
                 total_retrieved += a.stats.retrieved;
                 a.ids()
             })
@@ -136,13 +136,13 @@ fn lazy_rejection_dominates_at_large_t() {
     // majority of points are rejected by this mechanism".
     let ds = rknn::data::sequoia_like(2000, 404).into_shared();
     let idx = CoverTree::build(ds.clone(), Euclidean);
-    let rdt = RdtPlus::new(RdtParams::new(10, 12.0));
+    let rdt = RdtAlgorithm::plus(RdtParams::new(10, 12.0));
     let queries = rknn::data::sample_queries(ds.len(), 10, 3);
     let mut reject = 0.0;
     let mut verify = 0.0;
     let mut accept = 0.0;
     for &q in &queries {
-        let (v, a, r) = rdt.query(&idx, q).stats.proportions();
+        let (v, a, r) = rdt.answer(&idx, q).stats.proportions();
         verify += v;
         accept += a;
         reject += r;
@@ -164,8 +164,14 @@ fn rdt_plus_reduces_filter_cost_on_high_dim_data() {
     let mut plain_cost = 0u64;
     let mut plus_cost = 0u64;
     for &q in &queries {
-        plain_cost += Rdt::new(params).query(&idx, q).stats.witness_pairs;
-        plus_cost += RdtPlus::new(params).query(&idx, q).stats.witness_pairs;
+        plain_cost += RdtAlgorithm::new(params)
+            .answer(&idx, q)
+            .stats
+            .witness_pairs;
+        plus_cost += RdtAlgorithm::plus(params)
+            .answer(&idx, q)
+            .stats
+            .witness_pairs;
     }
     assert!(
         plus_cost <= plain_cost,

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rknn::baselines::NaiveRknn;
 use rknn::prelude::*;
-use rknn::rdt::{Rdt, RdtParams, RdtPlus};
+use rknn::rdt::RdtParams;
 use std::collections::HashSet;
 
 fn arb_points(max_n: usize, dim: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -33,7 +33,7 @@ proptest! {
         let bf = BruteForce::new(ds, Euclidean);
         let mut st = SearchStats::new();
         let truth: HashSet<_> = bf.rknn(q, k, &mut st).iter().map(|n| n.id).collect();
-        let ans = Rdt::new(RdtParams::new(k, t)).query(&idx, q);
+        let ans = RdtAlgorithm::new(RdtParams::new(k, t)).answer(&idx, q);
         for n in &ans.result {
             prop_assert!(truth.contains(&n.id), "false positive {} at t={t} k={k}", n.id);
         }
@@ -56,14 +56,14 @@ proptest! {
         let mut st = SearchStats::new();
         let truth: Vec<_> = bf.rknn(q, k, &mut st).iter().map(|n| n.id).collect();
         let params = RdtParams::new(k, 60.0);
-        let plain = Rdt::new(params).query(&idx, q);
+        let plain = RdtAlgorithm::new(params).answer(&idx, q);
         prop_assert_eq!(&plain.ids(), &truth);
         let stats = &plain.stats;
         prop_assert_eq!(
             stats.verified + stats.lazy_accepts + stats.lazy_rejects + stats.excluded,
             stats.retrieved
         );
-        let plus = RdtPlus::new(params).query(&idx, q);
+        let plus = RdtAlgorithm::plus(params).answer(&idx, q);
         let plus_ids: std::collections::HashSet<_> = plus.ids().into_iter().collect();
         for id in &truth {
             prop_assert!(plus_ids.contains(id), "RDT+ missed true member {id}");

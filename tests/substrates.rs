@@ -2,7 +2,7 @@
 //! set, not of the forward index serving the incremental stream.
 
 use rknn::prelude::*;
-use rknn::rdt::{Rdt, RdtParams, RdtPlus};
+use rknn::rdt::RdtParams;
 use std::sync::Arc;
 
 fn dataset(seed: u64) -> Arc<rknn::core::Dataset> {
@@ -18,14 +18,14 @@ fn rdt_results_identical_across_six_substrates() {
     let rtree = RTree::build(ds.clone(), Euclidean);
     let mtree = MTree::build(ds.clone(), Euclidean);
     let ball = BallTree::build(ds.clone(), Euclidean);
-    let rdt = Rdt::new(RdtParams::new(7, 9.0));
+    let rdt = RdtAlgorithm::new(RdtParams::new(7, 9.0));
     for q in [0usize, 250, 599] {
-        let reference = rdt.query(&linear, q).ids();
-        assert_eq!(rdt.query(&cover, q).ids(), reference, "cover, q={q}");
-        assert_eq!(rdt.query(&vp, q).ids(), reference, "vp, q={q}");
-        assert_eq!(rdt.query(&rtree, q).ids(), reference, "rtree, q={q}");
-        assert_eq!(rdt.query(&mtree, q).ids(), reference, "mtree, q={q}");
-        assert_eq!(rdt.query(&ball, q).ids(), reference, "ball, q={q}");
+        let reference = rdt.answer(&linear, q).ids();
+        assert_eq!(rdt.answer(&cover, q).ids(), reference, "cover, q={q}");
+        assert_eq!(rdt.answer(&vp, q).ids(), reference, "vp, q={q}");
+        assert_eq!(rdt.answer(&rtree, q).ids(), reference, "rtree, q={q}");
+        assert_eq!(rdt.answer(&mtree, q).ids(), reference, "mtree, q={q}");
+        assert_eq!(rdt.answer(&ball, q).ids(), reference, "ball, q={q}");
     }
 }
 
@@ -34,11 +34,11 @@ fn rdt_plus_results_identical_across_substrates() {
     let ds = dataset(302);
     let cover = CoverTree::build(ds.clone(), Euclidean);
     let linear = LinearScan::build(ds.clone(), Euclidean);
-    let plus = RdtPlus::new(RdtParams::new(10, 5.0));
+    let plus = RdtAlgorithm::plus(RdtParams::new(10, 5.0));
     for q in [3usize, 300] {
         assert_eq!(
-            plus.query(&cover, q).ids(),
-            plus.query(&linear, q).ids(),
+            plus.answer(&cover, q).ids(),
+            plus.answer(&linear, q).ids(),
             "q={q}"
         );
     }
@@ -87,9 +87,9 @@ fn stats_reflect_substrate_efficiency() {
     let ds = rknn::data::sequoia_like(4000, 304).into_shared();
     let cover = CoverTree::build(ds.clone(), Euclidean);
     let linear = LinearScan::build(ds.clone(), Euclidean);
-    let rdt = Rdt::new(RdtParams::new(10, 2.0));
-    let a = rdt.query(&cover, 17);
-    let b = rdt.query(&linear, 17);
+    let rdt = RdtAlgorithm::new(RdtParams::new(10, 2.0));
+    let a = rdt.answer(&cover, 17);
+    let b = rdt.answer(&linear, 17);
     assert_eq!(a.ids(), b.ids());
     assert!(
         a.stats.search.dist_computations < b.stats.search.dist_computations,
