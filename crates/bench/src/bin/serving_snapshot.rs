@@ -501,9 +501,10 @@ fn main() {
 
     // The schedule: seeded panics/delays scattered across the first half
     // of the execution sequence, an injected queue-full window, and one
-    // worker death pinned just past the scattered span so it cannot land
-    // on an execution slot consumed by a deadline-shed job (sheds consume
-    // slots without reaching the fault hook).
+    // worker death pinned just past the scattered span. Execution slots
+    // number only jobs that reach the fault hook (deadline-shed jobs take
+    // none), so the death fires even when the deadline storm below sheds
+    // jobs around its slot.
     let chaos_span = (chaos_total as u64) / 2;
     let plan = FaultPlan::scattered(chaos_seed, chaos_span, 3, 0, 3, Duration::from_millis(20))
         .death_at(chaos_span)

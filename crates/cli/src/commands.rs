@@ -30,9 +30,8 @@ fn kernel_selection(args: &Args) -> Result<(Euclidean, String), String> {
     let ops = match args.get("kernel") {
         Some("auto") | None => kernel::selected(),
         Some(name) => {
-            let b = Backend::parse(name).ok_or_else(|| {
-                format!("unknown kernel backend '{name}' (scalar|sse2|avx2|auto)")
-            })?;
+            let b = Backend::parse(name)
+                .ok_or_else(|| format!("unknown kernel backend '{name}' (scalar|avx2|auto)"))?;
             kernel::pin_backend(b)
         }
     };

@@ -6,7 +6,7 @@
 //! rknn-cli query    --data base.fvecs --q 123 --k 10 [--t 5 | --adaptive]
 //!                   [--limit N] [--dims D]
 //!                   [--method rdt+|rdt|sft|naive|tpl|mrknncop|rdnn]
-//!                   [--tier exact|fast|fast-f32] [--kernel scalar|sse2|avx2|auto]
+//!                   [--tier exact|fast|fast-f32] [--kernel scalar|avx2|auto]
 //! rknn-cli bench    --data base.fvecs --k 10 [--limit N] [--dims D]
 //!                   [--methods rdt,rdt+,sft,...] [--queries Q] [--threads T]
 //! rknn-cli hubness  --input pts.fvb --k 10 [--t 8] [--tier ...] [--kernel ...]
@@ -39,7 +39,7 @@ USAGE:
                     [--t <scale> | --adaptive]
                     [--method rdt+|rdt|sft|naive|tpl|mrknncop|rdnn]
                     [--substrate cover|linear] [--alpha A] [--kmax K]
-                    [--tier exact|fast|fast-f32] [--kernel scalar|sse2|avx2|auto]
+                    [--tier exact|fast|fast-f32] [--kernel scalar|avx2|auto]
   rknn-cli bench    --input <file> --k <rank> [--t <scale>] [--queries Q]
                     [--methods rdt,rdt+,sft,naive,tpl,mrknncop,rdnn]
                     [--threads T] [--seed S] [--substrate cover|linear]
@@ -48,12 +48,12 @@ USAGE:
   rknn-cli hubness  --input <file> --k <rank> [--t <scale>] [--tier ..] [--kernel ..]
   rknn-cli churn    --input <file> --k <rank> [--updates U] [--t <scale>]
                     [--substrate cover|linear] [--seed S] [--threads T]
-                    [--tier exact|fast|fast-f32] [--kernel scalar|sse2|avx2|auto]
+                    [--tier exact|fast|fast-f32] [--kernel scalar|avx2|auto]
                     maintained all-points RkNN under insert/delete churn,
                     priced per update against rebuild-from-scratch
   rknn-cli serve    --input <file> --k <rank> [--t <scale>] [--threads T]
                     [--queue-cap C] [--prewarm P] [--substrate cover|linear]
-                    [--tier exact|fast|fast-f32] [--kernel scalar|sse2|avx2|auto]
+                    [--tier exact|fast|fast-f32] [--kernel scalar|avx2|auto]
                     long-lived serving engine driven by stdin:
                     q <id> | insert <coords...> | remove <id> | stats | quit
                     (inserts/removes publish a new snapshot epoch; queries

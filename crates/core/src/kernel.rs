@@ -5,10 +5,10 @@
 //! reductions over coordinate pairs: a sum of squared differences
 //! (Euclidean), a sum of absolute differences (Manhattan), a running maximum
 //! of absolute differences (Chebyshev), and a sum of `|x−y|^p` terms
-//! (Minkowski). This module implements those reductions in three backends —
-//! a portable scalar-unrolled reference, SSE2, and AVX2 (selected at runtime
-//! via [`is_x86_feature_detected!`]) — that all return **bit-identical**
-//! results, so the repo's byte-identity equivalence contracts survive the
+//! (Minkowski). This module implements those reductions in two backends —
+//! a portable scalar-unrolled reference and AVX2 (selected at runtime via
+//! [`is_x86_feature_detected!`]) — that return **bit-identical** results, so
+//! the repo's byte-identity equivalence contracts survive the
 //! vectorization.
 //!
 //! # The canonical accumulation order
@@ -32,9 +32,11 @@
 //!    makes the padded tile kernels agree bitwise with the unpadded
 //!    one-to-one kernels.
 //! 3. **Fixed combine.** The lanes are reduced as
-//!    `(l0 + l1) + (l2 + l3)` (or the same shape under `max`). SIMD
-//!    backends extract the lanes and perform this combine in scalar code,
-//!    so no horizontal-add instruction choice can perturb it.
+//!    `(l0 + l1) + (l2 + l3)` (or the same shape under `max`). The AVX2
+//!    backend performs exactly these three adds, on extracted lanes or
+//!    in-register (unpacks pair the lanes so that each add takes the
+//!    scalar combine's operands in its order), so the combine is the same
+//!    IEEE operations on every backend.
 //!
 //! The per-term arithmetic uses only IEEE-exact operations (`sub`, `mul`,
 //! `add`, `max`, sign-bit `abs`), never FMA, so a lane's value is identical
@@ -43,7 +45,7 @@
 //! # Early abandonment under the blocked order
 //!
 //! The `*_until` kernels abandon an accumulation once it provably cannot
-//! stay below a threshold. The check cadence is part of the canonical
+//! stay below a threshold. Their check cadence is part of the canonical
 //! contract: after every **8 consumed coordinates** (two 4-lane blocks),
 //! while at least 8 coordinates remain to be consumed at loop entry, the
 //! current combine of the four partial lanes is compared against the
@@ -57,16 +59,32 @@
 //! bit-identical across backends, all backends abandon at exactly the same
 //! boundary: `None`/`Some` results match bitwise, not just decision-wise.
 //!
+//! # Tile entries
+//!
+//! [`KernelOps::sum_sq_tile`], [`KernelOps::sum_abs_tile`] and
+//! [`KernelOps::max_abs_tile`] evaluate one query against a block of
+//! padded rows inside one backend call: one dispatch per block instead of
+//! one per row, and on AVX2 one `#[target_feature]` loop whose lanes
+//! combine in-register. A tile writes, per row, the canonical accumulation
+//! when it lies below the row's threshold (or the threshold is `+∞`) and
+//! `NaN` otherwise. That output is a function of the *completed*
+//! accumulation alone, so the tile's own abandonment cadence cannot change
+//! it: a partial at or past the threshold already proves the completed
+//! value fails `acc < threshold`. The cadence is therefore chosen by
+//! measurement — rows of up to `TILE_FULL_SUM_MAX` coordinates run full
+//! sums (in L1, a check costs more than the coordinates it skips), longer
+//! rows check every `TILE_CHECK_EVERY` coordinates.
+//!
 //! # Dispatch
 //!
 //! [`selected`] picks the best available backend once per process (cached in
-//! a `OnceLock`): AVX2 when detected, else SSE2 on `x86_64`, else the scalar
-//! reference. The `RKNN_KERNEL` environment variable (`scalar`, `sse2`,
-//! `avx2`, `auto`) overrides the choice — CI uses it to pin a backend for
-//! the bit-identity suites — and silently degrades to the best available
-//! backend when the requested one is unsupported on the host. [`ops`]
-//! exposes each available backend directly so tests and benchmarks can
-//! compare backends within one process.
+//! a `OnceLock`): AVX2 when detected, else the scalar reference. The
+//! `RKNN_KERNEL` environment variable (`scalar`, `avx2`, `auto`) overrides
+//! the choice — CI uses it to pin a backend for the bit-identity suites —
+//! and silently degrades to the best available backend when the requested
+//! one is unsupported on the host. [`ops`] exposes each available backend
+//! directly so tests and benchmarks can compare backends within one
+//! process.
 //!
 //! # Kernel tiers: what is bit-stable and what is ULP-bounded
 //!
@@ -105,7 +123,7 @@
 //!   because it also breaks the tile-vs-per-point identity the plain fast
 //!   tier keeps.
 //!
-//! On hosts without AVX2+FMA (or under `RKNN_KERNEL=scalar|sse2` pins) the
+//! On hosts without AVX2+FMA (or under an `RKNN_KERNEL=scalar` pin) the
 //! fast tier falls back to the exact kernels — sqrt-skipping still applies,
 //! and the ULP bounds hold trivially at zero divergence.
 
@@ -116,6 +134,15 @@ pub const LANES: usize = 4;
 
 /// Coordinates consumed between early-abandonment threshold checks.
 pub const CHECK_EVERY: usize = 2 * LANES;
+
+/// Rows of up to this many (padded) coordinates run full sums in the tile
+/// entries: at such lengths an in-register threshold check costs more than
+/// the coordinates it could skip.
+const TILE_FULL_SUM_MAX: usize = 32;
+
+/// Coordinates a tile entry consumes between threshold checks on rows
+/// longer than [`TILE_FULL_SUM_MAX`].
+const TILE_CHECK_EVERY: usize = 16;
 
 /// Rounds a row length up to the canonical lane multiple (see
 /// [`crate::Dataset::stride`]).
@@ -220,8 +247,6 @@ pub fn fma_available() -> bool {
 pub enum Backend {
     /// Portable scalar-unrolled reference (always available).
     Scalar,
-    /// 2×`f64` SSE2 vectors, two accumulator registers (`x86_64`).
-    Sse2,
     /// 4×`f64` AVX2 vectors, one accumulator register (`x86_64`).
     Avx2,
 }
@@ -231,7 +256,6 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::Sse2 => "sse2",
             Backend::Avx2 => "avx2",
         }
     }
@@ -241,7 +265,6 @@ impl Backend {
     pub fn parse(s: &str) -> Option<Backend> {
         match s {
             "scalar" => Some(Backend::Scalar),
-            "sse2" => Some(Backend::Sse2),
             "avx2" => Some(Backend::Avx2),
             _ => None,
         }
@@ -253,6 +276,27 @@ type SumFn = fn(&[f64], &[f64]) -> f64;
 /// Signature of an early-abandoning reduction: `None` once a partial
 /// combine reaches the threshold, `Some(canonical accumulator)` otherwise.
 type UntilFn = fn(&[f64], &[f64], f64) -> Option<f64>;
+/// Signature of a tile reduction: `(q, rows, stride, thresholds, out)`, see
+/// [`KernelOps::sum_sq_tile`].
+type TileFn = fn(&[f64], &[f64], usize, &[f64], &mut [f64]);
+
+/// Validates a tile call's layout; the SIMD tile loops read `stride`
+/// coordinates of `q` and of each row in 4-lane steps without bounds
+/// checks, so these assertions are what keeps them in bounds.
+#[inline]
+fn check_tile_layout(q: &[f64], rows: &[f64], stride: usize, thresholds: &[f64], out: &[f64]) {
+    assert!(
+        stride > 0 && stride.is_multiple_of(LANES) && q.len() == stride,
+        "tile stride {stride} must be a positive multiple of {LANES} equal to the query length {}",
+        q.len()
+    );
+    assert_eq!(rows.len(), out.len() * stride, "tile rows length mismatch");
+    assert_eq!(
+        thresholds.len(),
+        out.len(),
+        "tile thresholds length mismatch"
+    );
+}
 
 /// One backend's kernel entry points.
 ///
@@ -268,6 +312,9 @@ pub struct KernelOps {
     sum_sq_until: UntilFn,
     sum_abs_until: UntilFn,
     max_abs_until: UntilFn,
+    sum_sq_tile: TileFn,
+    sum_abs_tile: TileFn,
+    max_abs_tile: TileFn,
 }
 
 impl KernelOps {
@@ -312,6 +359,72 @@ impl KernelOps {
     pub fn max_abs_until(&self, a: &[f64], b: &[f64], threshold: f64) -> Option<f64> {
         (self.max_abs_until)(a, b, threshold)
     }
+
+    /// [`KernelOps::sum_sq`] of `q` against each of the `out.len()` rows of
+    /// `stride` coordinates in `rows`, decided against per-row thresholds:
+    /// `out[i]` is row `i`'s canonical accumulation when it is below
+    /// `thresholds[i]` or `thresholds[i]` is `+∞`, and `NaN` otherwise.
+    /// The output depends only on the completed accumulation, never on
+    /// where the kernel abandons (see the module docs, "Tile entries").
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `stride` is a positive multiple of [`LANES`] equal to
+    /// `q.len()`, `rows.len() == out.len() * stride` and
+    /// `thresholds.len() == out.len()`.
+    #[inline]
+    pub fn sum_sq_tile(
+        &self,
+        q: &[f64],
+        rows: &[f64],
+        stride: usize,
+        thresholds: &[f64],
+        out: &mut [f64],
+    ) {
+        check_tile_layout(q, rows, stride, thresholds, out);
+        (self.sum_sq_tile)(q, rows, stride, thresholds, out)
+    }
+
+    /// The [`KernelOps::sum_abs`] tile entry; same contract as
+    /// [`KernelOps::sum_sq_tile`].
+    #[inline]
+    pub fn sum_abs_tile(
+        &self,
+        q: &[f64],
+        rows: &[f64],
+        stride: usize,
+        thresholds: &[f64],
+        out: &mut [f64],
+    ) {
+        check_tile_layout(q, rows, stride, thresholds, out);
+        (self.sum_abs_tile)(q, rows, stride, thresholds, out)
+    }
+
+    /// The [`KernelOps::max_abs`] tile entry; same contract as
+    /// [`KernelOps::sum_sq_tile`].
+    #[inline]
+    pub fn max_abs_tile(
+        &self,
+        q: &[f64],
+        rows: &[f64],
+        stride: usize,
+        thresholds: &[f64],
+        out: &mut [f64],
+    ) {
+        check_tile_layout(q, rows, stride, thresholds, out);
+        (self.max_abs_tile)(q, rows, stride, thresholds, out)
+    }
+}
+
+/// The tile decision shared by every backend: the completed accumulation
+/// when it is below the threshold or the threshold is `+∞`, else `NaN`.
+#[inline(always)]
+fn tile_decide(acc: f64, threshold: f64) -> f64 {
+    if acc < threshold || threshold == f64::INFINITY {
+        acc
+    } else {
+        f64::NAN
+    }
 }
 
 /// Canonical sum of `|x − y|^p` terms (shared scalar implementation — `powf`
@@ -336,7 +449,6 @@ pub fn available() -> Vec<Backend> {
         if std::arch::is_x86_feature_detected!("avx2") {
             v.push(Backend::Avx2);
         }
-        v.push(Backend::Sse2);
     }
     v.push(Backend::Scalar);
     v
@@ -349,8 +461,6 @@ pub fn ops(backend: Backend) -> Option<&'static KernelOps> {
     match backend {
         Backend::Scalar => Some(&SCALAR_OPS),
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => Some(&x86::SSE2_OPS),
-        #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => std::arch::is_x86_feature_detected!("avx2").then_some(&x86::AVX2_OPS),
         #[cfg(not(target_arch = "x86_64"))]
         _ => None,
@@ -360,7 +470,7 @@ pub fn ops(backend: Backend) -> Option<&'static KernelOps> {
 static SELECTED: OnceLock<&'static KernelOps> = OnceLock::new();
 
 /// The dispatched kernel table: chosen once per process from the best
-/// available backend, overridable with `RKNN_KERNEL=scalar|sse2|avx2|auto`
+/// available backend, overridable with `RKNN_KERNEL=scalar|avx2|auto`
 /// or (before first use) with [`pin_backend`]. An override naming a backend
 /// the host lacks (or an unknown value) falls back to automatic selection.
 pub fn selected() -> &'static KernelOps {
@@ -368,7 +478,6 @@ pub fn selected() -> &'static KernelOps {
         let best = ops(available()[0]).expect("best available backend exists");
         match std::env::var("RKNN_KERNEL").ok().as_deref() {
             Some("scalar") => &SCALAR_OPS,
-            Some("sse2") => ops(Backend::Sse2).unwrap_or(best),
             Some("avx2") => ops(Backend::Avx2).unwrap_or(best),
             Some("auto") | None => best,
             Some(other) => {
@@ -476,7 +585,7 @@ impl FastOps {
 
 /// The fast-tier kernel table: FMA AVX2 reductions when the dispatched
 /// backend is AVX2 and the host has FMA, otherwise the exact dispatched
-/// kernels (so `RKNN_KERNEL=scalar|sse2` pins also pin the fast tier's f64
+/// kernels (so an `RKNN_KERNEL=scalar` pin also pins the fast tier's f64
 /// arithmetic, and the ULP bounds hold trivially).
 pub fn fast_ops() -> &'static FastOps {
     static FAST: OnceLock<FastOps> = OnceLock::new();
@@ -542,7 +651,7 @@ fn combine_max(l: [f64; LANES]) -> f64 {
 /// The portable scalar-unrolled backend: the reference the SIMD backends
 /// must agree with bitwise.
 mod scalar {
-    use super::{combine_max, combine_sum, LANES};
+    use super::{combine_max, combine_sum, tile_decide, LANES};
 
     /// Canonical full reduction with `+`.
     #[inline(always)]
@@ -695,6 +804,38 @@ mod scalar {
     pub(super) fn max_abs_until(a: &[f64], b: &[f64], t: f64) -> Option<f64> {
         max_until(a, b, t, ad)
     }
+
+    /// The scalar tile entry: each row through the one-to-one kernels (an
+    /// infinite threshold runs the plain full reduction), then the shared
+    /// tile decision.
+    #[inline(always)]
+    fn tile(
+        q: &[f64],
+        rows: &[f64],
+        stride: usize,
+        thresholds: &[f64],
+        out: &mut [f64],
+        full: fn(&[f64], &[f64]) -> f64,
+        until: fn(&[f64], &[f64], f64) -> Option<f64>,
+    ) {
+        for ((row, &t), o) in rows.chunks_exact(stride).zip(thresholds).zip(out) {
+            *o = if t == f64::INFINITY {
+                full(q, row)
+            } else {
+                until(q, row, t).map_or(f64::NAN, |acc| tile_decide(acc, t))
+            };
+        }
+    }
+
+    pub(super) fn sum_sq_tile(q: &[f64], rows: &[f64], stride: usize, t: &[f64], o: &mut [f64]) {
+        tile(q, rows, stride, t, o, sum_sq, sum_sq_until)
+    }
+    pub(super) fn sum_abs_tile(q: &[f64], rows: &[f64], stride: usize, t: &[f64], o: &mut [f64]) {
+        tile(q, rows, stride, t, o, sum_abs, sum_abs_until)
+    }
+    pub(super) fn max_abs_tile(q: &[f64], rows: &[f64], stride: usize, t: &[f64], o: &mut [f64]) {
+        tile(q, rows, stride, t, o, max_abs, max_abs_until)
+    }
 }
 
 static SCALAR_OPS: KernelOps = KernelOps {
@@ -705,28 +846,35 @@ static SCALAR_OPS: KernelOps = KernelOps {
     sum_sq_until: scalar::sum_sq_until,
     sum_abs_until: scalar::sum_abs_until,
     max_abs_until: scalar::max_abs_until,
+    sum_sq_tile: scalar::sum_sq_tile,
+    sum_abs_tile: scalar::sum_abs_tile,
+    max_abs_tile: scalar::max_abs_tile,
 };
 
-/// SSE2 and AVX2 backends. Lane `j` of the (logical) 4-lane accumulator is
-/// exactly canonical lane `j`: AVX2 keeps all four in one `__m256d`; SSE2
-/// splits them across two `__m128d` registers (lanes 0–1 and 2–3). Both
-/// extract the lanes and combine in scalar code, and both use only
-/// IEEE-exact vector ops (no FMA), so completed accumulations are
+/// The AVX2 backend. Lane `j` of the 4-lane accumulator is exactly
+/// canonical lane `j`, all four in one `__m256d`. The lanes combine either
+/// extracted or in-register (`vcombine_sum`/`vcombine_max`), with the same
+/// IEEE operations in the same order as the scalar combine, and every
+/// vector op is IEEE-exact (no FMA), so completed accumulations are
 /// bit-identical to the scalar reference.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{combine_max, combine_sum, Backend, KernelOps, LANES};
+    use super::{
+        combine_max, combine_sum, Backend, KernelOps, LANES, TILE_CHECK_EVERY, TILE_FULL_SUM_MAX,
+    };
     use core::arch::x86_64::*;
 
-    /// Generates one AVX2 full-reduction + until-reduction pair. The term
-    /// and fold are spliced in as token fragments so every operation lives
-    /// inside the `#[target_feature(enable = "avx2")]` function body and
-    /// inlines fully.
-    macro_rules! avx2_pair {
-        ($sum:ident, $until:ident,
-         vec($vx:ident, $vy:ident) $vterm:block,
+    /// Generates one AVX2 full reduction, until-reduction and tile entry
+    /// around a `$step` primitive (fold one 4-coordinate block into the
+    /// accumulator), which carries the feature attribute and so inlines
+    /// into the generated `#[target_feature(enable = "avx2")]` bodies.
+    /// `sc`/`sfold`/`combine` handle the scalar tail of lengths that are
+    /// not a multiple of `LANES`.
+    macro_rules! avx2_kernels {
+        ($sum:ident, $until:ident, $tile:ident, step = $step:ident,
          sc($sx:ident, $sy:ident) $sterm:block,
-         fold = $fold:ident, sfold = $sfold:ident, combine = $combine:ident) => {
+         sfold = $sfold:ident, combine = $combine:ident, vcombine = $vcombine:ident,
+         vcombine4 = $vcombine4:ident) => {
             #[target_feature(enable = "avx2")]
             unsafe fn $sum(a: &[f64], b: &[f64]) -> f64 {
                 debug_assert_eq!(a.len(), b.len());
@@ -735,19 +883,18 @@ mod x86 {
                 let mut acc = _mm256_setzero_pd();
                 let mut i = 0usize;
                 while n - i >= LANES {
-                    let $vx = _mm256_loadu_pd(pa.add(i));
-                    let $vy = _mm256_loadu_pd(pb.add(i));
-                    let t = $vterm;
-                    acc = $fold(acc, t);
+                    acc = $step(acc, pa.add(i), pb.add(i));
                     i += LANES;
+                }
+                if i == n {
+                    return $vcombine(acc);
                 }
                 let mut l = [0.0f64; LANES];
                 _mm256_storeu_pd(l.as_mut_ptr(), acc);
                 let mut j = 0usize;
                 while i < n {
                     let ($sx, $sy) = (*pa.add(i), *pb.add(i));
-                    let t = $sterm;
-                    l[j] = $sfold(l[j], t);
+                    l[j] = $sfold(l[j], $sterm);
                     j += 1;
                     i += 1;
                 }
@@ -762,139 +909,164 @@ mod x86 {
                 let mut acc = _mm256_setzero_pd();
                 let mut i = 0usize;
                 while n - i >= 2 * LANES {
-                    let $vx = _mm256_loadu_pd(pa.add(i));
-                    let $vy = _mm256_loadu_pd(pb.add(i));
-                    let t = $vterm;
-                    acc = $fold(acc, t);
-                    let $vx = _mm256_loadu_pd(pa.add(i + LANES));
-                    let $vy = _mm256_loadu_pd(pb.add(i + LANES));
-                    let t = $vterm;
-                    acc = $fold(acc, t);
+                    acc = $step(acc, pa.add(i), pb.add(i));
+                    acc = $step(acc, pa.add(i + LANES), pb.add(i + LANES));
                     i += 2 * LANES;
-                    let mut l = [0.0f64; LANES];
-                    _mm256_storeu_pd(l.as_mut_ptr(), acc);
-                    if $combine(l) >= threshold {
+                    if $vcombine(acc) >= threshold {
                         return None;
                     }
                 }
                 if n - i >= LANES {
-                    let $vx = _mm256_loadu_pd(pa.add(i));
-                    let $vy = _mm256_loadu_pd(pb.add(i));
-                    let t = $vterm;
-                    acc = $fold(acc, t);
+                    acc = $step(acc, pa.add(i), pb.add(i));
                     i += LANES;
+                }
+                if i == n {
+                    return Some($vcombine(acc));
                 }
                 let mut l = [0.0f64; LANES];
                 _mm256_storeu_pd(l.as_mut_ptr(), acc);
                 let mut j = 0usize;
                 while i < n {
                     let ($sx, $sy) = (*pa.add(i), *pb.add(i));
-                    let t = $sterm;
-                    l[j] = $sfold(l[j], t);
+                    l[j] = $sfold(l[j], $sterm);
                     j += 1;
                     i += 1;
                 }
                 Some($combine(l))
             }
+
+            /// Tile entry: rows go four at a time, one accumulator chain
+            /// each, through `tile_rows`, instantiated per block count so
+            /// short rows run fully unrolled. The caller (`KernelOps`) has
+            /// checked that `stride` is a positive multiple of `LANES`
+            /// equal to `q.len()` and that `rows` holds `out.len()` rows,
+            /// so every load is in bounds.
+            #[target_feature(enable = "avx2")]
+            unsafe fn $tile(
+                q: &[f64],
+                rows: &[f64],
+                stride: usize,
+                thresholds: &[f64],
+                out: &mut [f64],
+            ) {
+                /// Four rows at `p` against thresholds `t`: the tile
+                /// decision for each, as a vector. `B > 0`: rows of exactly
+                /// `B` blocks, full sums. `B == 0`: rows of any length,
+                /// checked every `TILE_CHECK_EVERY` coordinates.
+                #[target_feature(enable = "avx2")]
+                #[inline]
+                unsafe fn group<const B: usize>(
+                    pq: *const f64,
+                    p: [*const f64; 4],
+                    stride: usize,
+                    t: __m256d,
+                ) -> __m256d {
+                    let nan = _mm256_set1_pd(f64::NAN);
+                    let inf = _mm256_set1_pd(f64::INFINITY);
+                    let mut acc = [_mm256_setzero_pd(); 4];
+                    // Rows not abandoned yet, as an all-bits lane mask.
+                    let mut live = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+                    let mut i = 0usize;
+                    if B > 0 {
+                        for b in 0..B {
+                            let k = b * LANES;
+                            for j in 0..4 {
+                                acc[j] = $step(acc[j], pq.add(k), p[j].add(k));
+                            }
+                        }
+                    } else {
+                        // An infinite threshold never abandons, so a group
+                        // of them skips the checks.
+                        let unbounded = _mm256_cmp_pd::<_CMP_EQ_OQ>(t, inf);
+                        if _mm256_movemask_pd(unbounded) != 0b1111 {
+                            // Infinite thresholds check against NaN, which
+                            // no partial reaches.
+                            let check = _mm256_blendv_pd(t, nan, unbounded);
+                            while stride - i >= TILE_CHECK_EVERY && _mm256_movemask_pd(live) != 0 {
+                                for b in 0..TILE_CHECK_EVERY / LANES {
+                                    let k = i + b * LANES;
+                                    for j in 0..4 {
+                                        acc[j] = $step(acc[j], pq.add(k), p[j].add(k));
+                                    }
+                                }
+                                i += TILE_CHECK_EVERY;
+                                let partial = $vcombine4(acc);
+                                live = _mm256_and_pd(
+                                    live,
+                                    _mm256_cmp_pd::<_CMP_NGE_UQ>(partial, check),
+                                );
+                            }
+                        }
+                        if _mm256_movemask_pd(live) != 0 {
+                            while i < stride {
+                                for j in 0..4 {
+                                    acc[j] = $step(acc[j], pq.add(i), p[j].add(i));
+                                }
+                                i += LANES;
+                            }
+                        }
+                    }
+                    // The shared tile decision, four rows at once.
+                    let s = $vcombine4(acc);
+                    let admit = _mm256_or_pd(
+                        _mm256_cmp_pd::<_CMP_LT_OQ>(s, t),
+                        _mm256_cmp_pd::<_CMP_EQ_OQ>(t, inf),
+                    );
+                    _mm256_blendv_pd(nan, s, _mm256_and_pd(admit, live))
+                }
+
+                #[target_feature(enable = "avx2")]
+                unsafe fn tile_rows<const B: usize>(
+                    q: &[f64],
+                    rows: &[f64],
+                    stride: usize,
+                    thresholds: &[f64],
+                    out: &mut [f64],
+                ) {
+                    let (pq, pr) = (q.as_ptr(), rows.as_ptr());
+                    let n = out.len();
+                    let mut r = 0usize;
+                    while n - r >= 4 {
+                        let p0 = pr.add(r * stride);
+                        let p = [p0, p0.add(stride), p0.add(2 * stride), p0.add(3 * stride)];
+                        let t = _mm256_loadu_pd(thresholds.as_ptr().add(r));
+                        _mm256_storeu_pd(out.as_mut_ptr().add(r), group::<B>(pq, p, stride, t));
+                        r += 4;
+                    }
+                    if r < n {
+                        // The last 1–3 rows fill the group by repeating the
+                        // last one; only the real rows are stored.
+                        let m = n - r;
+                        let mut p = [pq; 4];
+                        let mut tv = [0.0f64; 4];
+                        for j in 0..4 {
+                            let row = r + j.min(m - 1);
+                            p[j] = pr.add(row * stride);
+                            tv[j] = thresholds[row];
+                        }
+                        let mut res = [0.0f64; 4];
+                        let t = _mm256_loadu_pd(tv.as_ptr());
+                        _mm256_storeu_pd(res.as_mut_ptr(), group::<B>(pq, p, stride, t));
+                        out[r..].copy_from_slice(&res[..m]);
+                    }
+                }
+                match stride / LANES {
+                    1 => tile_rows::<1>(q, rows, stride, thresholds, out),
+                    2 => tile_rows::<2>(q, rows, stride, thresholds, out),
+                    3 => tile_rows::<3>(q, rows, stride, thresholds, out),
+                    4 => tile_rows::<4>(q, rows, stride, thresholds, out),
+                    5 => tile_rows::<5>(q, rows, stride, thresholds, out),
+                    6 => tile_rows::<6>(q, rows, stride, thresholds, out),
+                    7 => tile_rows::<7>(q, rows, stride, thresholds, out),
+                    8 => tile_rows::<8>(q, rows, stride, thresholds, out),
+                    _ => tile_rows::<0>(q, rows, stride, thresholds, out),
+                }
+            }
         };
     }
 
-    /// Generates one SSE2 pair: `acc0` holds canonical lanes 0-1, `acc1`
-    /// lanes 2-3. SSE2 is part of the `x86_64` baseline, so these need no
-    /// runtime detection for soundness.
-    macro_rules! sse2_pair {
-        ($sum:ident, $until:ident,
-         vec($vx:ident, $vy:ident) $vterm:block,
-         sc($sx:ident, $sy:ident) $sterm:block,
-         fold = $fold:ident, sfold = $sfold:ident, combine = $combine:ident) => {
-            #[target_feature(enable = "sse2")]
-            unsafe fn $sum(a: &[f64], b: &[f64]) -> f64 {
-                debug_assert_eq!(a.len(), b.len());
-                let n = a.len();
-                let (pa, pb) = (a.as_ptr(), b.as_ptr());
-                let mut acc0 = _mm_setzero_pd();
-                let mut acc1 = _mm_setzero_pd();
-                let mut i = 0usize;
-                while n - i >= LANES {
-                    let $vx = _mm_loadu_pd(pa.add(i));
-                    let $vy = _mm_loadu_pd(pb.add(i));
-                    let t = $vterm;
-                    acc0 = $fold(acc0, t);
-                    let $vx = _mm_loadu_pd(pa.add(i + 2));
-                    let $vy = _mm_loadu_pd(pb.add(i + 2));
-                    let t = $vterm;
-                    acc1 = $fold(acc1, t);
-                    i += LANES;
-                }
-                let mut l = [0.0f64; LANES];
-                _mm_storeu_pd(l.as_mut_ptr(), acc0);
-                _mm_storeu_pd(l.as_mut_ptr().add(2), acc1);
-                let mut j = 0usize;
-                while i < n {
-                    let ($sx, $sy) = (*pa.add(i), *pb.add(i));
-                    let t = $sterm;
-                    l[j] = $sfold(l[j], t);
-                    j += 1;
-                    i += 1;
-                }
-                $combine(l)
-            }
-
-            #[target_feature(enable = "sse2")]
-            unsafe fn $until(a: &[f64], b: &[f64], threshold: f64) -> Option<f64> {
-                debug_assert_eq!(a.len(), b.len());
-                let n = a.len();
-                let (pa, pb) = (a.as_ptr(), b.as_ptr());
-                let mut acc0 = _mm_setzero_pd();
-                let mut acc1 = _mm_setzero_pd();
-                let mut i = 0usize;
-                while n - i >= 2 * LANES {
-                    let mut off = 0usize;
-                    while off < 2 * LANES {
-                        let $vx = _mm_loadu_pd(pa.add(i + off));
-                        let $vy = _mm_loadu_pd(pb.add(i + off));
-                        let t = $vterm;
-                        acc0 = $fold(acc0, t);
-                        let $vx = _mm_loadu_pd(pa.add(i + off + 2));
-                        let $vy = _mm_loadu_pd(pb.add(i + off + 2));
-                        let t = $vterm;
-                        acc1 = $fold(acc1, t);
-                        off += LANES;
-                    }
-                    i += 2 * LANES;
-                    let mut l = [0.0f64; LANES];
-                    _mm_storeu_pd(l.as_mut_ptr(), acc0);
-                    _mm_storeu_pd(l.as_mut_ptr().add(2), acc1);
-                    if $combine(l) >= threshold {
-                        return None;
-                    }
-                }
-                if n - i >= LANES {
-                    let $vx = _mm_loadu_pd(pa.add(i));
-                    let $vy = _mm_loadu_pd(pb.add(i));
-                    let t = $vterm;
-                    acc0 = $fold(acc0, t);
-                    let $vx = _mm_loadu_pd(pa.add(i + 2));
-                    let $vy = _mm_loadu_pd(pb.add(i + 2));
-                    let t = $vterm;
-                    acc1 = $fold(acc1, t);
-                    i += LANES;
-                }
-                let mut l = [0.0f64; LANES];
-                _mm_storeu_pd(l.as_mut_ptr(), acc0);
-                _mm_storeu_pd(l.as_mut_ptr().add(2), acc1);
-                let mut j = 0usize;
-                while i < n {
-                    let ($sx, $sy) = (*pa.add(i), *pb.add(i));
-                    let t = $sterm;
-                    l[j] = $sfold(l[j], t);
-                    j += 1;
-                    i += 1;
-                }
-                Some($combine(l))
-            }
-        };
-    }
+    // The unrolled arms above cover exactly the full-sum strides.
+    const _: () = assert!(TILE_FULL_SUM_MAX == 8 * LANES);
 
     #[inline(always)]
     fn lane_add(l: f64, t: f64) -> f64 {
@@ -905,17 +1077,30 @@ mod x86 {
         l.max(t)
     }
 
-    // AVX2 fold primitives: plain wrappers so the macro can splice an
-    // identifier; they carry the feature attribute so they inline into the
-    // generated kernels.
+    // The 4-coordinate step primitives: load a block of each operand, form
+    // the four terms, fold them into the lanes.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn v4_add(a: __m256d, t: __m256d) -> __m256d {
-        _mm256_add_pd(a, t)
+    unsafe fn v4_abs_diff(a: *const f64, b: *const f64) -> __m256d {
+        _mm256_andnot_pd(
+            _mm256_set1_pd(-0.0),
+            _mm256_sub_pd(_mm256_loadu_pd(a), _mm256_loadu_pd(b)),
+        )
     }
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn v4_max(a: __m256d, t: __m256d) -> __m256d {
+    unsafe fn sq_step(acc: __m256d, a: *const f64, b: *const f64) -> __m256d {
+        let d = _mm256_sub_pd(_mm256_loadu_pd(a), _mm256_loadu_pd(b));
+        _mm256_add_pd(acc, _mm256_mul_pd(d, d))
+    }
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn abs_step(acc: __m256d, a: *const f64, b: *const f64) -> __m256d {
+        _mm256_add_pd(acc, v4_abs_diff(a, b))
+    }
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn max_step(acc: __m256d, a: *const f64, b: *const f64) -> __m256d {
         // Operand order matters for NaN terms: `maxpd` returns the *second*
         // operand when either is NaN, while the scalar reference's
         // `f64::max(lane, term)` discards a NaN term. Passing the term
@@ -924,58 +1109,93 @@ mod x86 {
         // NaN can therefore never enter the accumulator). For non-NaN
         // operands `maxpd` is exact and symmetric (terms are `abs` results,
         // so the ±0 tie-order quirk cannot arise).
-        _mm256_max_pd(t, a)
+        _mm256_max_pd(v4_abs_diff(a, b), acc)
     }
-    #[target_feature(enable = "sse2")]
+
+    /// In-register [`combine_sum`]: pairs lanes `(l0, l2)` and `(l1, l3)`
+    /// with unpacks, so one vector add forms `l0 + l1` and `l2 + l3` with
+    /// the scalar combine's operand order, then adds those two.
+    #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn v2_add(a: __m128d, t: __m128d) -> __m128d {
-        _mm_add_pd(a, t)
+    unsafe fn vcombine_sum(acc: __m256d) -> f64 {
+        let lo = _mm256_castpd256_pd128(acc);
+        let hi = _mm256_extractf128_pd::<1>(acc);
+        let pairs = _mm_add_pd(_mm_unpacklo_pd(lo, hi), _mm_unpackhi_pd(lo, hi));
+        _mm_cvtsd_f64(_mm_add_sd(pairs, _mm_unpackhi_pd(pairs, pairs)))
     }
-    #[target_feature(enable = "sse2")]
+
+    /// In-register [`combine_max`]. Max lanes are never NaN (`max_step`
+    /// discards NaN terms) and never `-0.0` (they start at `+0.0` and fold
+    /// `abs` terms), and on such values `max` is an exact, associative
+    /// selection, so `max(max(l0, l2), max(l1, l3))` is bit-identical to
+    /// the scalar `max(max(l0, l1), max(l2, l3))`.
+    #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn v2_max(a: __m128d, t: __m128d) -> __m128d {
-        // Same NaN-discarding operand order as `v4_max` above.
-        _mm_max_pd(t, a)
+    unsafe fn vcombine_max(acc: __m256d) -> f64 {
+        let lo = _mm256_castpd256_pd128(acc);
+        let hi = _mm256_extractf128_pd::<1>(acc);
+        let m = _mm_max_pd(lo, hi);
+        _mm_cvtsd_f64(_mm_max_sd(m, _mm_unpackhi_pd(m, m)))
     }
 
-    avx2_pair!(
-        avx2_sum_sq, avx2_sum_sq_until,
-        vec(x, y) { let d = _mm256_sub_pd(x, y); _mm256_mul_pd(d, d) },
-        sc(x, y) { let d = x - y; d * d },
-        fold = v4_add, sfold = lane_add, combine = combine_sum
-    );
-    avx2_pair!(
-        avx2_sum_abs, avx2_sum_abs_until,
-        vec(x, y) { _mm256_andnot_pd(_mm256_set1_pd(-0.0), _mm256_sub_pd(x, y)) },
-        sc(x, y) { (x - y).abs() },
-        fold = v4_add, sfold = lane_add, combine = combine_sum
-    );
-    avx2_pair!(
-        avx2_max_abs, avx2_max_abs_until,
-        vec(x, y) { _mm256_andnot_pd(_mm256_set1_pd(-0.0), _mm256_sub_pd(x, y)) },
-        sc(x, y) { (x - y).abs() },
-        fold = v4_max, sfold = lane_max, combine = combine_max
-    );
+    /// Four rows' [`combine_sum`] at once: lane `j` of the result is
+    /// `(a[j]_0 + a[j]_1) + (a[j]_2 + a[j]_3)`, each add with the scalar
+    /// combine's operands in the scalar combine's order.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn vcombine4_sum(a: [__m256d; 4]) -> __m256d {
+        // [a0_0+a0_1, a1_0+a1_1, a0_2+a0_3, a1_2+a1_3], likewise rows 2, 3.
+        let s01 = _mm256_add_pd(
+            _mm256_unpacklo_pd(a[0], a[1]),
+            _mm256_unpackhi_pd(a[0], a[1]),
+        );
+        let s23 = _mm256_add_pd(
+            _mm256_unpacklo_pd(a[2], a[3]),
+            _mm256_unpackhi_pd(a[2], a[3]),
+        );
+        _mm256_add_pd(
+            _mm256_permute2f128_pd::<0x20>(s01, s23),
+            _mm256_permute2f128_pd::<0x31>(s01, s23),
+        )
+    }
 
-    sse2_pair!(
-        sse2_sum_sq, sse2_sum_sq_until,
-        vec(x, y) { let d = _mm_sub_pd(x, y); _mm_mul_pd(d, d) },
-        sc(x, y) { let d = x - y; d * d },
-        fold = v2_add, sfold = lane_add, combine = combine_sum
-    );
-    sse2_pair!(
-        sse2_sum_abs, sse2_sum_abs_until,
-        vec(x, y) { _mm_andnot_pd(_mm_set1_pd(-0.0), _mm_sub_pd(x, y)) },
-        sc(x, y) { (x - y).abs() },
-        fold = v2_add, sfold = lane_add, combine = combine_sum
-    );
-    sse2_pair!(
-        sse2_max_abs, sse2_max_abs_until,
-        vec(x, y) { _mm_andnot_pd(_mm_set1_pd(-0.0), _mm_sub_pd(x, y)) },
-        sc(x, y) { (x - y).abs() },
-        fold = v2_max, sfold = lane_max, combine = combine_max
-    );
+    /// Four rows' [`combine_max`] at once (exact for the same reasons as
+    /// [`vcombine_max`]).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn vcombine4_max(a: [__m256d; 4]) -> __m256d {
+        let m01 = _mm256_max_pd(
+            _mm256_unpacklo_pd(a[0], a[1]),
+            _mm256_unpackhi_pd(a[0], a[1]),
+        );
+        let m23 = _mm256_max_pd(
+            _mm256_unpacklo_pd(a[2], a[3]),
+            _mm256_unpackhi_pd(a[2], a[3]),
+        );
+        _mm256_max_pd(
+            _mm256_permute2f128_pd::<0x20>(m01, m23),
+            _mm256_permute2f128_pd::<0x31>(m01, m23),
+        )
+    }
 
+    avx2_kernels!(
+        avx2_sum_sq, avx2_sum_sq_until, avx2_sum_sq_tile, step = sq_step,
+        sc(x, y) { let d = x - y; d * d },
+        sfold = lane_add, combine = combine_sum, vcombine = vcombine_sum,
+        vcombine4 = vcombine4_sum
+    );
+    avx2_kernels!(
+        avx2_sum_abs, avx2_sum_abs_until, avx2_sum_abs_tile, step = abs_step,
+        sc(x, y) { (x - y).abs() },
+        sfold = lane_add, combine = combine_sum, vcombine = vcombine_sum,
+        vcombine4 = vcombine4_sum
+    );
+    avx2_kernels!(
+        avx2_max_abs, avx2_max_abs_until, avx2_max_abs_tile, step = max_step,
+        sc(x, y) { (x - y).abs() },
+        sfold = lane_max, combine = combine_max, vcombine = vcombine_max,
+        vcombine4 = vcombine4_max
+    );
     // ---------------------------------------------------------------------
     // Fast-tier kernels (FMA). These deliberately break the canonical order:
     // two accumulator registers halve the add-chain latency and fused
@@ -1189,6 +1409,11 @@ mod x86 {
                 unsafe { $inner(a, b, t) }
             }
         };
+        ($w:ident, $inner:ident, tile) => {
+            fn $w(q: &[f64], rows: &[f64], stride: usize, t: &[f64], out: &mut [f64]) {
+                unsafe { $inner(q, rows, stride, t, out) }
+            }
+        };
     }
 
     wrap!(w_avx2_sum_sq, avx2_sum_sq, sum);
@@ -1197,12 +1422,9 @@ mod x86 {
     wrap!(w_avx2_sum_sq_until, avx2_sum_sq_until, until);
     wrap!(w_avx2_sum_abs_until, avx2_sum_abs_until, until);
     wrap!(w_avx2_max_abs_until, avx2_max_abs_until, until);
-    wrap!(w_sse2_sum_sq, sse2_sum_sq, sum);
-    wrap!(w_sse2_sum_abs, sse2_sum_abs, sum);
-    wrap!(w_sse2_max_abs, sse2_max_abs, sum);
-    wrap!(w_sse2_sum_sq_until, sse2_sum_sq_until, until);
-    wrap!(w_sse2_sum_abs_until, sse2_sum_abs_until, until);
-    wrap!(w_sse2_max_abs_until, sse2_max_abs_until, until);
+    wrap!(w_avx2_sum_sq_tile, avx2_sum_sq_tile, tile);
+    wrap!(w_avx2_sum_abs_tile, avx2_sum_abs_tile, tile);
+    wrap!(w_avx2_max_abs_tile, avx2_max_abs_tile, tile);
 
     pub(super) static AVX2_OPS: KernelOps = KernelOps {
         backend: Backend::Avx2,
@@ -1212,16 +1434,9 @@ mod x86 {
         sum_sq_until: w_avx2_sum_sq_until,
         sum_abs_until: w_avx2_sum_abs_until,
         max_abs_until: w_avx2_max_abs_until,
-    };
-
-    pub(super) static SSE2_OPS: KernelOps = KernelOps {
-        backend: Backend::Sse2,
-        sum_sq: w_sse2_sum_sq,
-        sum_abs: w_sse2_sum_abs,
-        max_abs: w_sse2_max_abs,
-        sum_sq_until: w_sse2_sum_sq_until,
-        sum_abs_until: w_sse2_sum_abs_until,
-        max_abs_until: w_sse2_max_abs_until,
+        sum_sq_tile: w_avx2_sum_sq_tile,
+        sum_abs_tile: w_avx2_sum_abs_tile,
+        max_abs_tile: w_avx2_max_abs_tile,
     };
 }
 
@@ -1413,6 +1628,70 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn tile_entries_decide_on_the_completed_accumulation_on_every_backend() {
+        type Full = fn(&KernelOps, &[f64], &[f64]) -> f64;
+        type Tile = fn(&KernelOps, &[f64], &[f64], usize, &[f64], &mut [f64]);
+        let reductions: [(&str, Full, Tile); 3] = [
+            ("sum_sq", KernelOps::sum_sq, KernelOps::sum_sq_tile),
+            ("sum_abs", KernelOps::sum_abs, KernelOps::sum_abs_tile),
+            ("max_abs", KernelOps::max_abs, KernelOps::max_abs_tile),
+        ];
+        // Strides on both sides of TILE_FULL_SUM_MAX and at every
+        // TILE_CHECK_EVERY phase.
+        for stride in (LANES..=72).step_by(LANES) {
+            let (q, _) = vectors(stride as u64, stride);
+            // Every third row keeps the overflow-prone raw coordinates;
+            // the rest are clamped so their sums stay finite and the
+            // finite thresholds below really abandon.
+            let rows: Vec<f64> = (0..12u64)
+                .flat_map(|r| {
+                    let (a, _) = vectors(stride as u64 * 101 + r, stride);
+                    a.into_iter()
+                        .map(move |v| if r % 3 == 0 { v } else { v.clamp(-4.0, 4.0) })
+                })
+                .collect();
+            for (name, full, tile) in reductions {
+                let accs: Vec<f64> = rows
+                    .chunks_exact(stride)
+                    .map(|r| full(&SCALAR_OPS, &q, r))
+                    .collect();
+                let thresholds: Vec<f64> = accs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &acc)| match i % 7 {
+                        0 => acc,           // exact tie: dropped
+                        1 => acc.next_up(), // just above: kept
+                        2 => acc * 0.5,     // abandons early on long rows
+                        3 => f64::INFINITY, // keeps everything, +∞ included
+                        4 => f64::MAX,      // drops overflowed rows only
+                        5 => 0.0,
+                        _ => f64::NEG_INFINITY,
+                    })
+                    .collect();
+                for be in available() {
+                    let mut out = vec![0.0; accs.len()];
+                    tile(ops(be).unwrap(), &q, &rows, stride, &thresholds, &mut out);
+                    for (i, (&acc, &t)) in accs.iter().zip(&thresholds).enumerate() {
+                        let want = tile_decide(acc, t);
+                        assert!(
+                            out[i].to_bits() == want.to_bits() || out[i].is_nan() && want.is_nan(),
+                            "{name} {be:?} stride={stride} row={i}: {} vs {want}",
+                            out[i]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "positive multiple")]
+    fn tile_entries_reject_an_unpadded_stride() {
+        let mut out = [0.0; 2];
+        SCALAR_OPS.sum_sq_tile(&[0.0; 3], &[0.0; 6], 3, &[1.0; 2], &mut out);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   Minkowski family: the paper's analysis holds for any metric), including
 //!   the one-query-to-many-rows [`Metric::dist_tile`] entry point;
 //! * [`kernel`] — the runtime-dispatched SIMD reduction kernels behind every
-//!   metric: scalar-unrolled / SSE2 / AVX2 backends sharing one canonical
+//!   metric: scalar-unrolled and AVX2 backends sharing one canonical
 //!   blocked accumulation order, bit-identical by construction
 //!   (`RKNN_KERNEL` pins a backend), plus the opt-in fast tier
 //!   ([`KernelTier`], `RKNN_KERNEL_TIER`) trading bit-identity for

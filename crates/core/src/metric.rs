@@ -12,7 +12,7 @@
 //! early-abandoned [`Metric::dist_lt`] evaluations, the one-query-to-many
 //! [`Metric::dist_tile`] kernel, and the box bounds — uses the same
 //! canonical 4-lane blocked order, so results are bit-identical across the
-//! scalar, SSE2 and AVX2 backends *and* across the one-to-one and tile entry
+//! scalar and AVX2 backends *and* across the one-to-one and tile entry
 //! points.
 //!
 //! That bitwise guarantee describes the default **exact kernel tier**. The
@@ -258,7 +258,8 @@ fn kernel_tile_ok(q: &[f64], stride: usize) -> bool {
     stride > 0 && stride.is_multiple_of(LANES) && q.len() == stride
 }
 
-/// Shared tile driver: per row, early-abandoning accumulation with
+/// Row-by-row tile driver for [`Minkowski`], whose `powf` terms have no
+/// kernel tile entry: per row, early-abandoning accumulation with
 /// [`Metric::dist_under`] semantics. `transform` maps a finite distance
 /// bound into the accumulator domain (conservatively, so abandonment proves
 /// `d >= bound`); `finish` maps a completed accumulator back to a distance.
@@ -358,6 +359,40 @@ fn box_fold_max<G: Fn(f64, f64, f64) -> f64>(q: &[f64], lo: &[f64], hi: &[f64], 
 #[inline]
 fn ops() -> &'static KernelOps {
     kernel::selected()
+}
+
+/// Rows per kernel tile call in [`euclid_exact_tile`]: the size of its
+/// on-stack threshold buffer.
+const THRESHOLD_CHUNK: usize = 64;
+
+/// Exact-tier Euclidean tile body over the fused
+/// [`KernelOps::sum_sq_tile`] entry. Each finite bound becomes its
+/// [`euclid_threshold`] (an infinite bound stays `+∞`, admitting
+/// everything); the kernel drops rows whose completed sum reaches it, and
+/// the survivors take the square root and the exact `d < bound` decision —
+/// the same steps as the one-to-one `dist_lt`, hence the same bits.
+fn euclid_exact_tile(q: &[f64], rows: &[f64], stride: usize, bounds: &[f64], out: &mut [f64]) {
+    let k = ops();
+    let mut thresholds = [0.0f64; THRESHOLD_CHUNK];
+    for ((rows, bounds), out) in rows
+        .chunks(THRESHOLD_CHUNK * stride)
+        .zip(bounds.chunks(THRESHOLD_CHUNK))
+        .zip(out.chunks_mut(THRESHOLD_CHUNK))
+    {
+        let thresholds = &mut thresholds[..bounds.len()];
+        for (t, &b) in thresholds.iter_mut().zip(bounds) {
+            *t = euclid_threshold(b);
+        }
+        k.sum_sq_tile(q, rows, stride, thresholds, out);
+        for (o, &b) in out.iter_mut().zip(bounds) {
+            let d = o.sqrt();
+            *o = if d < b || b == f64::INFINITY {
+                d
+            } else {
+                f64::NAN
+            };
+        }
+    }
 }
 
 /// Adapter that disables threshold pruning on an inner metric: every
@@ -567,20 +602,10 @@ impl Metric for Euclidean {
         }
         check_tile(rows, stride, dim, bounds, out);
         if self.mode().is_fast() {
-            return euclid_fast_tile(q, rows, stride, bounds, out);
+            euclid_fast_tile(q, rows, stride, bounds, out);
+        } else {
+            euclid_exact_tile(q, rows, stride, bounds, out);
         }
-        let k = ops();
-        tile_via_until(
-            q,
-            rows,
-            stride,
-            bounds,
-            out,
-            |a, b| k.sum_sq(a, b),
-            |a, b, t| k.sum_sq_until(a, b, t),
-            euclid_threshold,
-            f64::sqrt,
-        );
     }
 
     fn name(&self) -> &'static str {
@@ -690,18 +715,9 @@ impl Metric for Manhattan {
             return fallback_dist_tile(self, q, rows, stride, dim, bounds, out);
         }
         check_tile(rows, stride, dim, bounds, out);
-        let k = ops();
-        tile_via_until(
-            q,
-            rows,
-            stride,
-            bounds,
-            out,
-            |a, b| k.sum_abs(a, b),
-            |a, b, t| k.sum_abs_until(a, b, t),
-            |b| b,
-            |acc| acc,
-        );
+        // The accumulation is the distance itself, so the bounds serve as
+        // the kernel's thresholds and its decision is `dist_under`'s.
+        ops().sum_abs_tile(q, rows, stride, bounds, out);
     }
 
     fn name(&self) -> &'static str {
@@ -749,18 +765,8 @@ impl Metric for Chebyshev {
             return fallback_dist_tile(self, q, rows, stride, dim, bounds, out);
         }
         check_tile(rows, stride, dim, bounds, out);
-        let k = ops();
-        tile_via_until(
-            q,
-            rows,
-            stride,
-            bounds,
-            out,
-            |a, b| k.max_abs(a, b),
-            |a, b, t| k.max_abs_until(a, b, t),
-            |b| b,
-            |acc| acc,
-        );
+        // As for Manhattan: the bounds are the thresholds.
+        ops().max_abs_tile(q, rows, stride, bounds, out);
     }
 
     fn name(&self) -> &'static str {

@@ -113,9 +113,6 @@ pub struct CursorScratch {
     /// Neighbor records owned by the current cursor. Contents are
     /// meaningful only while that cursor is live.
     pub entries: Vec<Neighbor>,
-    /// Backing storage for bounded-selection heaps (see
-    /// `rknn_index::KnnIndex::cursor_bounded`); reused across queries.
-    pub heap: Vec<MaxByDist>,
     /// Working memory for best-first tree traversals; reused across
     /// queries by every tree substrate's generic cursor.
     pub tree: TreeScratch,

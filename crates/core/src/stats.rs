@@ -13,7 +13,9 @@ pub struct SearchStats {
     pub dist_computations: u64,
     /// Number of index nodes visited / expanded.
     pub nodes_visited: u64,
-    /// Number of priority-queue or heap insertions.
+    /// Number of insertions into a cursor's selection structure: a
+    /// priority queue, a heap, or the linear scan's bounded flat buffer
+    /// (see `DESIGN.md` §3).
     pub heap_pushes: u64,
 }
 

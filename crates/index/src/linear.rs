@@ -23,11 +23,9 @@
 
 use crate::pool::PointPool;
 use crate::traits::{DynamicIndex, KnnIndex, NnCursor};
-use rknn_core::neighbor::MaxByDist;
 use rknn_core::{
     CoreError, CursorScratch, Dataset, KnnHeap, Metric, Neighbor, PointId, SearchStats,
 };
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Exact sequential-scan index over a [`PointPool`].
@@ -249,7 +247,7 @@ impl<M: Metric> LinearScan<M> {
     }
 
     /// Fills `scratch.entries` with the `limit` nearest candidates only,
-    /// selected through a bounded max-heap whose threshold prunes each
+    /// through [`BoundedSelection`], whose threshold prunes each
     /// candidate's distance accumulation. Yields exactly the prefix the
     /// full sorted table would: ties at the boundary keep the lowest ids,
     /// matching the `(dist, id)` sort order.
@@ -261,23 +259,7 @@ impl<M: Metric> LinearScan<M> {
         scratch: &mut CursorScratch,
     ) -> SearchStats {
         let mut stats = SearchStats::new();
-        // Adopt the scratch buffer as heap storage (free for an emptied
-        // vec) and hand it back afterwards, so steady-state batch queries
-        // allocate nothing.
-        let mut spare = std::mem::take(&mut scratch.heap);
-        spare.clear();
-        let mut heap: BinaryHeap<MaxByDist> = BinaryHeap::from(spare);
-        // The selection threshold: the current `limit`-th best distance
-        // once the heap is full, +∞ while it is filling (`dist_under`
-        // semantics — a distance overflowing to +∞ must be admitted there,
-        // or the bounded table loses entries the full sorted table keeps).
-        let threshold = |heap: &BinaryHeap<MaxByDist>| {
-            if heap.len() >= limit {
-                heap.peek().map(|m| m.0.dist).unwrap_or(f64::NEG_INFINITY)
-            } else {
-                f64::INFINITY
-            }
-        };
+        let mut sel = BoundedSelection::new(limit, &mut scratch.entries);
         if self.tile_eligible(q) {
             // Tile fast path: blocks pruned at a snapshot of the selection
             // threshold, rows committed against the live one (see
@@ -287,23 +269,15 @@ impl<M: Metric> LinearScan<M> {
                 &self.metric,
                 &self.pool,
                 &scratch.tiles.qpad,
-                &mut (&mut heap, &mut stats),
-                |st| threshold(st.0),
+                &mut (&mut sel, &mut stats),
+                |st| st.0.thr,
                 |st, id, d| {
                     if Some(id) == exclude {
                         return;
                     }
                     st.1.count_dist();
-                    if d.is_nan() {
-                        return;
-                    }
-                    let thr = threshold(st.0);
-                    if thr == f64::INFINITY || d < thr {
-                        st.0.push(MaxByDist(Neighbor::new(id, d)));
-                        st.1.count_push();
-                        if st.0.len() > limit {
-                            st.0.pop();
-                        }
+                    if !d.is_nan() && st.0.admits(d) {
+                        st.0.push(Neighbor::new(id, d), st.1);
                     }
                 },
             );
@@ -313,21 +287,85 @@ impl<M: Metric> LinearScan<M> {
                     continue;
                 }
                 stats.count_dist();
-                if let Some(d) = self.metric.dist_under(q, p, threshold(&heap)) {
-                    heap.push(MaxByDist(Neighbor::new(id, d)));
-                    stats.count_push();
-                    if heap.len() > limit {
-                        heap.pop();
-                    }
+                if let Some(d) = self.metric.dist_under(q, p, sel.thr) {
+                    sel.push(Neighbor::new(id, d), &mut stats);
                 }
             }
         }
-        let entries = &mut scratch.entries;
-        entries.clear();
-        entries.extend(heap.iter().map(|m| m.0));
-        entries.sort_unstable_by(Neighbor::cmp_by_dist);
-        scratch.heap = heap.into_vec();
+        sel.finish();
         stats
+    }
+}
+
+/// Bounded `(dist, id)` selection in one flat buffer, for candidates
+/// offered in ascending id order.
+///
+/// Candidates below the threshold `thr` are appended. Once the buffer
+/// holds `2·limit` of them it is cut back to the `limit` smallest by one
+/// `select_nth_unstable_by`, and `thr` becomes the `limit`-th distance; one
+/// select and sort at the end leave the sorted prefix. While no cut has
+/// happened `thr` is `+∞`, which (with `dist_under` semantics) admits
+/// every distance, including ones that overflow to `+∞`.
+///
+/// A rejected candidate at distance `thr` loses nothing: the `limit`-th
+/// kept entry has the same distance and, offered earlier, a lower id, so
+/// the `(dist, id)` order ranks it first.
+struct BoundedSelection<'a> {
+    entries: &'a mut Vec<Neighbor>,
+    limit: usize,
+    /// The admission threshold: `+∞` until the first cut, the `limit`-th
+    /// distance after it, and `−∞` (admitting nothing) when `limit` is 0.
+    thr: f64,
+}
+
+impl<'a> BoundedSelection<'a> {
+    fn new(limit: usize, entries: &'a mut Vec<Neighbor>) -> Self {
+        entries.clear();
+        entries.reserve(2 * limit);
+        let thr = if limit == 0 {
+            f64::NEG_INFINITY
+        } else {
+            f64::INFINITY
+        };
+        BoundedSelection {
+            entries,
+            limit,
+            thr,
+        }
+    }
+
+    /// Whether a distance passes the current threshold.
+    #[inline]
+    fn admits(&self, d: f64) -> bool {
+        self.thr == f64::INFINITY || d < self.thr
+    }
+
+    /// Appends an admitted candidate (counted as a push), cutting back at
+    /// `2·limit`.
+    #[inline]
+    fn push(&mut self, n: Neighbor, stats: &mut SearchStats) {
+        self.entries.push(n);
+        stats.count_push();
+        if self.entries.len() >= 2 * self.limit {
+            self.cut();
+        }
+    }
+
+    /// Keeps the `limit` smallest entries; the last of them sets `thr`.
+    fn cut(&mut self) {
+        let nth = self.limit - 1;
+        self.entries
+            .select_nth_unstable_by(nth, Neighbor::cmp_by_dist);
+        self.entries.truncate(self.limit);
+        self.thr = self.entries[nth].dist;
+    }
+
+    /// Leaves the `limit` smallest entries sorted ascending.
+    fn finish(mut self) {
+        if self.entries.len() > self.limit {
+            self.cut();
+        }
+        self.entries.sort_unstable_by(Neighbor::cmp_by_dist);
     }
 }
 
@@ -394,7 +432,7 @@ impl<M: Metric> KnnIndex<M> for LinearScan<M> {
         scratch: &'a mut CursorScratch,
     ) -> Box<dyn NnCursor + 'a> {
         // A bound that admits every candidate prunes nothing; the plain
-        // sorted table skips the heap bookkeeping.
+        // sorted table skips the selection bookkeeping.
         let stats = if limit >= self.pool.live() {
             let CursorScratch { entries, tiles, .. } = &mut *scratch;
             self.fill_table(q, exclude, entries, &mut tiles.qpad)
@@ -839,6 +877,81 @@ mod tests {
                 a.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
                 b.iter().map(|&(id, _)| id).collect::<Vec<_>>()
             );
+        }
+    }
+
+    /// Asserts that the bounded table for `limit` is the first `limit`
+    /// entries (ids and distance bits) of the full sorted table, on the
+    /// tile path and the per-point path alike, with one distance
+    /// evaluation per live candidate.
+    fn assert_bounded_is_prefix(idx: &LinearScan<Euclidean>, q: &[f64], limit: usize) {
+        let mut plain = idx.clone();
+        plain.set_tile_enabled(false);
+        let (full, _) = drain(&mut *idx.cursor(q, None));
+        let want = &full[..limit.min(full.len())];
+        let mut scratch = CursorScratch::new();
+        for scan in [idx, &plain] {
+            let (got, st) = drain(&mut *scan.cursor_bounded(q, None, limit, &mut scratch));
+            assert_eq!(got, want, "limit={limit}");
+            assert_eq!(st.dist_computations, full.len() as u64, "limit={limit}");
+        }
+    }
+
+    #[test]
+    fn bounded_selection_is_the_sorted_prefix_at_edge_limits() {
+        let rows: Vec<Vec<f64>> = (0..300)
+            .map(|i| {
+                let x = i as f64;
+                vec![(x * 0.37).sin() * 3.0, (x * 0.11).cos() * 2.0]
+            })
+            .collect();
+        let idx = LinearScan::build(Dataset::from_rows(&rows).unwrap().into_shared(), Euclidean);
+        let live = idx.num_points();
+        for q in [[0.3, -1.2], [5.0, 5.0]] {
+            for limit in [0, 1, 2, live - 1] {
+                assert_bounded_is_prefix(&idx, &q, limit);
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_selection_survives_many_cuts() {
+        // Descending distances: every candidate beats the current
+        // threshold, so the buffer refills and is cut back over and over.
+        let rows: Vec<Vec<f64>> = (0..500).map(|i| vec![(500 - i) as f64, 0.0]).collect();
+        let idx = LinearScan::build(Dataset::from_rows(&rows).unwrap().into_shared(), Euclidean);
+        let mut scratch = CursorScratch::new();
+        let (_, st) = drain(&mut *idx.cursor_bounded(&[0.0, 0.0], None, 3, &mut scratch));
+        assert_eq!(st.heap_pushes, 500, "each candidate is appended once");
+        for limit in [1, 3, 7] {
+            assert_bounded_is_prefix(&idx, &[0.0, 0.0], limit);
+            assert_bounded_is_prefix(&idx, &[250.5, 0.0], limit);
+        }
+    }
+
+    #[test]
+    fn bounded_selection_breaks_boundary_ties_by_id() {
+        // A coarse grid: every distance recurs many times, so the limit
+        // falls inside runs of equal distances.
+        let rows: Vec<Vec<f64>> = (0..240)
+            .map(|i| vec![(i % 6) as f64, ((i / 6) % 5) as f64])
+            .collect();
+        let idx = LinearScan::build(Dataset::from_rows(&rows).unwrap().into_shared(), Euclidean);
+        for q in [[2.0, 2.0], [0.0, 0.0], [2.5, 1.5]] {
+            for limit in [1, 4, 8, 9, 23, 40, 100] {
+                assert_bounded_is_prefix(&idx, &q, limit);
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_selection_skips_tombstones() {
+        let idx = churned_index();
+        let live = idx.pool().live();
+        for q in [[1.3, 0.4, 0.5], [2.0, 1.0, 0.0]] {
+            for limit in [0, 1, 5, 64, live - 1] {
+                assert_bounded_is_prefix(&idx, &q, limit);
+            }
         }
     }
 

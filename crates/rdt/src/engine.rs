@@ -274,18 +274,19 @@ impl DkCache {
         M: Metric,
         I: KnnIndex<M> + ?Sized,
     {
+        const BLOCK: usize = 8;
         let metric = index.metric();
         let pc = index.point(p);
         let mut evicted = 0usize;
-        for (x, slot) in self.vals.iter_mut().enumerate() {
+        let mut visit = |x: usize, slot: &mut std::sync::atomic::AtomicU64| {
             let bits = *slot.get_mut();
             if bits == Self::UNSET {
-                continue;
+                return;
             }
             if x == p {
                 *slot.get_mut() = Self::UNSET;
                 evicted += 1;
-                continue;
+                return;
             }
             stats.count_dist();
             if metric
@@ -295,6 +296,24 @@ impl DkCache {
                 *slot.get_mut() = Self::UNSET;
                 evicted += 1;
             }
+        };
+        // Whole blocks of unset slots (all of a cold cache) are skipped by
+        // one branch-free test each instead of a branch per slot.
+        let tail = self.vals.len() - self.vals.len() % BLOCK;
+        let mut blocks = self.vals.chunks_exact_mut(BLOCK);
+        for (b, block) in (&mut blocks).enumerate() {
+            if block
+                .iter_mut()
+                .fold(true, |unset, s| unset & (*s.get_mut() == Self::UNSET))
+            {
+                continue;
+            }
+            for (j, slot) in block.iter_mut().enumerate() {
+                visit(b * BLOCK + j, slot);
+            }
+        }
+        for (j, slot) in blocks.into_remainder().iter_mut().enumerate() {
+            visit(tail + j, slot);
         }
         evicted
     }
@@ -721,6 +740,45 @@ mod tests {
             .map(|_| (0..dim).map(|_| rng.random::<f64>() * 10.0).collect())
             .collect();
         Dataset::from_rows(&rows).unwrap().into_shared()
+    }
+
+    #[test]
+    fn invalidate_near_evicts_exactly_the_balls_holding_the_point() {
+        // 37 slots: four blocks of 8 and a tail of 5. Blocks 0 and 2 stay
+        // unset; blocks 1 and 3 and the tail hold thresholds.
+        let ds = uniform(37, 2, 5);
+        let idx = LinearScan::build(ds.clone(), Euclidean);
+        let mut cs = CursorScratch::new();
+        let mut neighbours_evicted = 0;
+        for p in [0, 12, 34] {
+            let mut cache = DkCache::new(8, ds.len());
+            for x in (0..ds.len()).filter(|x| (x / 8) % 2 == 1 || *x >= 32) {
+                cache.dk_or_compute(&idx, x, &mut cs, &mut SearchStats::new());
+            }
+            let before: Vec<u64> = cache.vals.iter_mut().map(|s| *s.get_mut()).collect();
+            let mut stats = SearchStats::new();
+            let evicted = cache.invalidate_near(&idx, p, &mut stats);
+            let (mut want_evicted, mut want_dists) = (0, 0);
+            for (x, &bits) in before.iter().enumerate() {
+                let after = *cache.vals[x].get_mut();
+                if bits == DkCache::UNSET {
+                    assert_eq!(after, DkCache::UNSET, "p={p} x={x}");
+                    continue;
+                }
+                want_dists += u64::from(x != p);
+                let d = Euclidean.dist(ds.point(x), ds.point(p));
+                if x == p || d <= f64::from_bits(bits) {
+                    want_evicted += 1;
+                    neighbours_evicted += usize::from(x != p);
+                    assert_eq!(after, DkCache::UNSET, "p={p} x={x}");
+                } else {
+                    assert_eq!(after, bits, "p={p} x={x}");
+                }
+            }
+            assert_eq!(evicted, want_evicted, "p={p}");
+            assert_eq!(stats.dist_computations, want_dists, "p={p}");
+        }
+        assert!(neighbours_evicted > 3, "the cases must evict neighbours");
     }
 
     /// One uncached, never-cancelled query at a fixed `t` with fresh scratch.

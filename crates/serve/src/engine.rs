@@ -588,8 +588,8 @@ pub(crate) struct Shared<M, I, A> {
     /// Submission sequence (every non-closed submit attempt), keying the
     /// fault plan's rejection windows.
     pub(crate) submit_seq: AtomicU64,
-    /// Execution sequence (every dequeued job), keying injected worker
-    /// faults.
+    /// Execution sequence (every dequeued job that survives the deadline,
+    /// cancel and quarantine sheds), keying injected worker faults.
     pub(crate) exec_seq: AtomicU64,
     pub(crate) faults: Option<Arc<FaultPlan>>,
     pub(crate) breaker_threshold: u32,
@@ -1074,7 +1074,6 @@ where
             }
             continue;
         };
-        let eseq = shared.exec_seq.fetch_add(1, Relaxed);
         let started_at = Instant::now();
         // Deadline shed at dequeue: don't spend service time on a ticket
         // whose submitter has already given up.
@@ -1105,6 +1104,10 @@ where
             continue;
         }
         // Injected faults, keyed deterministically on the execution slot.
+        // Only jobs that get this far take a slot: a shed job never reaches
+        // the fault hook, so numbering it would let a shed swallow a
+        // scheduled fault.
+        let eseq = shared.exec_seq.fetch_add(1, Relaxed);
         let mut inject_panic = false;
         if let Some(fault) = shared.faults.as_ref().and_then(|f| f.at_execution(eseq)) {
             match fault {

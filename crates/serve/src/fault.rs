@@ -4,7 +4,10 @@
 //! is keyed to a monotonic sequence number the engine assigns anyway — the
 //! submission counter for admission faults, the execution counter for
 //! worker faults — so the same plan injects the same faults at the same
-//! points of the workload on every run. (With several workers the mapping
+//! points of the workload on every run. Execution slots number only the
+//! jobs that reach the fault hook: a job shed at dequeue (expired deadline,
+//! cancelled, quarantined input) takes no slot, so a shed can never swallow
+//! a scheduled fault. (With several workers the mapping
 //! from execution slot to specific query still depends on scheduling; what
 //! reproduces exactly is the fault schedule itself, which is what the chaos
 //! gate's invariants — zero lost tickets, typed errors only, byte-identical

@@ -1,7 +1,7 @@
 //! Bit-identity property tests for the distance-kernel subsystem.
 //!
 //! The contract under test (see `rknn_core::kernel`): the scalar-unrolled
-//! reference, SSE2 and AVX2 backends share one canonical 4-lane blocked
+//! reference and AVX2 backends share one canonical 4-lane blocked
 //! accumulation order and one early-abandonment check cadence, so
 //!
 //! * full reductions return **identical bits** on every backend;
@@ -154,13 +154,18 @@ proptest! {
         }
     }
 
+    /// Strides 4–72 reach both tile cadences (full sums up to 32 padded
+    /// coordinates, periodic checks beyond), the bounds include exact ties
+    /// and `+∞` (where overflowing distances must come back `+∞`), and
+    /// beneath the metrics the three kernel tile entries must agree
+    /// bitwise across backends.
     #[test]
     fn dist_tile_reproduces_per_row_decisions_bitwise(
-        dim in 1usize..12,
-        raw_rows in proptest::collection::vec(vec_of(12), 1..24),
-        row_classes in proptest::collection::vec(classes_of(12), 24),
-        q_seed in vec_of(12),
-        q_class in classes_of(12),
+        dim in 1usize..73,
+        raw_rows in proptest::collection::vec(vec_of(72), 1..24),
+        row_classes in proptest::collection::vec(classes_of(72), 24),
+        q_seed in vec_of(72),
+        q_class in classes_of(72),
         fracs in proptest::collection::vec(0.0f64..2.0, 24),
     ) {
         let rows: Vec<Vec<f64>> = raw_rows
@@ -210,6 +215,45 @@ proptest! {
                 }
             }
         }
+        // The kernel tile entries themselves, in the accumulator domain:
+        // each row gets its completed accumulation when that is below the
+        // threshold (or the threshold is +∞) and NaN otherwise, with the
+        // same bits on every backend.
+        let scalar = kernel::ops(Backend::Scalar).expect("scalar always available");
+        type Full = fn(&kernel::KernelOps, &[f64], &[f64]) -> f64;
+        type Tile = fn(&kernel::KernelOps, &[f64], &[f64], usize, &[f64], &mut [f64]);
+        let reductions: [(&str, Full, Tile); 3] = [
+            ("sum_sq", kernel::KernelOps::sum_sq, kernel::KernelOps::sum_sq_tile),
+            ("sum_abs", kernel::KernelOps::sum_abs, kernel::KernelOps::sum_abs_tile),
+            ("max_abs", kernel::KernelOps::max_abs, kernel::KernelOps::max_abs_tile),
+        ];
+        for (name, full, tile) in reductions {
+            let accs: Vec<f64> = flat.chunks_exact(stride).map(|r| full(scalar, &qpad, r)).collect();
+            let thresholds: Vec<f64> = accs
+                .iter()
+                .zip(&fracs)
+                .enumerate()
+                .map(|(i, (&acc, &f))| match i % 4 {
+                    0 => acc,
+                    1 => f64::INFINITY,
+                    _ => acc * f,
+                })
+                .collect();
+            for be in kernel::available() {
+                let o = kernel::ops(be).expect("listed backend available");
+                let mut out = vec![0.0; rows.len()];
+                tile(o, &qpad, &flat, stride, &thresholds, &mut out);
+                for (i, (&acc, &t)) in accs.iter().zip(&thresholds).enumerate() {
+                    if acc < t || t == f64::INFINITY {
+                        prop_assert_eq!(out[i].to_bits(), acc.to_bits(),
+                            "{} {:?} row {} stride {}", name, be, i, stride);
+                    } else {
+                        prop_assert!(out[i].is_nan(),
+                            "{} {:?} row {} stride {}", name, be, i, stride);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -221,9 +265,6 @@ fn kernel_env_override_is_honored() {
     let selected = kernel::selected().backend();
     match std::env::var("RKNN_KERNEL").ok().as_deref() {
         Some("scalar") => assert_eq!(selected, Backend::Scalar),
-        Some("sse2") if kernel::ops(Backend::Sse2).is_some() => {
-            assert_eq!(selected, Backend::Sse2)
-        }
         Some("avx2") if kernel::ops(Backend::Avx2).is_some() => {
             assert_eq!(selected, Backend::Avx2)
         }

@@ -321,6 +321,43 @@ fn the_supervisor_respawns_a_dead_worker_and_service_resumes() {
 }
 
 #[test]
+fn a_deadline_shed_job_does_not_swallow_a_scheduled_death() {
+    silence_expected_panics();
+    let engine = rdt_engine(
+        30,
+        2,
+        EngineConfig {
+            workers: 1,
+            queue_capacity: 8,
+            faults: Some(Arc::new(FaultPlan::new().death_at(1))),
+            ..EngineConfig::default()
+        },
+    );
+    // Slot 0 answers normally.
+    resolve(&engine.submit(0usize).expect("admitted")).expect("slot 0 answers");
+    // An already-expired job is shed at dequeue and takes no slot, so the
+    // death scheduled at slot 1 is still ahead of it.
+    let expired = QueryRequest::point(1).with_deadline(std::time::Instant::now());
+    match resolve(&engine.submit(expired).expect("admitted")) {
+        Err(QueryError::DeadlineExceeded { .. }) => {}
+        other => panic!("the expired job is shed, got {other:?}"),
+    }
+    // The next executed job lands on slot 1 and kills the worker.
+    match resolve(&engine.submit(2usize).expect("admitted")) {
+        Err(QueryError::Internal { reason, .. }) => {
+            assert!(reason.contains("died"), "{reason}")
+        }
+        other => panic!("slot 1 carries the scheduled death, got {other:?}"),
+    }
+    let r = resolve(&engine.submit(3usize).expect("admitted")).expect("post-respawn answers");
+    assert_eq!(r.point_id(), Some(3));
+    let stats = engine.shutdown();
+    assert_eq!(stats.respawns, 1, "exactly the scheduled death respawned");
+    assert_eq!(stats.deadline_exceeded, 1);
+    assert_eq!(stats.submitted, stats.completed + stats.failed);
+}
+
+#[test]
 fn in_flight_deadlines_resolve_as_deadline_exceeded() {
     silence_expected_panics();
     // The first execution slot sleeps 80ms; a 10ms ticket budget expires
