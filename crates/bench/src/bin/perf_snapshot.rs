@@ -59,18 +59,6 @@
 //! `target/truth-cache`), with quadratic baselines skipped-with-reason
 //! above their honesty caps and RDT-vs-baseline crossover points recorded.
 //!
-//! The `kernels` and `algorithms` sections additionally record the
-//! opt-in **fast kernel tier**: per dimensionality, the FMA fused
-//! reduction (`fast_ns_per_dist`, vs the exact dispatched kernel) and the
-//! f32-storage tile path (`f32_tile_ns_per_dist`, streaming half the
-//! bytes); per algorithm, the same query batch replayed on a cover tree
-//! built with [`Euclidean::fast`], asserted answer-identical to the exact
-//! tier before its wall times are recorded. Top-level honesty fields pin
-//! down what actually ran: `kernel_tier` (the process-default tier),
-//! `fma_available` / `fast_ops_fma` (whether the fast tier resolved to
-//! real FMA kernels or fell back to the exact backend), and the
-//! f64-vs-f32 resident storage bytes.
-//!
 //! Result sets are asserted identical across every path and substrate
 //! before any number is written. Wall times take the best of
 //! `RKNN_BENCH_REPS` repetitions (default 3) to damp scheduler noise;
@@ -127,8 +115,6 @@ struct AlgoEntry {
     precompute_ms: f64,
     seq_ms: f64,
     batch_ms: f64,
-    fast_seq_ms: f64,
-    fast_batch_ms: f64,
     dist_comps: u64,
     result_members: usize,
     boxed_dist_comps: Option<u64>,
@@ -143,8 +129,6 @@ impl AlgoEntry {
         format!(
             "    {{ \"algorithm\": \"{name}\", \"precompute_ms\": {pre:.2}, \
              \"seq_ms\": {seq:.2}, \"batch_ms\": {batch:.2}, \"batch_speedup\": {spd:.2}, \
-             \"fast_seq_ms\": {fseq:.2}, \"fast_batch_ms\": {fbatch:.2}, \
-             \"fast_tier_speedup\": {fspd:.2}, \
              \"dist_comps\": {dist}, \"result_members\": {members}{boxed} }}",
             name = self.name,
             pre = self.precompute_ms,
@@ -152,13 +136,6 @@ impl AlgoEntry {
             batch = self.batch_ms,
             spd = if self.batch_ms > 0.0 {
                 self.seq_ms / self.batch_ms
-            } else {
-                1.0
-            },
-            fseq = self.fast_seq_ms,
-            fbatch = self.fast_batch_ms,
-            fspd = if self.fast_seq_ms > 0.0 {
-                self.seq_ms / self.fast_seq_ms
             } else {
                 1.0
             },
@@ -205,42 +182,12 @@ where
             precompute_ms: pre_ms,
             seq_ms,
             batch_ms,
-            fast_seq_ms: 0.0,
-            fast_batch_ms: 0.0,
             dist_comps: seq.stats.search.dist_computations,
             result_members: seq.stats.result_members,
             boxed_dist_comps: None,
         },
         ids,
     )
-}
-
-/// Replays the same query batch with `algo` on the fast-tier cover tree,
-/// asserts the answer sets identical to the exact-tier run, and attaches
-/// the fast-tier wall times to the exact entry. The assertion is the
-/// cross-tier honesty gate: fast-tier numbers are only recorded for runs
-/// that produced the exact answers.
-fn attach_fast_tier<A>(
-    exact: (AlgoEntry, Vec<Vec<PointId>>),
-    algo: A,
-    fast_index: &CoverTree<Euclidean>,
-    queries: &[PointId],
-    threads: usize,
-    reps: usize,
-) -> (AlgoEntry, Vec<Vec<PointId>>)
-where
-    A: RknnAlgorithm<Euclidean, CoverTree<Euclidean>>,
-{
-    let (mut entry, ids) = exact;
-    let (fast, fast_ids) = measure_algorithm(algo, fast_index, queries, threads, reps);
-    assert_eq!(
-        ids, fast_ids,
-        "{}: fast tier diverged from the exact tier",
-        entry.name
-    );
-    entry.fast_seq_ms = fast.seq_ms;
-    entry.fast_batch_ms = fast.batch_ms;
-    (entry, ids)
 }
 
 /// The pre-refactor naive execution path: full-precision metric, one
@@ -335,16 +282,9 @@ struct KernelEntry {
     dim: usize,
     scalar_ns_per_dist: f64,
     dispatched_ns_per_dist: f64,
-    fast_ns_per_dist: f64,
     tile_ns_per_dist: f64,
-    f32_tile_ns_per_dist: f64,
     scalar_gbps: f64,
     dispatched_gbps: f64,
-    f32_gbps: f64,
-    /// True when the fast tier's dimension gate routed this dim to the
-    /// exact kernel (d below [`kernel::FAST_MIN_DIM`] after padding), so
-    /// `fast_speedup ≈ 1` here is the gate working, not the tier failing.
-    fast_fallback: bool,
 }
 
 impl KernelEntry {
@@ -356,47 +296,27 @@ impl KernelEntry {
         }
     }
 
-    /// Fast tier vs the exact dispatched kernel — the price of staying
-    /// bit-identical, measured.
-    fn fast_speedup(&self) -> f64 {
-        if self.fast_ns_per_dist > 0.0 {
-            self.dispatched_ns_per_dist / self.fast_ns_per_dist
-        } else {
-            1.0
-        }
-    }
-
     fn to_json(&self) -> String {
         format!(
             "    {{ \"dim\": {dim}, \"scalar_ns_per_dist\": {s:.2}, \
              \"dispatched_ns_per_dist\": {v:.2}, \"speedup\": {sp:.2}, \
-             \"fast_ns_per_dist\": {f:.2}, \"fast_speedup\": {fsp:.2}, \
-             \"fast_fallback\": {fb}, \
-             \"tile_ns_per_dist\": {t:.2}, \"f32_tile_ns_per_dist\": {t32:.2}, \
-             \"scalar_gbps\": {sg:.2}, \"dispatched_gbps\": {vg:.2}, \
-             \"f32_gbps\": {g32:.2} }}",
+             \"tile_ns_per_dist\": {t:.2}, \
+             \"scalar_gbps\": {sg:.2}, \"dispatched_gbps\": {vg:.2} }}",
             dim = self.dim,
             s = self.scalar_ns_per_dist,
             v = self.dispatched_ns_per_dist,
             sp = self.speedup(),
-            f = self.fast_ns_per_dist,
-            fsp = self.fast_speedup(),
-            fb = self.fast_fallback,
             t = self.tile_ns_per_dist,
-            t32 = self.f32_tile_ns_per_dist,
             sg = self.scalar_gbps,
             vg = self.dispatched_gbps,
-            g32 = self.f32_gbps,
         )
     }
 }
 
 /// Benchmarks the raw `sum_sq` kernel (scalar reference vs the dispatched
-/// backend vs the fast-tier fused reduction), the dispatched unbounded
-/// `dist_tile`, and the fast-f32 tile over the dataset's f32 mirror, at
-/// one dimensionality. Throughput counts the coordinate bytes both
-/// operands stream (`2 · dim · 8` per f64 distance, `2 · dim · 4` per f32
-/// distance — the f32 tile's bandwidth win is the point of recording it).
+/// backend) and the dispatched unbounded `dist_tile` at one
+/// dimensionality. Throughput counts the coordinate bytes both operands
+/// stream (`2 · dim · 8` per distance).
 fn measure_kernel_dim(dim: usize, reps: usize) -> KernelEntry {
     let n = 2048usize;
     let ds = rknn_data::uniform_cube(n, dim, 0xd15c);
@@ -415,16 +335,6 @@ fn measure_kernel_dim(dim: usize, reps: usize) -> KernelEntry {
     };
     let (scalar_ms, _) = best_of(reps, || run(scalar));
     let (dispatched_ms, _) = best_of(reps, || run(kernel::selected()));
-    let fops = kernel::fast_ops();
-    let (fast_tier_ms, _) = best_of(reps, || {
-        let mut acc = 0.0f64;
-        for _ in 0..passes {
-            for (_, p) in ds.iter() {
-                acc += fops.sum_sq(std::hint::black_box(&q), std::hint::black_box(p));
-            }
-        }
-        acc
-    });
 
     let stride = ds.stride();
     let mut qpad = vec![0.0; stride];
@@ -445,48 +355,17 @@ fn measure_kernel_dim(dim: usize, reps: usize) -> KernelEntry {
         out[n / 2]
     });
 
-    let f32rows = ds.f32_rows();
-    let stride32 = f32rows.stride32();
-    let mut q32 = vec![0.0f32; stride32];
-    for (dst, &v) in q32.iter_mut().zip(q.iter()) {
-        *dst = v as f32;
-    }
-    let m32 = Euclidean::fast_f32();
-    let (f32_ms, accepted) = best_of(reps, || {
-        let mut ok = true;
-        for _ in 0..passes {
-            ok &= m32.dist_tile_f32(
-                std::hint::black_box(&q32),
-                f32rows.padded_flat(),
-                stride32,
-                dim,
-                &bounds,
-                &mut out,
-            );
-        }
-        ok
-    });
-    assert!(
-        accepted,
-        "fast-f32 tile path declined the f32 mirror at d={dim}"
-    );
-
     let dists = (passes * n) as f64;
     let bytes_per_dist = (2 * dim * 8) as f64;
-    let bytes_per_dist_f32 = (2 * dim * 4) as f64;
     let ns = |ms: f64| ms * 1e6 / dists;
     let gbps = |ms: f64| bytes_per_dist * dists / (ms * 1e6);
     KernelEntry {
         dim,
         scalar_ns_per_dist: ns(scalar_ms),
         dispatched_ns_per_dist: ns(dispatched_ms),
-        fast_ns_per_dist: ns(fast_tier_ms),
         tile_ns_per_dist: ns(tile_ms),
-        f32_tile_ns_per_dist: ns(f32_ms),
         scalar_gbps: gbps(scalar_ms),
         dispatched_gbps: gbps(dispatched_ms),
-        f32_gbps: bytes_per_dist_f32 * dists / (f32_ms * 1e6),
-        fast_fallback: fops.fma() && !fops.fma_at(dim),
     }
 }
 
@@ -582,10 +461,6 @@ fn main() {
     let algo_queries = env_usize("RKNN_BENCH_ALGO_QUERIES", 48).min(n);
     let aq: Vec<PointId> = rknn_data::sample_queries(n, algo_queries, 0xa1fa);
     let cover = CoverTree::build(ds.clone(), Euclidean);
-    // The fast-tier replay index: same data, metric pinned to the FMA
-    // tier. Every algorithm below runs on both and must produce identical
-    // answer sets before its fast-tier wall times are recorded.
-    let cover_fast = CoverTree::build(ds.clone(), Euclidean::fast());
     let boxed_cover = CoverTree::build(ds.clone(), FullPrecision(Euclidean));
     let alpha = 4.0;
 
@@ -593,16 +468,9 @@ fn main() {
     // d_k reuse off so the recorded RDT work counters are
     // scheduling-independent and reproducible.
     algo_entries.push(
-        attach_fast_tier(
-            measure_algorithm(
-                RdtAlgorithm::new(params).with_dk_reuse(false),
-                &cover,
-                &aq,
-                threads,
-                reps,
-            ),
+        measure_algorithm(
             RdtAlgorithm::new(params).with_dk_reuse(false),
-            &cover_fast,
+            &cover,
             &aq,
             threads,
             reps,
@@ -610,16 +478,9 @@ fn main() {
         .0,
     );
     algo_entries.push(
-        attach_fast_tier(
-            measure_algorithm(
-                RdtAlgorithm::plus(params).with_dk_reuse(false),
-                &cover,
-                &aq,
-                threads,
-                reps,
-            ),
+        measure_algorithm(
             RdtAlgorithm::plus(params).with_dk_reuse(false),
-            &cover_fast,
+            &cover,
             &aq,
             threads,
             reps,
@@ -627,14 +488,8 @@ fn main() {
         .0,
     );
 
-    let (mut sft_entry, sft_ids) = attach_fast_tier(
-        measure_algorithm(Sft::new(k, alpha), &cover, &aq, threads, reps),
-        Sft::new(k, alpha),
-        &cover_fast,
-        &aq,
-        threads,
-        reps,
-    );
+    let (mut sft_entry, sft_ids) =
+        measure_algorithm(Sft::new(k, alpha), &cover, &aq, threads, reps);
     let (sft_boxed, sft_boxed_ids) = legacy_boxed_sft(&boxed_cover, &aq, k, alpha);
     assert_eq!(
         sft_ids, sft_boxed_ids,
@@ -650,14 +505,8 @@ fn main() {
     sft_entry.boxed_dist_comps = Some(sft_boxed);
     algo_entries.push(sft_entry);
 
-    let (mut naive_entry, naive_ids) = attach_fast_tier(
-        measure_algorithm(NaiveRknn::new(k), &cover, &aq, threads, reps),
-        NaiveRknn::new(k),
-        &cover_fast,
-        &aq,
-        threads,
-        reps,
-    );
+    let (mut naive_entry, naive_ids) =
+        measure_algorithm(NaiveRknn::new(k), &cover, &aq, threads, reps);
     let (naive_boxed, naive_boxed_ids) = legacy_boxed_naive(&boxed_cover, &aq, k);
     assert_eq!(
         naive_ids, naive_boxed_ids,
@@ -674,16 +523,9 @@ fn main() {
     algo_entries.push(naive_entry);
 
     algo_entries.push(
-        attach_fast_tier(
-            measure_algorithm(
-                TplAlgorithm::new(ds.clone(), Euclidean, k),
-                &cover,
-                &aq,
-                threads,
-                reps,
-            ),
-            TplAlgorithm::new(ds.clone(), Euclidean::fast(), k),
-            &cover_fast,
+        measure_algorithm(
+            TplAlgorithm::new(ds.clone(), Euclidean, k),
+            &cover,
             &aq,
             threads,
             reps,
@@ -691,16 +533,9 @@ fn main() {
         .0,
     );
     algo_entries.push(
-        attach_fast_tier(
-            measure_algorithm(
-                MrknncopAlgorithm::new(ds.clone(), Euclidean, k, k),
-                &cover,
-                &aq,
-                threads,
-                reps,
-            ),
-            MrknncopAlgorithm::new(ds.clone(), Euclidean::fast(), k, k),
-            &cover_fast,
+        measure_algorithm(
+            MrknncopAlgorithm::new(ds.clone(), Euclidean, k, k),
+            &cover,
             &aq,
             threads,
             reps,
@@ -708,16 +543,9 @@ fn main() {
         .0,
     );
     algo_entries.push(
-        attach_fast_tier(
-            measure_algorithm(
-                RdnnAlgorithm::new(ds.clone(), Euclidean, k),
-                &cover,
-                &aq,
-                threads,
-                reps,
-            ),
-            RdnnAlgorithm::new(ds.clone(), Euclidean::fast(), k),
-            &cover_fast,
+        measure_algorithm(
+            RdnnAlgorithm::new(ds.clone(), Euclidean, k),
+            &cover,
             &aq,
             threads,
             reps,
@@ -839,7 +667,6 @@ fn main() {
         .iter()
         .map(|b| format!("\"{}\"", b.name()))
         .collect();
-    let fops = kernel::fast_ops();
 
     // 8. Streaming-build honesty: a large dataset assembled chunk by chunk
     //    through `DatasetBuilder`, with the builder's own allocation
@@ -1047,16 +874,11 @@ fn main() {
     let speedup_batch = scalar_ms / batch_ms;
     let speedup_fast_seq = scalar_ms / fast_seq_ms;
     let json = format!(
-        "{{\n  \"bench\": \"batch_all_points_rknn\",\n  \"substrate\": \"linear-scan\",\n  \"dataset\": \"gaussian_blobs\",\n  \"n\": {n},\n  \"dim\": {dim},\n  \"k\": {k},\n  \"t\": {t},\n  \"threads\": {threads},\n  \"available_parallelism\": {parallelism},\n  \"kernel_backend\": \"{backend_name}\",\n  \"kernel_backends_available\": [{available}],\n  \"kernel_tier\": \"{tier_name}\",\n  \"fma_available\": {fma},\n  \"fast_ops_fma\": {fops_fma},\n  \"fast_min_dim\": {fmd},\n  \"storage\": {{ \"f64_bytes\": {b64}, \"f32_bytes\": {b32} }},\n  \"reps\": {{ \"batch\": {reps}, \"substrates\": 1, \"algorithms\": {reps}, \"kernels\": {reps}, \"dynamic\": {creps}, \"scaling\": 1 }},\n  \"scalar_sequential_ms\": {scalar_ms:.2},\n  \"fast_sequential_ms\": {fast_seq_ms:.2},\n  \"batch_ms\": {batch_ms:.2},\n  \"speedup_fast_sequential\": {speedup_fast_seq:.2},\n  \"speedup_batch\": {speedup_batch:.2},\n  \"identical_results\": true,\n  \"total_dist_comps\": {dist},\n  \"witness_pairs\": {wp},\n  \"witness_dist_comps\": {wd},\n  \"retrieved\": {retr},\n  \"result_members\": {members},\n{dynamics},\n{streaming},\n{scaling},\n  \"kernels\": [\n{kerns}\n  ],\n  \"substrates\": [\n{subs}\n  ],\n  \"algorithms\": {{\n  \"forward_index\": \"cover-tree\",\n  \"queries\": {aqn},\n  \"entries\": [\n{algos}\n  ] }}\n}}\n",
+        "{{\n  \"bench\": \"batch_all_points_rknn\",\n  \"substrate\": \"linear-scan\",\n  \"dataset\": \"gaussian_blobs\",\n  \"n\": {n},\n  \"dim\": {dim},\n  \"k\": {k},\n  \"t\": {t},\n  \"threads\": {threads},\n  \"available_parallelism\": {parallelism},\n  \"kernel_backend\": \"{backend_name}\",\n  \"kernel_backends_available\": [{available}],\n  \"storage\": {{ \"f64_bytes\": {b64} }},\n  \"reps\": {{ \"batch\": {reps}, \"substrates\": 1, \"algorithms\": {reps}, \"kernels\": {reps}, \"dynamic\": {creps}, \"scaling\": 1 }},\n  \"scalar_sequential_ms\": {scalar_ms:.2},\n  \"fast_sequential_ms\": {fast_seq_ms:.2},\n  \"batch_ms\": {batch_ms:.2},\n  \"speedup_fast_sequential\": {speedup_fast_seq:.2},\n  \"speedup_batch\": {speedup_batch:.2},\n  \"identical_results\": true,\n  \"total_dist_comps\": {dist},\n  \"witness_pairs\": {wp},\n  \"witness_dist_comps\": {wd},\n  \"retrieved\": {retr},\n  \"result_members\": {members},\n{dynamics},\n{streaming},\n{scaling},\n  \"kernels\": [\n{kerns}\n  ],\n  \"substrates\": [\n{subs}\n  ],\n  \"algorithms\": {{\n  \"forward_index\": \"cover-tree\",\n  \"queries\": {aqn},\n  \"entries\": [\n{algos}\n  ] }}\n}}\n",
         backend_name = backend.name(),
         available = available.join(", "),
-        tier_name = kernel::selected_tier().name(),
-        fma = kernel::fma_available(),
-        fops_fma = fops.fma(),
-        fmd = kernel::FAST_MIN_DIM,
         creps = churn_reps,
         b64 = ds.storage_bytes(),
-        b32 = ds.f32_rows().bytes(),
         dist = index_dist + witness_dist,
         wp = witness_pairs,
         wd = witness_dist,
@@ -1130,49 +952,6 @@ fn main() {
                  ({:.2}x) — timing noise, not gated",
                 backend.name(),
                 d32.speedup()
-            );
-        }
-    }
-    // Fast-tier honesty check, same advisory shape: when the fast tier
-    // resolved to real FMA kernels (not the exact-backend fallback), the
-    // fused reduction must not lose to the exact dispatched kernel at
-    // d=32. When `fast_ops_fma` is false the recorded `fast_speedup ≈ 1`
-    // is the honest answer — the host has no FMA and the tier degraded.
-    if fops.fma() {
-        if n >= 1000 && reps >= 2 {
-            assert!(
-                d32.fast_speedup() >= 1.0,
-                "fast-tier FMA kernel slower than the exact {} kernel at d=32: {:.2}x",
-                backend.name(),
-                d32.fast_speedup()
-            );
-        } else if d32.fast_speedup() < 1.0 {
-            eprintln!(
-                "warning: fast tier measured below the exact kernel at smoke \
-                 scale ({:.2}x) — timing noise, not gated",
-                d32.fast_speedup()
-            );
-        }
-    }
-    // Below the dimension gate the fast tier runs the exact kernel, so the
-    // recorded ratio is two timings of the same code: anything far from
-    // parity is measurement trouble, and the pre-gate d=8 regression
-    // (fast_speedup 0.90) must not reappear.
-    for e in kernel_entries.iter().filter(|e| e.fast_fallback) {
-        if n >= 1000 && reps >= 2 {
-            assert!(
-                e.fast_speedup() >= 0.9,
-                "fast tier below the exact kernel at gated d={}: {:.2}x \
-                 (the gate should have made these identical)",
-                e.dim,
-                e.fast_speedup()
-            );
-        } else if e.fast_speedup() < 0.9 {
-            eprintln!(
-                "warning: gated fast tier measured at {:.2}x of the exact \
-                 kernel at d={} at smoke scale — timing noise, not gated",
-                e.fast_speedup(),
-                e.dim
             );
         }
     }

@@ -2,8 +2,7 @@
 //! as `BENCH_serving.json`.
 //!
 //! Six sections, every one against the same gaussian-blobs workload on a
-//! linear-scan forward index (RDT, exact tier semantics of the selected
-//! kernel tier):
+//! linear-scan forward index (RDT):
 //!
 //! 1. **correctness** — every dataset point submitted exactly once through
 //!    the sharded executor; the run *asserts* no response was lost or
@@ -20,9 +19,12 @@
 //! 4. **churn** — the same open-loop traffic while a publisher thread
 //!    derives successor snapshots off to the side
 //!    ([`rknn_serve::advance_snapshot`]: cloned index + carried-over warm
-//!    `d_k` cache) and swaps them in mid-stream; the run asserts at least
-//!    one epoch swap was observed by in-flight queries and records tail
-//!    latency across the swaps plus per-swap build cost.
+//!    `d_k` cache) and swaps them in mid-stream. Swap `s` is published once
+//!    `(s+1)·total/(swaps+1)` queries have been offered, as counted by the
+//!    engine, so the swaps land inside the stream at any achieved rate. The
+//!    run asserts at least one epoch swap was observed by in-flight queries
+//!    and records tail latency across the swaps, each swap's submission
+//!    index, and per-swap build cost.
 //! 5. **prewarm** — two cold engines, one whose `prepare()` prewarms the
 //!    `d_k` cache over a stride sample, one without; the first-100-queries
 //!    p99 of each is recorded (satellite: cold-start tail with and without
@@ -338,16 +340,26 @@ fn main() {
     // the upper half so an in-flight query never names a dead point.
     let live_queries: Vec<usize> = (0..n / 2).collect();
     let churn_total = open_queries;
-    let submit_span = churn_total as f64 / target_qps;
-    let gap = Duration::from_secs_f64(submit_span / (swaps + 1) as f64);
     let engine = workload.engine(workers_effective, queue_cap, 0);
-    let (churn_report, advances) = std::thread::scope(|scope| {
+    let (churn_report, (swap_at, advances)) = std::thread::scope(|scope| {
         let engine_ref = &engine;
         let ds_ref = &ds;
         let publisher = scope.spawn(move || {
+            let mut swap_at: Vec<u64> = Vec::with_capacity(swaps);
             let mut reports: Vec<AdvanceReport> = Vec::with_capacity(swaps);
             for s in 0..swaps {
-                std::thread::sleep(gap);
+                // Offered so far: accepted plus rejected submissions. The
+                // stream offers `churn_total` in all, so every mark is
+                // reached before the open loop returns.
+                let mark = ((s + 1) * churn_total / (swaps + 1)) as u64;
+                let at = loop {
+                    let st = engine_ref.stats();
+                    let offered = st.submitted + st.rejected;
+                    if offered >= mark {
+                        break offered;
+                    }
+                    std::thread::sleep(Duration::from_micros(50));
+                };
                 let pinned = engine_ref.snapshot();
                 let ops = vec![
                     ChurnOp::Insert(ds_ref.point(s % ds_ref.len()).to_vec()),
@@ -356,9 +368,10 @@ fn main() {
                 let (next, report) =
                     advance_snapshot(&pinned, &ops).expect("advance accepts dataset rows");
                 engine_ref.publish(next);
+                swap_at.push(at);
                 reports.push(report);
             }
-            reports
+            (swap_at, reports)
         });
         let report = run_open_loop(
             engine_ref,
@@ -386,11 +399,13 @@ fn main() {
     );
     let churn_json = format!(
         "  \"churn\": {{ \"swaps_published\": {swaps}, \"ops_per_swap\": 2, \
-         \"epochs_observed\": {eps}, \"swap_build_ms\": {builds}, \
+         \"epochs_observed\": {eps}, \"swap_at_submission\": {at}, \
+         \"swap_build_ms\": {builds}, \
          \"cache_filled_after_swap\": {filled}, \"offered\": {off}, \
          \"completed\": {comp}, \"rejected\": {rej}, {aq}, {lat}, \
          \"max_submit_lag_ms\": {lag:.3} }}",
         eps = json_u64_array(churn_report.epochs.iter().copied()),
+        at = json_u64_array(swap_at.iter().copied()),
         builds = json_ms_array(advances.iter().map(|a| a.build_time.as_secs_f64() * 1e3)),
         filled = json_u64_array(advances.iter().map(|a| a.cache_filled.unwrap_or(0) as u64)),
         off = churn_report.offered,
@@ -648,7 +663,6 @@ fn main() {
         "{{\n  \"bench\": \"serving_engine\",\n  \"substrate\": \"linear-scan\",\n  \
          \"dataset\": \"gaussian_blobs\",\n  \"n\": {n},\n  \"dim\": {dim},\n  \
          \"k\": {k},\n  \"t\": {t},\n  \"kernel_backend\": \"{backend}\",\n  \
-         \"kernel_tier\": \"{tier}\",\n  \"fma_available\": {fma},\n  \
          \"available_parallelism\": {parallelism},\n  \
          \"workers_requested\": {workers_requested},\n  \
          \"workers_effective\": {workers_effective},\n  \
@@ -662,8 +676,6 @@ fn main() {
          \"prewarm\": {{ \"sample\": {prewarm}, \"first_queries\": {first_queries}, \
          \"target_qps\": {target_qps:.1},\n{cold},\n{warm}\n  }}\n}}\n",
         backend = kernel::selected().backend().name(),
-        tier = kernel::selected_tier().name(),
-        fma = kernel::fma_available(),
         qtot = workers_effective * queue_cap,
         gcomp = gate_stats.completed,
         gstolen = gate_stats.stolen,

@@ -3,7 +3,7 @@
 use crate::args::Args;
 use rknn_baselines::{MrknncopAlgorithm, NaiveRknn, RdnnAlgorithm, Sft, TplAlgorithm};
 use rknn_core::kernel::{self, Backend};
-use rknn_core::{Dataset, Euclidean, KernelTier, Metric, PointId};
+use rknn_core::{Dataset, Euclidean, PointId};
 use rknn_index::{CoverTree, DynamicIndex, KnnIndex, LinearScan};
 use rknn_lid::{GpEstimator, HillEstimator, IdEstimator, TakensEstimator, TwoNnEstimator};
 use rknn_rdt::algorithm::{
@@ -18,15 +18,14 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Resolves the `--kernel` / `--tier` flags into a metric instance plus a
-/// printable "backend · tier" fragment for output headers.
+/// Resolves the `--kernel` flag into a printable `kernel <backend>`
+/// fragment for output headers.
 ///
 /// `--kernel` pins the SIMD backend process-wide (first selection wins, as
-/// with `RKNN_KERNEL`; `auto` leaves the default dispatch); `--tier` pins
-/// the kernel tier on the returned metric instance, overriding the ambient
-/// `RKNN_KERNEL_TIER` for everything built from it. Without flags the
-/// ambient selections apply, so env-var workflows keep working unchanged.
-fn kernel_selection(args: &Args) -> Result<(Euclidean, String), String> {
+/// with `RKNN_KERNEL`; `auto` leaves the default dispatch). Without the flag
+/// the ambient selection applies, so env-var workflows keep working
+/// unchanged.
+fn kernel_selection(args: &Args) -> Result<String, String> {
     let ops = match args.get("kernel") {
         Some("auto") | None => kernel::selected(),
         Some(name) => {
@@ -35,20 +34,7 @@ fn kernel_selection(args: &Args) -> Result<(Euclidean, String), String> {
             kernel::pin_backend(b)
         }
     };
-    let metric = match args.get("tier") {
-        Some(name) => {
-            let t = KernelTier::parse(name)
-                .ok_or_else(|| format!("unknown kernel tier '{name}' (exact|fast|fast-f32)"))?;
-            Euclidean::with_tier(t)
-        }
-        None => Euclidean,
-    };
-    let header = format!(
-        "kernel {} · tier {}",
-        ops.backend().name(),
-        metric.tier().name()
-    );
-    Ok((metric, header))
+    Ok(format!("kernel {}", ops.backend().name()))
 }
 
 /// Loads the dataset named by `--input` (or its alias `--data`), honoring
@@ -151,14 +137,14 @@ enum Substrate {
 }
 
 impl Substrate {
-    fn build(args: &Args, ds: Arc<Dataset>, metric: Euclidean) -> Result<(Self, f64), String> {
+    fn build(args: &Args, ds: Arc<Dataset>) -> Result<(Self, f64), String> {
         let name = args
             .get("substrate")
             .unwrap_or(if ds.dim() > 100 { "linear" } else { "cover" });
         let start = Instant::now();
         let sub = match name {
-            "cover" => Substrate::Cover(CoverTree::build(ds, metric)),
-            "linear" => Substrate::Linear(LinearScan::build(ds, metric)),
+            "cover" => Substrate::Cover(CoverTree::build(ds, Euclidean)),
+            "linear" => Substrate::Linear(LinearScan::build(ds, Euclidean)),
             other => return Err(format!("unknown substrate '{other}' (cover|linear)")),
         };
         Ok((sub, start.elapsed().as_secs_f64() * 1e3))
@@ -207,8 +193,8 @@ pub fn query(args: &Args) -> Result<(), String> {
         return Err("k must be positive".into());
     }
     let method = args.get("method").unwrap_or("rdt+");
-    let (metric, kernel_header) = kernel_selection(args)?;
-    let (sub, build_ms) = Substrate::build(args, ds.clone(), metric)?;
+    let kernel_header = kernel_selection(args)?;
+    let (sub, build_ms) = Substrate::build(args, ds.clone())?;
     let index = sub.as_index();
     let (ids, note, prepare_ms, query_ms) = match method {
         "rdt" | "rdt+" => {
@@ -258,7 +244,7 @@ pub fn query(args: &Args) -> Result<(), String> {
             (ans.ids(), note, prepare_ms, query_ms)
         }
         "tpl" => {
-            let algo = TplAlgorithm::new(ds.clone(), metric, k);
+            let algo = TplAlgorithm::new(ds.clone(), Euclidean, k);
             let (out, prepare_ms, query_ms) = run_unified(algo, index, q);
             let ans = &out.answers[0];
             let note = format!(
@@ -272,7 +258,7 @@ pub fn query(args: &Args) -> Result<(), String> {
             if k_max < k {
                 return Err(format!("kmax {k_max} must be >= k {k}"));
             }
-            let algo = MrknncopAlgorithm::new(ds.clone(), metric, k, k_max);
+            let algo = MrknncopAlgorithm::new(ds.clone(), Euclidean, k, k_max);
             let (out, prepare_ms, query_ms) = run_unified(algo, index, q);
             let ans = &out.answers[0];
             let note = format!(
@@ -283,7 +269,7 @@ pub fn query(args: &Args) -> Result<(), String> {
             (ans.ids(), note, prepare_ms, query_ms)
         }
         "rdnn" => {
-            let algo = RdnnAlgorithm::new(ds.clone(), metric, k);
+            let algo = RdnnAlgorithm::new(ds.clone(), Euclidean, k);
             let (out, prepare_ms, query_ms) = run_unified(algo, index, q);
             let ans = &out.answers[0];
             let note = format!(
@@ -356,8 +342,8 @@ pub fn bench(args: &Args) -> Result<(), String> {
     // command line.
     let threads: usize = args.get_parsed("threads", 0)?;
     let methods = args.get("methods").unwrap_or("rdt,rdt+,sft,mrknncop,rdnn");
-    let (metric, kernel_header) = kernel_selection(args)?;
-    let (sub, build_ms) = Substrate::build(args, ds.clone(), metric)?;
+    let kernel_header = kernel_selection(args)?;
+    let (sub, build_ms) = Substrate::build(args, ds.clone())?;
     let index = sub.as_index();
     let qs = rknn_data::sample_queries(ds.len(), queries.min(ds.len()), seed);
     println!(
@@ -387,19 +373,19 @@ pub fn bench(args: &Args) -> Result<(), String> {
             "sft" => bench_one(Sft::new(k, alpha), index, &qs, threads),
             "naive" => bench_one(NaiveRknn::new(k), index, &qs, threads),
             "tpl" => bench_one(
-                TplAlgorithm::new(ds.clone(), metric, k),
+                TplAlgorithm::new(ds.clone(), Euclidean, k),
                 index,
                 &qs,
                 threads,
             ),
             "mrknncop" => bench_one(
-                MrknncopAlgorithm::new(ds.clone(), metric, k, k_max),
+                MrknncopAlgorithm::new(ds.clone(), Euclidean, k, k_max),
                 index,
                 &qs,
                 threads,
             ),
             "rdnn" => bench_one(
-                RdnnAlgorithm::new(ds.clone(), metric, k),
+                RdnnAlgorithm::new(ds.clone(), Euclidean, k),
                 index,
                 &qs,
                 threads,
@@ -440,11 +426,25 @@ pub fn churn(args: &Args) -> Result<(), String> {
     let updates: usize = args.get_parsed("updates", 60)?;
     let seed: u64 = args.get_parsed("seed", 1)?;
     let threads: usize = args.get_parsed("threads", 2)?;
-    let (metric, kernel_header) = kernel_selection(args)?;
+    let kernel_header = kernel_selection(args)?;
     println!("churn [{kernel_header}]");
     match args.get("substrate").unwrap_or("cover") {
-        "cover" => churn_on(CoverTree::build(ds, metric), k, t, updates, seed, threads),
-        "linear" => churn_on(LinearScan::build(ds, metric), k, t, updates, seed, threads),
+        "cover" => churn_on(
+            CoverTree::build(ds, Euclidean),
+            k,
+            t,
+            updates,
+            seed,
+            threads,
+        ),
+        "linear" => churn_on(
+            LinearScan::build(ds, Euclidean),
+            k,
+            t,
+            updates,
+            seed,
+            threads,
+        ),
         other => Err(format!("unknown substrate '{other}' (cover|linear)")),
     }
 }
@@ -617,10 +617,10 @@ pub fn serve_io<R: BufRead, W: Write>(args: &Args, input: R, out: &mut W) -> Res
             )))
         }
     };
-    let (metric, kernel_header) = kernel_selection(args)?;
+    let kernel_header = kernel_selection(args)?;
     match args.get("substrate").unwrap_or("cover") {
         "cover" => serve_on(
-            CoverTree::build(ds, metric),
+            CoverTree::build(ds, Euclidean),
             k,
             t,
             prewarm,
@@ -633,7 +633,7 @@ pub fn serve_io<R: BufRead, W: Write>(args: &Args, input: R, out: &mut W) -> Res
             out,
         ),
         "linear" => serve_on(
-            LinearScan::build(ds, metric),
+            LinearScan::build(ds, Euclidean),
             k,
             t,
             prewarm,
@@ -873,8 +873,8 @@ pub fn hubness(args: &Args) -> Result<(), String> {
         return Err("k must be positive".into());
     }
     let t: f64 = args.get_positive("t", 8.0)?;
-    let (metric, kernel_header) = kernel_selection(args)?;
-    let (sub, _) = Substrate::build(args, ds.clone(), metric)?;
+    let kernel_header = kernel_selection(args)?;
+    let (sub, _) = Substrate::build(args, ds.clone())?;
     let index = sub.as_index();
     println!("hubness [{} · {kernel_header}]", index.name());
     let rdt = RdtAlgorithm::plus(RdtParams::new(k, t));
@@ -1009,29 +1009,18 @@ mod tests {
             "churn --input {path} --k 3 --updates 6 --substrate linear"
         )))
         .unwrap();
-        // Kernel-tier flags: every tier is selectable per invocation, the
-        // backend flag pins (or no-ops, if dispatch already ran) the SIMD
-        // backend, and `auto` is accepted as "don't pin".
-        for tier in ["exact", "fast", "fast-f32"] {
-            query(&args(&format!(
-                "query --input {path} --q 5 --k 5 --t 6 --tier {tier} --substrate linear"
-            )))
-            .unwrap();
-        }
+        // The backend flag pins (or no-ops, if dispatch already ran) the
+        // SIMD backend, and `auto` is accepted as "don't pin".
         query(&args(&format!(
-            "query --input {path} --q 5 --k 5 --t 6 --tier fast --kernel auto"
+            "query --input {path} --q 5 --k 5 --t 6 --substrate linear"
+        )))
+        .unwrap();
+        query(&args(&format!(
+            "query --input {path} --q 5 --k 5 --t 6 --kernel auto"
         )))
         .unwrap();
         query(&args(&format!(
             "query --input {path} --q 5 --k 5 --t 6 --kernel scalar"
-        )))
-        .unwrap();
-        churn(&args(&format!(
-            "churn --input {path} --k 3 --updates 6 --tier fast --substrate linear"
-        )))
-        .unwrap();
-        hubness(&args(&format!(
-            "hubness --input {path} --k 3 --t 6 --tier fast"
         )))
         .unwrap();
         let _ = std::fs::remove_file(&path);
@@ -1108,11 +1097,11 @@ mod tests {
             text.contains("engine closed: 3 completed, 0 failed, 0 rejected, 2 epoch swaps"),
             "{text}"
         );
-        // Same REPL on the linear substrate and a pinned tier.
+        // Same REPL on the linear substrate.
         let mut out2 = Vec::new();
         serve_io(
             &args(&format!(
-                "serve --input {path} --k 4 --substrate linear --tier fast --threads 1"
+                "serve --input {path} --k 4 --substrate linear --threads 1"
             )),
             "q 0\nquit\n".as_bytes(),
             &mut out2,
@@ -1249,10 +1238,6 @@ mod tests {
         )))
         .is_err());
         assert!(churn(&args(&format!("churn --input {path} --k 19"))).is_err());
-        assert!(query(&args(&format!(
-            "query --input {path} --q 0 --k 3 --tier warp-speed"
-        )))
-        .is_err());
         assert!(query(&args(&format!(
             "query --input {path} --q 0 --k 3 --kernel woo"
         )))

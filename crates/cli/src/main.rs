@@ -6,11 +6,11 @@
 //! rknn-cli query    --data base.fvecs --q 123 --k 10 [--t 5 | --adaptive]
 //!                   [--limit N] [--dims D]
 //!                   [--method rdt+|rdt|sft|naive|tpl|mrknncop|rdnn]
-//!                   [--tier exact|fast|fast-f32] [--kernel scalar|avx2|auto]
+//!                   [--kernel scalar|avx2|auto]
 //! rknn-cli bench    --data base.fvecs --k 10 [--limit N] [--dims D]
 //!                   [--methods rdt,rdt+,sft,...] [--queries Q] [--threads T]
-//! rknn-cli hubness  --input pts.fvb --k 10 [--t 8] [--tier ...] [--kernel ...]
-//! rknn-cli churn    --input pts.fvb --k 10 [--updates 60] [--t 50] [--tier ...]
+//! rknn-cli hubness  --input pts.fvb --k 10 [--t 8] [--kernel ...]
+//! rknn-cli churn    --input pts.fvb --k 10 [--updates 60] [--t 50] [--kernel ...]
 //! rknn-cli serve    --input pts.fvb --k 10 [--t 5] [--threads T] [--queue-cap C]
 //! rknn-cli info     --input pts.fvb
 //! ```
@@ -39,21 +39,21 @@ USAGE:
                     [--t <scale> | --adaptive]
                     [--method rdt+|rdt|sft|naive|tpl|mrknncop|rdnn]
                     [--substrate cover|linear] [--alpha A] [--kmax K]
-                    [--tier exact|fast|fast-f32] [--kernel scalar|avx2|auto]
+                    [--kernel scalar|avx2|auto]
   rknn-cli bench    --input <file> --k <rank> [--t <scale>] [--queries Q]
                     [--methods rdt,rdt+,sft,naive,tpl,mrknncop,rdnn]
                     [--threads T] [--seed S] [--substrate cover|linear]
-                    [--alpha A] [--kmax K] [--tier ..] [--kernel ..]
+                    [--alpha A] [--kmax K] [--kernel ..]
                     per-algorithm prepare/batch timing on a dataset file
-  rknn-cli hubness  --input <file> --k <rank> [--t <scale>] [--tier ..] [--kernel ..]
+  rknn-cli hubness  --input <file> --k <rank> [--t <scale>] [--kernel ..]
   rknn-cli churn    --input <file> --k <rank> [--updates U] [--t <scale>]
                     [--substrate cover|linear] [--seed S] [--threads T]
-                    [--tier exact|fast|fast-f32] [--kernel scalar|avx2|auto]
+                    [--kernel scalar|avx2|auto]
                     maintained all-points RkNN under insert/delete churn,
                     priced per update against rebuild-from-scratch
   rknn-cli serve    --input <file> --k <rank> [--t <scale>] [--threads T]
                     [--queue-cap C] [--prewarm P] [--substrate cover|linear]
-                    [--tier exact|fast|fast-f32] [--kernel scalar|avx2|auto]
+                    [--kernel scalar|avx2|auto]
                     long-lived serving engine driven by stdin:
                     q <id> | insert <coords...> | remove <id> | stats | quit
                     (inserts/removes publish a new snapshot epoch; queries
@@ -64,8 +64,6 @@ Datasets: CSV (comma-separated coordinates, '#' comments), .fvb binary, or
 .fvecs/.ivecs/.bvecs/.idx interchange files. --data is an alias for --input;
 --limit N keeps the first N rows while reading, --dims D the leading D
 coordinates (both stream — the full file is never materialized).
-Kernel tiers: exact (default, bit-identical) | fast (FMA, ULP-bounded) |
-fast-f32 (f32 storage on linear scans); see README \"Kernel tiers\".
 Threads: --threads 0 (the bench/serve default) defers to the RKNN_THREADS
 environment override, then to the CPU count — set RKNN_THREADS to make
 worker counts reproducible across hosts.

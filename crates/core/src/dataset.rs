@@ -2,7 +2,7 @@
 
 use crate::error::CoreError;
 use crate::kernel;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// One 32-byte-aligned group of four coordinates — the allocation unit of
 /// the padded row storage. Rows are padded to a whole number of these, so
@@ -11,13 +11,6 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(C, align(32))]
 struct Lane4([f64; 4]);
-
-/// The f32 counterpart of [`Lane4`]: eight single-precision coordinates in
-/// one 32-byte-aligned group, the allocation unit of the fast-f32 mirror
-/// storage ([`F32Rows`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[repr(C, align(32))]
-struct LaneF32([f32; 8]);
 
 /// Views an aligned lane buffer as flat coordinates.
 #[inline]
@@ -30,75 +23,6 @@ fn lanes_as_f64s(lanes: &[Lane4]) -> &[f64] {
 #[inline]
 fn lanes_as_f64s_mut(lanes: &mut [Lane4]) -> &mut [f64] {
     unsafe { std::slice::from_raw_parts_mut(lanes.as_mut_ptr() as *mut f64, lanes.len() * 4) }
-}
-
-#[inline]
-fn lanes_as_f32s(lanes: &[LaneF32]) -> &[f32] {
-    // Sound for the same reason as `lanes_as_f64s`: repr(C) over [f32; 8].
-    unsafe { std::slice::from_raw_parts(lanes.as_ptr() as *const f32, lanes.len() * 8) }
-}
-
-#[inline]
-fn lanes_as_f32s_mut(lanes: &mut [LaneF32]) -> &mut [f32] {
-    unsafe { std::slice::from_raw_parts_mut(lanes.as_mut_ptr() as *mut f32, lanes.len() * 8) }
-}
-
-/// A read-only f32 quantization of padded row storage — the storage the
-/// fast-f32 kernel tier ([`crate::KernelTier::FastF32`]) streams through
-/// [`crate::Metric::dist_tile_f32`] at half the memory traffic of the f64
-/// rows.
-///
-/// Rows share ids with the f64 storage they mirror but are padded to
-/// [`F32Rows::stride32`] (`dim` rounded up to a multiple of
-/// [`kernel::LANES_F32`]) so every row stays 32-byte aligned. Coordinates
-/// are the `as f32` roundings of the logical f64 coordinates; the
-/// quantization is the fast-f32 tier's storage semantic, and every accessor
-/// is padded-layout only — logical reads always come from the f64 side.
-#[derive(Debug, Clone, PartialEq)]
-pub struct F32Rows {
-    stride32: usize,
-    data: Vec<LaneF32>,
-}
-
-impl F32Rows {
-    /// Quantizes `n` padded f64 rows (`stride` wide) into padded f32 rows.
-    fn build(dim: usize, stride: usize, n: usize, padded: &[f64]) -> Self {
-        let stride32 = kernel::pad_dim_f32(dim);
-        let mut lanes = vec![LaneF32([0.0; 8]); n * stride32 / 8];
-        let dst = lanes_as_f32s_mut(&mut lanes);
-        for row in 0..n {
-            let src = &padded[row * stride..row * stride + dim];
-            for (j, &v) in src.iter().enumerate() {
-                dst[row * stride32 + j] = v as f32;
-            }
-        }
-        F32Rows {
-            stride32,
-            data: lanes,
-        }
-    }
-
-    /// Length of one stored row: `dim` rounded up to a multiple of
-    /// [`kernel::LANES_F32`]. Coordinates past the logical dimension are
-    /// zero padding.
-    #[inline]
-    pub fn stride32(&self) -> usize {
-        self.stride32
-    }
-
-    /// The whole padded row-major f32 buffer (rows of [`F32Rows::stride32`]
-    /// coordinates, 32-byte aligned) — the layout
-    /// [`crate::Metric::dist_tile_f32`] consumes.
-    #[inline]
-    pub fn padded_flat(&self) -> &[f32] {
-        lanes_as_f32s(&self.data)
-    }
-
-    /// Bytes occupied by the mirror storage.
-    #[inline]
-    pub fn bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<LaneF32>()
-    }
 }
 
 /// An immutable, validated point set.
@@ -114,30 +38,12 @@ impl F32Rows {
 /// index structures can be built over the same points without copying them
 /// (the memory for the high-dimensional workloads in the evaluation is
 /// dominated by the point data).
-///
-/// For the opt-in fast-f32 kernel tier a dataset lazily materializes (and
-/// caches) an [`F32Rows`] quantization of its rows via
-/// [`Dataset::f32_rows`]; exact-tier workloads never pay for the mirror.
-/// The cache is ignored by equality — two datasets compare equal iff their
-/// f64 rows do.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     dim: usize,
     stride: usize,
     n: usize,
     data: Vec<Lane4>,
-    /// Lazily built f32 quantization; deterministic from `data`, so it is
-    /// excluded from equality.
-    f32: OnceLock<F32Rows>,
-}
-
-impl PartialEq for Dataset {
-    fn eq(&self, other: &Self) -> bool {
-        self.dim == other.dim
-            && self.stride == other.stride
-            && self.n == other.n
-            && self.data == other.data
-    }
 }
 
 impl Dataset {
@@ -164,7 +70,6 @@ impl Dataset {
             stride,
             n,
             data: lanes,
-            f32: OnceLock::new(),
         }
     }
 
@@ -279,18 +184,8 @@ impl Dataset {
         lanes_as_f64s(&self.data)
     }
 
-    /// The lazily built (and cached) f32 quantization of the rows — the
-    /// storage side of the fast-f32 kernel tier. First call pays one pass
-    /// over the rows plus a half-size allocation; later calls are free.
-    /// Exact- and fast-tier workloads that never call this never pay for
-    /// the mirror.
-    pub fn f32_rows(&self) -> &F32Rows {
-        self.f32
-            .get_or_init(|| F32Rows::build(self.dim, self.stride, self.n, self.padded_flat()))
-    }
-
-    /// Bytes occupied by the padded f64 row storage (excludes any f32
-    /// mirror) — the traffic denominator for kernel bandwidth accounting.
+    /// Bytes occupied by the padded row storage — the traffic denominator
+    /// for kernel bandwidth accounting.
     #[inline]
     pub fn storage_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<Lane4>()
@@ -334,22 +229,12 @@ impl Dataset {
 /// Unlike [`DatasetBuilder`] this type is a *live* store, readable between
 /// pushes; validation (finiteness, dimensionality) is the caller's
 /// responsibility, matching where the pool layer already performs it.
-///
-/// Every push also maintains an f32 shadow of the row (same quantization
-/// and padded layout as [`Dataset::f32_rows`], exposed via
-/// [`PaddedRows::padded_flat32`]), so the fast-f32 tile path survives
-/// dynamic insertion exactly as the f64 tile path does. The shadow costs
-/// half the f64 row again and is always kept — appended segments are small
-/// next to the base dataset, and a lazily built shadow would need interior
-/// mutability in a hot, mutable store.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PaddedRows {
     dim: usize,
     stride: usize,
-    stride32: usize,
     n: usize,
     data: Vec<Lane4>,
-    data32: Vec<LaneF32>,
 }
 
 impl PaddedRows {
@@ -358,10 +243,8 @@ impl PaddedRows {
         PaddedRows {
             dim,
             stride: kernel::pad_dim(dim),
-            stride32: kernel::pad_dim_f32(dim),
             n: 0,
             data: Vec::new(),
-            data32: Vec::new(),
         }
     }
 
@@ -402,13 +285,6 @@ impl PaddedRows {
             .extend(std::iter::repeat_n(Lane4([0.0; 4]), lanes));
         let start = self.n * self.stride;
         lanes_as_f64s_mut(&mut self.data)[start..start + self.dim].copy_from_slice(row);
-        self.data32
-            .extend(std::iter::repeat_n(LaneF32([0.0; 8]), self.stride32 / 8));
-        let start32 = self.n * self.stride32;
-        let dst32 = lanes_as_f32s_mut(&mut self.data32);
-        for (j, &v) in row.iter().enumerate() {
-            dst32[start32 + j] = v as f32;
-        }
         self.n += 1;
         self.n - 1
     }
@@ -429,22 +305,6 @@ impl PaddedRows {
     #[inline]
     pub fn padded_flat(&self) -> &[f64] {
         lanes_as_f64s(&self.data)
-    }
-
-    /// Length of one f32 shadow row (`dim` rounded up to a multiple of
-    /// [`kernel::LANES_F32`]); identical to [`F32Rows::stride32`] at the
-    /// same dimensionality.
-    #[inline]
-    pub fn stride32(&self) -> usize {
-        self.stride32
-    }
-
-    /// The f32 shadow of the rows (`len() * stride32()` coordinates,
-    /// 32-byte aligned) — the layout [`crate::Metric::dist_tile_f32`]
-    /// consumes, exactly as [`Dataset::f32_rows`].
-    #[inline]
-    pub fn padded_flat32(&self) -> &[f32] {
-        lanes_as_f32s(&self.data32)
     }
 }
 
@@ -688,7 +548,6 @@ impl DatasetBuilder {
                 stride: self.stride,
                 n: self.n,
                 data: self.data,
-                f32: OnceLock::new(),
             },
             stats,
         )
@@ -947,50 +806,6 @@ mod tests {
     #[should_panic(expected = "dimensionality mismatch")]
     fn padded_rows_reject_ragged_push() {
         PaddedRows::new(3).push(&[1.0, 2.0]);
-    }
-
-    #[test]
-    fn f32_mirror_quantizes_rows_in_the_shared_layout() {
-        for dim in [1usize, 2, 3, 7, 8, 9, 17] {
-            let rows: Vec<Vec<f64>> = (0..6)
-                .map(|i| {
-                    (0..dim)
-                        .map(|j| (i * dim + j) as f64 / 997.0 + 1.0)
-                        .collect()
-                })
-                .collect();
-            let ds = Dataset::from_rows(&rows).unwrap();
-            let m = ds.f32_rows();
-            assert_eq!(m.stride32(), dim.div_ceil(8) * 8, "dim={dim}");
-            assert_eq!(m.padded_flat().len(), ds.len() * m.stride32());
-            assert_eq!(m.bytes(), ds.len() * m.stride32() * 4);
-            for (i, row) in rows.iter().enumerate() {
-                let r32 = &m.padded_flat()[i * m.stride32()..(i + 1) * m.stride32()];
-                assert_eq!(
-                    r32.as_ptr() as usize % 32,
-                    0,
-                    "f32 row {i} must start 32-byte aligned"
-                );
-                for (j, &v) in row.iter().enumerate() {
-                    assert_eq!(r32[j].to_bits(), (v as f32).to_bits(), "dim={dim}");
-                }
-                assert!(r32[dim..].iter().all(|&v| v == 0.0), "pads stay zero");
-            }
-            // The PaddedRows shadow is bytewise the same quantization.
-            let mut pr = PaddedRows::new(dim);
-            for row in &rows {
-                pr.push(row);
-            }
-            assert_eq!(pr.stride32(), m.stride32());
-            assert_eq!(pr.padded_flat32(), m.padded_flat(), "dim={dim}");
-            // Equality ignores the lazily built cache.
-            let rebuilt = Dataset::from_rows(&rows).unwrap();
-            assert_eq!(ds, rebuilt, "mirror on one side must not break eq");
-            assert_eq!(rebuilt, ds);
-            // And a clone carries (or rebuilds to) the identical mirror.
-            let cloned = ds.clone();
-            assert_eq!(cloned.f32_rows().padded_flat(), m.padded_flat());
-        }
     }
 
     #[test]

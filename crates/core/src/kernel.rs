@@ -85,47 +85,6 @@
 //! one is unsupported on the host. [`ops`] exposes each available backend
 //! directly so tests and benchmarks can compare backends within one
 //! process.
-//!
-//! # Kernel tiers: what is bit-stable and what is ULP-bounded
-//!
-//! Everything above describes the **exact tier** ([`KernelTier::Exact`]) —
-//! the default, and the tier all bit-identity suites, ground truth, and the
-//! churn-identity contract run on. Its guarantee is *bitwise*: the same
-//! reduction returns the same bits on every backend, every entry point
-//! (one-to-one or tile), and every process.
-//!
-//! The opt-in **fast tier** ([`KernelTier::Fast`], selected via
-//! `RKNN_KERNEL_TIER=fast`, [`crate::Euclidean::fast`], or the CLI `--tier`
-//! flag) trades that cross-everything bit-stability for hardware speed on
-//! the Euclidean family:
-//!
-//! * **FMA reductions.** On AVX2+FMA hosts the squared-difference sums run
-//!   through [`fast_ops`]: fused multiply-add with *two* accumulator
-//!   registers, which breaks the canonical order. Results are **ULP-bounded**
-//!   relative to the exact tier (the reassociation error of a non-negative
-//!   sum, `O(dim · ε)` relative), not bit-identical to it. *Within* one
-//!   process the fast tier is still deterministic — one FMA kernel serves
-//!   every substrate and entry point, so completed full and until
-//!   accumulations agree bitwise with each other and cross-substrate
-//!   equivalence still holds bit-for-bit *inside* the tier.
-//! * **Squared-domain screening.** Fast Euclidean `dist_lt`/`dist_tile`
-//!   reject a completed accumulation at or above the (conservatively
-//!   inflated) squared bound *without* taking the square root; only
-//!   surviving candidates pay the sqrt and the final distance-domain
-//!   comparison, so decisions remain equivalent to the fast-tier `dist`.
-//! * **f32 storage** ([`KernelTier::FastF32`], `RKNN_KERNEL_TIER=fast-f32`)
-//!   additionally streams contiguous dataset scans over an f32 mirror of
-//!   the aligned rows ([`crate::Dataset::f32_rows`]) — halving memory
-//!   traffic — with full-sum (never early-abandoning) f32 kernels and a
-//!   final f64 sqrt + distance-domain decision. Distances here carry f32
-//!   accumulation error, so `fast-f32` answer *sets* match the exact tier
-//!   only on tie-free inputs; it is a separate opt-in level precisely
-//!   because it also breaks the tile-vs-per-point identity the plain fast
-//!   tier keeps.
-//!
-//! On hosts without AVX2+FMA (or under an `RKNN_KERNEL=scalar` pin) the
-//! fast tier falls back to the exact kernels — sqrt-skipping still applies,
-//! and the ULP bounds hold trivially at zero divergence.
 
 use std::sync::OnceLock;
 
@@ -151,94 +110,22 @@ pub const fn pad_dim(dim: usize) -> usize {
     dim.div_ceil(LANES) * LANES
 }
 
-/// Number of `f32` lanes per vector in the fast tier's f32 kernels.
-pub const LANES_F32: usize = 8;
-
-/// Rounds a row length up to the f32 lane multiple (the stride of
-/// [`crate::Dataset::f32_rows`]).
-#[inline]
-pub const fn pad_dim_f32(dim: usize) -> usize {
-    dim.div_ceil(LANES_F32) * LANES_F32
-}
-
-/// The precision/speed contract a Euclidean evaluation runs under.
+/// The kernel tier. There is one: the canonical kernels of this module.
 ///
-/// See the module docs ("Kernel tiers") for the full contract. In short:
-/// `Exact` is bit-identical everywhere and is the default; `Fast` is
-/// ULP-bounded against `Exact` but still deterministic and bit-stable
-/// *within* one process; `FastF32` additionally reads f32 storage on
-/// contiguous scans and only promises matching answer *sets* on tie-free
-/// inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// Kept only because the repository benchmark reports
+/// `Metric::tier().name()`; it goes once the benchmark stops reading it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelTier {
-    /// Bit-identical canonical kernels (the default; tests, ground truth
-    /// and the churn-identity contract run here).
-    #[default]
+    /// The bit-identical canonical kernels.
     Exact,
-    /// FMA reductions + squared-domain screening for the Euclidean family.
-    Fast,
-    /// [`KernelTier::Fast`] plus f32 storage/compute on contiguous scans.
-    FastF32,
 }
 
 impl KernelTier {
-    /// The tier's name as accepted by `RKNN_KERNEL_TIER` and `--tier`.
+    /// The tier's name, `exact`.
     pub fn name(self) -> &'static str {
         match self {
             KernelTier::Exact => "exact",
-            KernelTier::Fast => "fast",
-            KernelTier::FastF32 => "fast-f32",
         }
-    }
-
-    /// Parses a tier name (`exact`, `fast`, `fast-f32`/`fast_f32`).
-    pub fn parse(s: &str) -> Option<KernelTier> {
-        match s {
-            "exact" => Some(KernelTier::Exact),
-            "fast" => Some(KernelTier::Fast),
-            "fast-f32" | "fast_f32" => Some(KernelTier::FastF32),
-            _ => None,
-        }
-    }
-
-    /// Whether this tier uses the fast (FMA + squared-screen) paths.
-    #[inline]
-    pub fn is_fast(self) -> bool {
-        !matches!(self, KernelTier::Exact)
-    }
-
-    /// Whether this tier wants f32 tiles on contiguous scans.
-    #[inline]
-    pub fn wants_f32(self) -> bool {
-        matches!(self, KernelTier::FastF32)
-    }
-}
-
-/// The process-wide default tier: read once from `RKNN_KERNEL_TIER`
-/// (`exact`, `fast`, `fast-f32`; default `exact`). Metrics constructed
-/// without an explicit tier ([`struct@crate::Euclidean`]'s const form) resolve to
-/// this; explicit constructors ([`crate::Euclidean::fast`]) override it
-/// per instance, which is how tests compare tiers inside one process.
-pub fn selected_tier() -> KernelTier {
-    static TIER: OnceLock<KernelTier> = OnceLock::new();
-    *TIER.get_or_init(|| match std::env::var("RKNN_KERNEL_TIER").ok().as_deref() {
-        None => KernelTier::Exact,
-        Some(s) => KernelTier::parse(s).unwrap_or_else(|| {
-            eprintln!("RKNN_KERNEL_TIER={s:?} not recognized; using exact");
-            KernelTier::Exact
-        }),
-    })
-}
-
-/// Whether this host can run the FMA kernels the fast tier prefers.
-pub fn fma_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
     }
 }
 
@@ -502,138 +389,6 @@ pub fn pin_backend(backend: Backend) -> &'static KernelOps {
     } else {
         selected()
     }
-}
-
-/// Signature of a full f32 reduction: the f32 accumulation, widened to f64.
-type SumF32Fn = fn(&[f32], &[f32]) -> f64;
-
-/// Dimensions whose padded stride falls below this stay on the exact
-/// kernels even in the fast tier: at d≤12 the FMA reduction's extra lane
-/// shuffles cost more than they save (the recorded d=8 `fast_speedup` was
-/// 0.90 — a slowdown), so the fast tier falls back rather than regress.
-/// The gate compares `pad_dim(len)`, which is idempotent under padding, so
-/// logical slices and their zero-padded storage rows always select the
-/// same kernel and the tier's bit-invariance contract survives.
-pub const FAST_MIN_DIM: usize = 16;
-
-/// The fast tier's kernel entry points (Euclidean family only).
-///
-/// Unlike [`KernelOps`], these promise determinism *within* one process —
-/// one table serves every substrate, and completed `sum_sq`/`sum_sq_until`
-/// accumulations agree bitwise with each other — but only ULP-bounded
-/// agreement with the exact tier. Obtain via [`fast_ops`].
-///
-/// Below [`FAST_MIN_DIM`] (measured on the padded stride) the f64 entry
-/// points serve the exact dispatched kernels instead of FMA — the fast
-/// tier is never a slowdown at small dimensions. [`FastOps::fma_at`]
-/// reports which kernel a given slice length actually gets.
-pub struct FastOps {
-    fma: bool,
-    sum_sq: SumFn,
-    sum_sq_until: UntilFn,
-    sum_sq_f32: SumF32Fn,
-    exact_sum_sq: SumFn,
-    exact_sum_sq_until: UntilFn,
-}
-
-impl FastOps {
-    /// Whether the FMA kernels are installed (false means the table fell
-    /// back to the exact dispatched kernels for every dimension).
-    #[inline]
-    pub fn fma(&self) -> bool {
-        self.fma
-    }
-
-    /// Whether a slice of length `len` (logical dim or padded stride —
-    /// `pad_dim` is idempotent, so both agree) is served by the FMA
-    /// kernels rather than the small-dimension exact fallback.
-    #[inline]
-    pub fn fma_at(&self, len: usize) -> bool {
-        self.fma && pad_dim(len) >= FAST_MIN_DIM
-    }
-
-    /// Fast sum of squared coordinate differences.
-    #[inline]
-    pub fn sum_sq(&self, a: &[f64], b: &[f64]) -> f64 {
-        if self.fma_at(a.len()) {
-            (self.sum_sq)(a, b)
-        } else {
-            (self.exact_sum_sq)(a, b)
-        }
-    }
-
-    /// Early-abandoning [`FastOps::sum_sq`] against `threshold` (canonical
-    /// 8-coordinate check cadence; completed values bit-identical to the
-    /// full reduction).
-    #[inline]
-    pub fn sum_sq_until(&self, a: &[f64], b: &[f64], threshold: f64) -> Option<f64> {
-        if self.fma_at(a.len()) {
-            (self.sum_sq_until)(a, b, threshold)
-        } else {
-            (self.exact_sum_sq_until)(a, b, threshold)
-        }
-    }
-
-    /// Full (never abandoning) f32 sum of squared differences, widened to
-    /// f64. The f32 path targets the bandwidth-bound large-`dim` regime
-    /// where branchy early abandonment costs more than it saves.
-    #[inline]
-    pub fn sum_sq_f32(&self, a: &[f32], b: &[f32]) -> f64 {
-        (self.sum_sq_f32)(a, b)
-    }
-}
-
-/// The fast-tier kernel table: FMA AVX2 reductions when the dispatched
-/// backend is AVX2 and the host has FMA, otherwise the exact dispatched
-/// kernels (so an `RKNN_KERNEL=scalar` pin also pins the fast tier's f64
-/// arithmetic, and the ULP bounds hold trivially).
-pub fn fast_ops() -> &'static FastOps {
-    static FAST: OnceLock<FastOps> = OnceLock::new();
-    FAST.get_or_init(|| {
-        let base = selected();
-        #[cfg(target_arch = "x86_64")]
-        if base.backend() == Backend::Avx2 && std::arch::is_x86_feature_detected!("fma") {
-            return FastOps {
-                fma: true,
-                sum_sq: x86::w_fma_sum_sq,
-                sum_sq_until: x86::w_fma_sum_sq_until,
-                sum_sq_f32: x86::w_fma_sum_sq_f32,
-                exact_sum_sq: base.sum_sq,
-                exact_sum_sq_until: base.sum_sq_until,
-            };
-        }
-        FastOps {
-            fma: false,
-            sum_sq: base.sum_sq,
-            sum_sq_until: base.sum_sq_until,
-            sum_sq_f32: scalar_sum_sq_f32,
-            exact_sum_sq: base.sum_sq,
-            exact_sum_sq_until: base.sum_sq_until,
-        }
-    })
-}
-
-/// Portable f32 squared-difference sum: eight scalar lanes mirroring the
-/// 8-wide vector shape, combined pairwise and widened to f64 at the end. No
-/// bit-identity is promised between this and the FMA f32 kernel — only one
-/// of them is ever live in a process.
-fn scalar_sum_sq_f32(a: &[f32], b: &[f32]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut l = [0.0f32; LANES_F32];
-    let mut ca = a.chunks_exact(LANES_F32);
-    let mut cb = b.chunks_exact(LANES_F32);
-    for (x, y) in (&mut ca).zip(&mut cb) {
-        for j in 0..LANES_F32 {
-            let d = x[j] - y[j];
-            l[j] += d * d;
-        }
-    }
-    for (j, (&x, &y)) in ca.remainder().iter().zip(cb.remainder()).enumerate() {
-        let d = x - y;
-        l[j] += d * d;
-    }
-    let s = ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
-    s as f64
 }
 
 /// Fixed-order lane combine for sums: `(l0 + l1) + (l2 + l3)`.
@@ -1196,205 +951,6 @@ mod x86 {
         sfold = lane_max, combine = combine_max, vcombine = vcombine_max,
         vcombine4 = vcombine4_max
     );
-    // ---------------------------------------------------------------------
-    // Fast-tier kernels (FMA). These deliberately break the canonical order:
-    // two accumulator registers halve the add-chain latency and fused
-    // multiply-adds skip the intermediate product rounding. Their own
-    // accumulation rule is positional — term `i` fuses into logical lane
-    // `i mod 8` (lanes 0–3 live in `acc0`, 4–7 in `acc1`), the scalar tail
-    // fuses into the *pre-combine* lane values with `mul_add`, and the
-    // lanes combine as `(l0+l4) + (l1+l5)` etc. (exactly the vector add of
-    // `acc0`/`acc1` followed by the canonical 4-lane combine). Because the
-    // lane a term lands in depends only on its position and a zero term is
-    // an exact no-op under `fmadd`, zero padding is bit-invariant — so the
-    // fast tile path over padded rows agrees bitwise with the fast
-    // one-to-one path over logical slices, *within* the tier. Full and
-    // until variants share this shape, so completed until accumulations
-    // are bit-identical to the full reduction. Terms stay non-negative and
-    // `fmadd` is a single correctly-rounded (hence monotone) operation, so
-    // the 8-coordinate early-abandonment argument from the module docs
-    // carries over.
-
-    /// Combines the 8 logical fast-tier lanes: the vector add of the two
-    /// accumulators followed by the canonical 4-lane combine.
-    #[inline(always)]
-    fn combine_fast(l: [f64; 8]) -> f64 {
-        let m = [l[0] + l[4], l[1] + l[5], l[2] + l[6], l[3] + l[7]];
-        combine_sum(m)
-    }
-
-    /// [`combine_fast`] with the lane-pair adds done in vector — bit-
-    /// identical (`vaddpd` is the exact lanewise add), but one store and
-    /// three scalar adds instead of two stores and seven. This is the hot
-    /// epilogue: every padded stride is a multiple of 4, so the scalar-tail
-    /// path that needs the lane array almost never runs.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[inline]
-    unsafe fn combine_accs(acc0: __m256d, acc1: __m256d) -> f64 {
-        let mut m = [0.0f64; LANES];
-        _mm256_storeu_pd(m.as_mut_ptr(), _mm256_add_pd(acc0, acc1));
-        combine_sum(m)
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn fma_sum_sq(a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut i = 0usize;
-        while n - i >= 2 * LANES {
-            let d0 = _mm256_sub_pd(_mm256_loadu_pd(pa.add(i)), _mm256_loadu_pd(pb.add(i)));
-            acc0 = _mm256_fmadd_pd(d0, d0, acc0);
-            let d1 = _mm256_sub_pd(
-                _mm256_loadu_pd(pa.add(i + LANES)),
-                _mm256_loadu_pd(pb.add(i + LANES)),
-            );
-            acc1 = _mm256_fmadd_pd(d1, d1, acc1);
-            i += 2 * LANES;
-        }
-        let mut j = 0usize; // logical lane of the next term: i mod 8
-        if n - i >= LANES {
-            let d = _mm256_sub_pd(_mm256_loadu_pd(pa.add(i)), _mm256_loadu_pd(pb.add(i)));
-            acc0 = _mm256_fmadd_pd(d, d, acc0);
-            i += LANES;
-            j = LANES;
-        }
-        if i == n {
-            return combine_accs(acc0, acc1);
-        }
-        let mut l = [0.0f64; 2 * LANES];
-        _mm256_storeu_pd(l.as_mut_ptr(), acc0);
-        _mm256_storeu_pd(l.as_mut_ptr().add(LANES), acc1);
-        while i < n {
-            let d = *pa.add(i) - *pb.add(i);
-            l[j] = d.mul_add(d, l[j]);
-            j += 1;
-            i += 1;
-        }
-        combine_fast(l)
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn fma_sum_sq_until(a: &[f64], b: &[f64], threshold: f64) -> Option<f64> {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut i = 0usize;
-        while n - i >= 2 * LANES {
-            let d0 = _mm256_sub_pd(_mm256_loadu_pd(pa.add(i)), _mm256_loadu_pd(pb.add(i)));
-            acc0 = _mm256_fmadd_pd(d0, d0, acc0);
-            let d1 = _mm256_sub_pd(
-                _mm256_loadu_pd(pa.add(i + LANES)),
-                _mm256_loadu_pd(pb.add(i + LANES)),
-            );
-            acc1 = _mm256_fmadd_pd(d1, d1, acc1);
-            i += 2 * LANES;
-            if combine_accs(acc0, acc1) >= threshold {
-                return None;
-            }
-        }
-        let mut j = 0usize;
-        if n - i >= LANES {
-            let d = _mm256_sub_pd(_mm256_loadu_pd(pa.add(i)), _mm256_loadu_pd(pb.add(i)));
-            acc0 = _mm256_fmadd_pd(d, d, acc0);
-            i += LANES;
-            j = LANES;
-        }
-        if i == n {
-            return Some(combine_accs(acc0, acc1));
-        }
-        let mut l = [0.0f64; 2 * LANES];
-        _mm256_storeu_pd(l.as_mut_ptr(), acc0);
-        _mm256_storeu_pd(l.as_mut_ptr().add(LANES), acc1);
-        while i < n {
-            let d = *pa.add(i) - *pb.add(i);
-            l[j] = d.mul_add(d, l[j]);
-            j += 1;
-            i += 1;
-        }
-        Some(combine_fast(l))
-    }
-
-    /// Combines the 16 logical f32 lanes the same way: vector add of the
-    /// accumulators, then pairwise.
-    #[inline(always)]
-    fn combine_fast_f32(l: [f32; 16]) -> f64 {
-        let mut m = [0.0f32; 8];
-        for j in 0..8 {
-            m[j] = l[j] + l[j + 8];
-        }
-        let s = ((m[0] + m[1]) + (m[2] + m[3])) + ((m[4] + m[5]) + (m[6] + m[7]));
-        s as f64
-    }
-
-    /// [`combine_fast_f32`] with the lane-pair adds in vector (`vaddps` is
-    /// the exact lanewise add), for the tail-free epilogue.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[inline]
-    unsafe fn combine_accs_f32(acc0: __m256, acc1: __m256) -> f64 {
-        let mut m = [0.0f32; 8];
-        _mm256_storeu_ps(m.as_mut_ptr(), _mm256_add_ps(acc0, acc1));
-        let s = ((m[0] + m[1]) + (m[2] + m[3])) + ((m[4] + m[5]) + (m[6] + m[7]));
-        s as f64
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn fma_sum_sq_f32(a: &[f32], b: &[f32]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        const L32: usize = super::LANES_F32;
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut i = 0usize;
-        while n - i >= 2 * L32 {
-            let d0 = _mm256_sub_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)));
-            acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-            let d1 = _mm256_sub_ps(
-                _mm256_loadu_ps(pa.add(i + L32)),
-                _mm256_loadu_ps(pb.add(i + L32)),
-            );
-            acc1 = _mm256_fmadd_ps(d1, d1, acc1);
-            i += 2 * L32;
-        }
-        let mut j = 0usize;
-        if n - i >= L32 {
-            let d = _mm256_sub_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)));
-            acc0 = _mm256_fmadd_ps(d, d, acc0);
-            i += L32;
-            j = L32;
-        }
-        if i == n {
-            return combine_accs_f32(acc0, acc1);
-        }
-        let mut l = [0.0f32; 2 * L32];
-        _mm256_storeu_ps(l.as_mut_ptr(), acc0);
-        _mm256_storeu_ps(l.as_mut_ptr().add(L32), acc1);
-        while i < n {
-            let d = *pa.add(i) - *pb.add(i);
-            l[j] = d.mul_add(d, l[j]);
-            j += 1;
-            i += 1;
-        }
-        combine_fast_f32(l)
-    }
-
-    // Safe wrappers for the fast tier: sound because `super::fast_ops` only
-    // installs them after `is_x86_feature_detected!` confirmed AVX2 + FMA.
-    pub(super) fn w_fma_sum_sq(a: &[f64], b: &[f64]) -> f64 {
-        unsafe { fma_sum_sq(a, b) }
-    }
-    pub(super) fn w_fma_sum_sq_until(a: &[f64], b: &[f64], t: f64) -> Option<f64> {
-        unsafe { fma_sum_sq_until(a, b, t) }
-    }
-    pub(super) fn w_fma_sum_sq_f32(a: &[f32], b: &[f32]) -> f64 {
-        unsafe { fma_sum_sq_f32(a, b) }
-    }
-
     // Safe wrappers stored in the dispatch tables. The AVX2 wrappers are
     // sound because `super::ops` never hands out `AVX2_OPS` unless
     // `is_x86_feature_detected!("avx2")` succeeded on this host.
@@ -1704,197 +1260,7 @@ mod tests {
         assert_eq!(pad_dim(4), 4);
         assert_eq!(pad_dim(5), 8);
         assert_eq!(pad_dim(32), 32);
-        assert_eq!(pad_dim_f32(0), 0);
-        assert_eq!(pad_dim_f32(1), 8);
-        assert_eq!(pad_dim_f32(8), 8);
-        assert_eq!(pad_dim_f32(9), 16);
-    }
-
-    #[test]
-    fn tier_names_and_parsing_round_trip() {
-        for t in [KernelTier::Exact, KernelTier::Fast, KernelTier::FastF32] {
-            assert_eq!(KernelTier::parse(t.name()), Some(t));
-        }
-        assert_eq!(KernelTier::parse("fast_f32"), Some(KernelTier::FastF32));
-        assert_eq!(KernelTier::parse("warp-speed"), None);
-        assert!(!KernelTier::Exact.is_fast());
-        assert!(KernelTier::Fast.is_fast());
-        assert!(KernelTier::FastF32.is_fast());
-        assert!(!KernelTier::Fast.wants_f32());
-        assert!(KernelTier::FastF32.wants_f32());
-        // The process default honors the env override (or is exact).
-        match std::env::var("RKNN_KERNEL_TIER").ok().as_deref() {
-            Some(s) if KernelTier::parse(s).is_some() => {
-                assert_eq!(selected_tier(), KernelTier::parse(s).unwrap());
-            }
-            _ => assert_eq!(selected_tier(), KernelTier::Exact),
-        }
-    }
-
-    /// Relative gap between two non-negative sums in ulps of the reference.
-    fn ulp_gap(got: f64, want: f64) -> u64 {
-        if got.to_bits() == want.to_bits() {
-            return 0;
-        }
-        if got.is_nan() || want.is_nan() || got.is_sign_negative() || want.is_sign_negative() {
-            return u64::MAX;
-        }
-        got.to_bits().abs_diff(want.to_bits())
-    }
-
-    #[test]
-    fn fast_sum_sq_is_ulp_bounded_against_the_exact_scalar_reference() {
-        let f = fast_ops();
-        for len in [0usize, 1, 3, 4, 7, 8, 9, 12, 15, 16, 31, 32, 33, 100] {
-            for seed in 0..50u64 {
-                let (a, b) = vectors(seed.wrapping_add(len as u64 * 271), len);
-                let want = SCALAR_OPS.sum_sq(&a, &b);
-                let got = f.sum_sq(&a, &b);
-                if want.is_infinite() {
-                    assert_eq!(got, want, "len={len} seed={seed}");
-                } else {
-                    // Reassociating a non-negative sum perturbs it by
-                    // O(len·ε) relative — a generous 8·(len+4) ulps.
-                    let tol = 8 * (len as u64 + 4);
-                    assert!(
-                        ulp_gap(got, want) <= tol,
-                        "len={len} seed={seed}: {got:e} vs {want:e}"
-                    );
-                }
-                // Zero padding to the storage stride is bit-invariant even
-                // under FMA: terms land in lanes by position and a zero
-                // term is an exact no-op, so the fast tile path (padded
-                // rows) and the fast one-to-one path (logical slices)
-                // agree bitwise within the tier.
-                let mut ap = a.clone();
-                let mut bp = b.clone();
-                ap.resize(pad_dim(len), 0.0);
-                bp.resize(pad_dim(len), 0.0);
-                assert_eq!(
-                    f.sum_sq(&ap, &bp).to_bits(),
-                    got.to_bits(),
-                    "len={len} seed={seed}: f64 zero padding must not perturb"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fast_until_completions_match_the_fast_full_reduction_bitwise() {
-        // Within the fast tier, a completed until accumulation must be the
-        // same bits as the full reduction — the fast tile path equates them.
-        let f = fast_ops();
-        for len in [1usize, 4, 7, 8, 9, 16, 31, 32, 40, 64] {
-            for seed in 0..40u64 {
-                let (a, b) = vectors(seed.wrapping_add(len as u64 * 13), len);
-                let full = f.sum_sq(&a, &b);
-                match f.sum_sq_until(&a, &b, f64::INFINITY) {
-                    Some(acc) => assert_eq!(bits(acc), bits(full), "len={len} seed={seed}"),
-                    None => assert!(full.is_infinite()),
-                }
-                // Abandonment is sound: None proves the total reached it.
-                for frac in [0.25, 0.5, 1.0] {
-                    let th = full * frac;
-                    if f.sum_sq_until(&a, &b, th).is_none() {
-                        assert!(full >= th, "len={len} seed={seed} frac={frac}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn f32_kernels_approximate_the_f64_reference() {
-        let f = fast_ops();
-        for len in [0usize, 1, 7, 8, 9, 16, 17, 32, 100, 128] {
-            for seed in 0..30u64 {
-                // Bounded magnitudes: the f32 contract assumes coordinates
-                // representable in f32 without squared-term overflow.
-                let (a64, b64) = vectors(seed.wrapping_add(len as u64 * 31), len);
-                let clamp = |v: f64| v.clamp(-1e15, 1e15);
-                let a32: Vec<f32> = a64.iter().map(|&v| clamp(v) as f32).collect();
-                let b32: Vec<f32> = b64.iter().map(|&v| clamp(v) as f32).collect();
-                // The reference is f64 arithmetic on the *quantized* inputs:
-                // input quantization is the storage layer's semantic; the
-                // kernels only answer for arithmetic rounding.
-                let aw: Vec<f64> = a32.iter().map(|&v| v as f64).collect();
-                let bw: Vec<f64> = b32.iter().map(|&v| v as f64).collect();
-                let want = SCALAR_OPS.sum_sq(&aw, &bw);
-                for got in [f.sum_sq_f32(&a32, &b32), scalar_sum_sq_f32(&a32, &b32)] {
-                    if want == 0.0 {
-                        assert_eq!(got, 0.0, "len={len} seed={seed}");
-                    } else {
-                        let rel = (got - want).abs() / want.max(f64::MIN_POSITIVE);
-                        // Non-negative f32 sums accumulate O(len·ε_f32)
-                        // relative error; ~6e-8 per op, with headroom.
-                        assert!(
-                            rel <= 1e-5 * (len as f64 + 4.0) || want < 1e-60,
-                            "len={len} seed={seed}: {got:e} vs {want:e} rel={rel:e}"
-                        );
-                    }
-                }
-                // Zero-padding f32 rows is value-preserving, as for f64.
-                let padded = pad_dim_f32(len);
-                let mut ap = a32.clone();
-                let mut bp = b32.clone();
-                ap.resize(padded, 0.0);
-                bp.resize(padded, 0.0);
-                assert_eq!(
-                    f.sum_sq_f32(&ap, &bp).to_bits(),
-                    f.sum_sq_f32(&a32, &b32).to_bits(),
-                    "len={len} seed={seed}: f32 zero padding must not perturb"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fast_tier_falls_back_to_exact_below_the_dimension_gate() {
-        let f = fast_ops();
-        for len in [0usize, 1, 3, 4, 7, 8, 9, 11, 12] {
-            // Below the gate the fast tier must serve the exact kernels —
-            // bit-identical to the scalar reference, not just ULP-close.
-            assert!(!f.fma_at(len), "len={len} sits below FAST_MIN_DIM");
-            for seed in 0..20u64 {
-                let (a, b) = vectors(seed.wrapping_add(len as u64 * 7919), len);
-                assert_eq!(
-                    bits(f.sum_sq(&a, &b)),
-                    bits(SCALAR_OPS.sum_sq(&a, &b)),
-                    "len={len} seed={seed}: small-dim fast must be exact"
-                );
-                let th = SCALAR_OPS.sum_sq(&a, &b) * 0.5;
-                assert_eq!(
-                    f.sum_sq_until(&a, &b, th).map(bits),
-                    SCALAR_OPS.sum_sq_until(&a, &b, th).map(bits),
-                    "len={len} seed={seed}"
-                );
-            }
-        }
-        // The gate is invariant under storage padding: a logical length and
-        // its padded stride always agree on kernel choice.
-        for len in 0..64usize {
-            assert_eq!(
-                f.fma_at(len),
-                f.fma_at(pad_dim(len)),
-                "len={len}: pad_dim must not flip the kernel gate"
-            );
-        }
-        if f.fma() {
-            assert!(f.fma_at(FAST_MIN_DIM));
-            assert!(f.fma_at(13), "pad_dim(13)=16 reaches the gate");
-            assert!(!f.fma_at(12));
-        }
-    }
-
-    #[test]
-    fn fast_ops_report_fma_consistently_with_the_host() {
-        let f = fast_ops();
-        if f.fma() {
-            assert!(fma_available(), "fma kernels require host FMA");
-            assert_eq!(selected().backend(), Backend::Avx2);
-        }
         // Pinning after first use is a no-op that returns the live table.
-        let live = selected().backend();
-        assert_eq!(pin_backend(Backend::Scalar).backend(), live);
+        assert_eq!(pin_backend(Backend::Scalar).backend(), sel.backend());
     }
 }

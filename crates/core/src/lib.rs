@@ -13,9 +13,7 @@
 //! * [`kernel`] — the runtime-dispatched SIMD reduction kernels behind every
 //!   metric: scalar-unrolled and AVX2 backends sharing one canonical
 //!   blocked accumulation order, bit-identical by construction
-//!   (`RKNN_KERNEL` pins a backend), plus the opt-in fast tier
-//!   ([`KernelTier`], `RKNN_KERNEL_TIER`) trading bit-identity for
-//!   FMA/f32/sqrt-free throughput under ULP bounds;
+//!   (`RKNN_KERNEL` pins a backend);
 //! * [`Neighbor`] and bounded heaps for k-nearest-neighbor collection;
 //! * rank and ball-cardinality primitives (`ρ_S(q, x)`, `B≤_S(q, r)`,
 //!   `d_k(q)`) in [`rank`];
@@ -58,7 +56,7 @@ pub mod stats;
 
 pub use brute::BruteForce;
 pub use cancel::{CancelToken, Cancelled};
-pub use dataset::{BuildStats, Dataset, DatasetBuilder, F32Rows, PaddedRows};
+pub use dataset::{BuildStats, Dataset, DatasetBuilder, PaddedRows};
 pub use error::CoreError;
 pub use float::OrderedF64;
 pub use heap::KnnHeap;

@@ -14,14 +14,6 @@
 //! canonical 4-lane blocked order, so results are bit-identical across the
 //! scalar and AVX2 backends *and* across the one-to-one and tile entry
 //! points.
-//!
-//! That bitwise guarantee describes the default **exact kernel tier**. The
-//! Euclidean metric additionally supports the opt-in fast tiers of
-//! [`kernel::KernelTier`] — FMA reductions, squared-domain screening, and
-//! (under `fast-f32`) f32 storage on contiguous scans — which relax
-//! bit-identity to ULP-bounded agreement; see the "Kernel tiers" section of
-//! [`crate::kernel`] for the full contract and [`Euclidean::fast`] /
-//! [`Euclidean::fast_f32`] for per-instance selection.
 
 use crate::kernel::{self, KernelOps, KernelTier, LANES};
 use std::fmt::Debug;
@@ -76,15 +68,8 @@ pub trait Metric: Send + Sync + Debug {
     /// Keep [`Metric::dist_lt`] for genuine strict comparisons against
     /// finite radii.
     ///
-    /// **Tier contract.** The returned distance is the active
-    /// [`Metric::tier`]'s `dist` value: bit-stable across backends, entry
-    /// points and processes on the exact tier (the default — what tests,
-    /// ground truth and the churn-identity contract use); on the fast tiers
-    /// it is deterministic within one process but only ULP-bounded against
-    /// the exact tier, and implementations may decide the threshold in a
-    /// transformed domain (e.g. squared Euclidean) as long as decisions
-    /// stay equivalent to that same tier's `dist`. Decision equivalence is
-    /// always *within* a tier, never across tiers.
+    /// The returned distance is the `dist` value, bit-stable across
+    /// backends, entry points and processes.
     #[inline]
     fn dist_under(&self, a: &[f64], b: &[f64], bound: f64) -> Option<f64> {
         if bound == f64::INFINITY {
@@ -159,45 +144,13 @@ pub trait Metric: Send + Sync + Debug {
     /// A human-readable name, used in experiment reports.
     fn name(&self) -> &'static str;
 
-    /// The kernel tier this instance evaluates under (see
-    /// [`kernel::KernelTier`]). The default — and the only tier most
-    /// metrics implement — is the bit-identical exact tier.
+    /// The kernel tier this instance evaluates under: always
+    /// [`KernelTier::Exact`]. Kept only because the repository benchmark
+    /// reports it; it goes with [`KernelTier`] once the benchmark stops
+    /// reading it.
     #[inline]
     fn tier(&self) -> KernelTier {
         KernelTier::Exact
-    }
-
-    /// Whether contiguous-scan callers should offer this metric f32 tiles
-    /// via [`Metric::dist_tile_f32`] (true only for Euclidean under
-    /// [`KernelTier::FastF32`]).
-    #[inline]
-    fn wants_f32_tiles(&self) -> bool {
-        false
-    }
-
-    /// f32 variant of [`Metric::dist_tile`] over an f32 mirror of the rows
-    /// (see [`crate::Dataset::f32_rows`]): full-sum f32 accumulation, f64
-    /// sqrt, and a final distance-domain decision with `dist_under`
-    /// semantics (`bounds[i] == +∞` admits everything, otherwise strict
-    /// `d < bounds[i]`; pruned rows get `NaN`).
-    ///
-    /// Returns `true` when the tile was evaluated, `false` when this
-    /// metric/tier does not support f32 tiles or the layout does not
-    /// satisfy the f32 padded-tile contract (`stride32` a positive multiple
-    /// of [`kernel::LANES_F32`], `q32.len() == stride32`, pads zero on both
-    /// sides) — the caller must then fall back to the f64 path. The default
-    /// implementation always declines.
-    #[inline]
-    fn dist_tile_f32(
-        &self,
-        _q32: &[f32],
-        _rows32: &[f32],
-        _stride32: usize,
-        _dim: usize,
-        _bounds: &[f64],
-        _out: &mut [f64],
-    ) -> bool {
-        false
     }
 
     /// Smallest distance from `q` to any point of the axis-aligned box
@@ -361,17 +314,17 @@ fn ops() -> &'static KernelOps {
     kernel::selected()
 }
 
-/// Rows per kernel tile call in [`euclid_exact_tile`]: the size of its
+/// Rows per kernel tile call in [`euclid_tile`]: the size of its
 /// on-stack threshold buffer.
 const THRESHOLD_CHUNK: usize = 64;
 
-/// Exact-tier Euclidean tile body over the fused
+/// Euclidean tile body over the fused
 /// [`KernelOps::sum_sq_tile`] entry. Each finite bound becomes its
 /// [`euclid_threshold`] (an infinite bound stays `+∞`, admitting
 /// everything); the kernel drops rows whose completed sum reaches it, and
 /// the survivors take the square root and the exact `d < bound` decision —
 /// the same steps as the one-to-one `dist_lt`, hence the same bits.
-fn euclid_exact_tile(q: &[f64], rows: &[f64], stride: usize, bounds: &[f64], out: &mut [f64]) {
+fn euclid_tile(q: &[f64], rows: &[f64], stride: usize, bounds: &[f64], out: &mut [f64]) {
     let k = ops();
     let mut thresholds = [0.0f64; THRESHOLD_CHUNK];
     for ((rows, bounds), out) in rows
@@ -421,14 +374,6 @@ impl<M: Metric> Metric for FullPrecision<M> {
         self.0.name()
     }
 
-    // The tier is forwarded for reporting honesty (dist forwards, so the
-    // full evaluations really do run on the inner tier), but
-    // `wants_f32_tiles` is NOT: FullPrecision stays on the unpruned f64
-    // row-by-row default, which is its whole point.
-    fn tier(&self) -> KernelTier {
-        self.0.tier()
-    }
-
     fn box_min_dist(&self, q: &[f64], lo: &[f64], hi: &[f64]) -> Option<f64> {
         self.0.box_min_dist(q, lo, hi)
     }
@@ -439,26 +384,8 @@ impl<M: Metric> Metric for FullPrecision<M> {
 }
 
 /// The Euclidean (L2) distance — the paper's experimental metric.
-///
-/// Each instance carries an optional [`KernelTier`]: `None` (what the
-/// same-named [`const@Euclidean`] constant and `Default` produce) defers to the
-/// process default ([`kernel::selected_tier`], i.e. `RKNN_KERNEL_TIER` or
-/// exact), while [`Euclidean::exact`] / [`Euclidean::fast`] /
-/// [`Euclidean::fast_f32`] pin a tier per instance — which is how one
-/// process compares tiers side by side (benchmarks, the fast-tier test
-/// suite) without env-var races. Build and query an index with the *same*
-/// tier: mixing tiers across one index's lifecycle mixes ULP-divergent
-/// distance streams and voids the within-tier consistency contract.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Euclidean {
-    tier: Option<KernelTier>,
-}
-
-/// The tier-deferring [`struct@Euclidean`] value: the spelling `Euclidean` keeps
-/// working everywhere an instance is expected (the braced struct occupies
-/// only the type namespace; this constant fills the value namespace).
-#[allow(non_upper_case_globals)]
-pub const Euclidean: Euclidean = Euclidean { tier: None };
+pub struct Euclidean;
 
 /// The early-abandonment threshold for a finite Euclidean bound: the
 /// squared bound, inflated by a few ulps so that a partial sum crossing the
@@ -474,83 +401,16 @@ fn euclid_threshold(bound: f64) -> f64 {
     ((bound * bound) * (1.0 + 4.0 * f64::EPSILON)).max(f64::MIN_POSITIVE)
 }
 
-/// Relative margin covering the fast tier's reassociation divergence from
-/// the exact canonical order: `O(dim · ε)` with generous headroom. Box
-/// bounds computed in the exact order dominate exact-order point distances
-/// *exactly*, but fast-tier point distances may differ by a few ulps — so
-/// under a fast tier the lower bound is deflated (and the upper inflated)
-/// past that divergence before the dominance argument holds again.
-#[inline]
-fn fast_box_slack(dim: usize) -> f64 {
-    (dim as f64 + 8.0) * 8.0 * f64::EPSILON
-}
-
-/// Fast-tier Euclidean tile body: FMA accumulation with squared-domain
-/// screening. A row whose completed accumulation reaches the inflated
-/// squared bound is rejected *without* a square root (the
-/// [`euclid_threshold`] margin proves `sqrt(acc) >= bound`); survivors pay
-/// the sqrt and the exact distance-domain comparison, so decisions are
-/// equivalent to the fast-tier `dist` — the sqrt is deferred to answer
-/// emission, exactly like the one-to-one fast `dist_lt`.
-fn euclid_fast_tile(q: &[f64], rows: &[f64], stride: usize, bounds: &[f64], out: &mut [f64]) {
-    let f = kernel::fast_ops();
-    for ((row, &b), o) in rows.chunks_exact(stride).zip(bounds).zip(out.iter_mut()) {
-        *o = if b == f64::INFINITY {
-            f.sum_sq(q, row).sqrt()
-        } else {
-            let t = euclid_threshold(b);
-            match f.sum_sq_until(q, row, t) {
-                Some(acc) if acc < t => {
-                    let d = acc.sqrt();
-                    if d < b {
-                        d
-                    } else {
-                        f64::NAN
-                    }
-                }
-                _ => f64::NAN,
-            }
-        };
-    }
-}
-
 impl Euclidean {
-    /// An instance pinned to the exact (bit-identical) tier, ignoring
-    /// `RKNN_KERNEL_TIER`. Ground truth and bit-identity tests use this.
+    /// The one Euclidean metric, [`struct@Euclidean`] itself. Kept only
+    /// because the repository benchmark spells its metric this way; it goes
+    /// once the benchmark writes plain `Euclidean`.
     pub const fn exact() -> Euclidean {
-        Euclidean::with_tier(KernelTier::Exact)
-    }
-
-    /// An instance pinned to the fast tier: FMA reductions and
-    /// squared-domain screening, ULP-bounded against [`Euclidean::exact`].
-    pub const fn fast() -> Euclidean {
-        Euclidean::with_tier(KernelTier::Fast)
-    }
-
-    /// An instance pinned to the fast-f32 tier: [`Euclidean::fast`] plus
-    /// f32 storage/compute on contiguous scans.
-    pub const fn fast_f32() -> Euclidean {
-        Euclidean::with_tier(KernelTier::FastF32)
-    }
-
-    /// An instance pinned to `tier`.
-    pub const fn with_tier(tier: KernelTier) -> Euclidean {
-        Euclidean { tier: Some(tier) }
-    }
-
-    /// The tier this instance resolves to (per-instance pin, else the
-    /// process default).
-    #[inline]
-    fn mode(&self) -> KernelTier {
-        match self.tier {
-            Some(t) => t,
-            None => kernel::selected_tier(),
-        }
+        Euclidean
     }
 
     /// Squared Euclidean distance; cheaper when only comparisons are
-    /// needed. Always evaluates on the exact tier (it is an associated
-    /// function with no instance to carry a tier).
+    /// needed.
     #[inline]
     pub fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
@@ -562,30 +422,14 @@ impl Metric for Euclidean {
     #[inline]
     fn dist(&self, a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
-        if self.mode().is_fast() {
-            kernel::fast_ops().sum_sq(a, b).sqrt()
-        } else {
-            ops().sum_sq(a, b).sqrt()
-        }
+        ops().sum_sq(a, b).sqrt()
     }
 
     #[inline]
     fn dist_lt(&self, a: &[f64], b: &[f64], bound: f64) -> Option<f64> {
-        let t = euclid_threshold(bound);
-        if self.mode().is_fast() {
-            let acc = kernel::fast_ops().sum_sq_until(a, b, t)?;
-            if acc >= t {
-                // Squared-domain rejection: the inflated threshold proves
-                // sqrt(acc) >= bound, so the sqrt is skipped entirely.
-                return None;
-            }
-            let d = acc.sqrt();
-            (d < bound).then_some(d)
-        } else {
-            let acc = ops().sum_sq_until(a, b, t)?;
-            let d = acc.sqrt();
-            (d < bound).then_some(d)
-        }
+        let acc = ops().sum_sq_until(a, b, euclid_threshold(bound))?;
+        let d = acc.sqrt();
+        (d < bound).then_some(d)
     }
 
     fn dist_tile(
@@ -601,85 +445,19 @@ impl Metric for Euclidean {
             return fallback_dist_tile(self, q, rows, stride, dim, bounds, out);
         }
         check_tile(rows, stride, dim, bounds, out);
-        if self.mode().is_fast() {
-            euclid_fast_tile(q, rows, stride, bounds, out);
-        } else {
-            euclid_exact_tile(q, rows, stride, bounds, out);
-        }
+        euclid_tile(q, rows, stride, bounds, out);
     }
 
     fn name(&self) -> &'static str {
         "euclidean"
     }
 
-    #[inline]
-    fn tier(&self) -> KernelTier {
-        self.mode()
-    }
-
-    #[inline]
-    fn wants_f32_tiles(&self) -> bool {
-        self.mode().wants_f32()
-    }
-
-    fn dist_tile_f32(
-        &self,
-        q32: &[f32],
-        rows32: &[f32],
-        stride32: usize,
-        dim: usize,
-        bounds: &[f64],
-        out: &mut [f64],
-    ) -> bool {
-        if !self.mode().wants_f32()
-            || stride32 == 0
-            || !stride32.is_multiple_of(kernel::LANES_F32)
-            || q32.len() != stride32
-            || dim > stride32
-        {
-            return false;
-        }
-        assert_eq!(
-            rows32.len(),
-            out.len() * stride32,
-            "f32 tile rows length mismatch"
-        );
-        assert_eq!(bounds.len(), out.len(), "f32 tile bounds length mismatch");
-        let f = kernel::fast_ops();
-        for ((row, &b), o) in rows32
-            .chunks_exact(stride32)
-            .zip(bounds)
-            .zip(out.iter_mut())
-        {
-            let d = f.sum_sq_f32(q32, row).sqrt();
-            *o = if b == f64::INFINITY || d < b {
-                d
-            } else {
-                f64::NAN
-            };
-        }
-        true
-    }
-
     fn box_min_dist(&self, q: &[f64], lo: &[f64], hi: &[f64]) -> Option<f64> {
-        let v = box_fold_sum(q, lo, hi, box_gap, |g| g * g).sqrt();
-        Some(if self.mode().is_fast() {
-            // Distances are non-negative in every tier, so the deflated
-            // bound never needs to go below zero (a query inside the box
-            // keeps its exact 0 bound).
-            (v * (1.0 - fast_box_slack(q.len()))).next_down().max(0.0)
-        } else {
-            v
-        })
+        Some(box_fold_sum(q, lo, hi, box_gap, |g| g * g).sqrt())
     }
 
     fn box_max_dist(&self, q: &[f64], lo: &[f64], hi: &[f64]) -> Option<f64> {
-        let v = box_fold_sum(q, lo, hi, box_far_gap, |g| g * g).sqrt();
-        Some(if self.mode().is_fast() {
-            (v * (1.0 + fast_box_slack(q.len()))).next_up()
-        } else {
-            v
-        })
+        Some(box_fold_sum(q, lo, hi, box_far_gap, |g| g * g).sqrt())
     }
 }
 
@@ -1115,169 +893,13 @@ mod tests {
     }
 
     #[test]
-    fn fast_tier_threshold_variants_are_decision_equivalent_with_fast_dist() {
-        // The within-tier contract: dist_lt/dist_le/dist_under/dist_tile of
-        // a fast instance must decide exactly like that instance's own dist
-        // (squared-domain screening changes no decision), including at
-        // exact-tie bounds built from fast distances.
-        let m = Euclidean::fast();
-        for dim in [1usize, 3, 4, 7, 8, 9, 16, 32, 33] {
-            let rows: Vec<Vec<f64>> = (0..23)
-                .map(|i| {
-                    (0..dim)
-                        .map(|j| ((i * dim + j) % 9) as f64 * 0.5 - 2.0)
-                        .collect()
-                })
-                .collect();
-            let q: Vec<f64> = (0..dim).map(|j| (j % 5) as f64 * 0.5).collect();
-            let (stride, flat) = padded_tile(&rows, dim);
-            let mut qpad = vec![0.0; stride];
-            qpad[..dim].copy_from_slice(&q);
-            let dists: Vec<f64> = rows.iter().map(|r| m.dist(&q, r)).collect();
-            let bounds: Vec<f64> = dists
-                .iter()
-                .enumerate()
-                .map(|(i, &d)| match i % 5 {
-                    0 => d, // exact fast-tier tie: pruned by dist_lt
-                    1 => d * 1.5 + 1e-12,
-                    2 => 0.0,
-                    3 => f64::INFINITY,
-                    _ => d * 0.5,
-                })
-                .collect();
-            for (i, row) in rows.iter().enumerate() {
-                let (d, b) = (dists[i], bounds[i]);
-                let lt = m.dist_lt(&q, row, b);
-                if d < b {
-                    assert_eq!(lt.map(f64::to_bits), Some(d.to_bits()), "dim={dim} row={i}");
-                } else {
-                    assert_eq!(lt, None, "dim={dim} row={i}");
-                }
-                assert_eq!(
-                    m.dist_le(&q, row, d).map(f64::to_bits),
-                    Some(d.to_bits()),
-                    "dim={dim} row={i}: dist_le admits its own tie"
-                );
-                assert_eq!(
-                    m.dist_under(&q, row, f64::INFINITY).map(f64::to_bits),
-                    Some(d.to_bits()),
-                    "dim={dim} row={i}"
-                );
-            }
-            let mut out = vec![0.0; rows.len()];
-            m.dist_tile(&qpad, &flat, stride, dim, &bounds, &mut out);
-            for (i, row) in rows.iter().enumerate() {
-                match m.dist_under(&q, row, bounds[i]) {
-                    Some(d) => assert_eq!(
-                        out[i].to_bits(),
-                        d.to_bits(),
-                        "dim={dim} row={i}: fast tile must match fast dist_under bitwise"
-                    ),
-                    None => assert!(out[i].is_nan(), "dim={dim} row={i}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fast_tier_handles_degenerate_bounds_like_exact() {
-        let m = Euclidean::fast();
-        let a = vec![0.0; 20];
-        let b = vec![1.0; 20];
-        assert_eq!(m.dist_lt(&a, &b, 0.0), None);
-        // A subnormal-squared bound must still admit the exact-zero
-        // distance (euclid_threshold's .max guard, preserved by the
-        // squared-domain screen).
-        assert_eq!(m.dist_lt(&a, &a, 1e-300), Some(0.0));
-        let big = vec![1e200; 4];
-        let neg = vec![-1e200; 4];
-        assert_eq!(m.dist_lt(&big, &neg, f64::INFINITY), None);
-        assert_eq!(m.dist_under(&big, &neg, f64::INFINITY), Some(f64::INFINITY));
-    }
-
-    #[test]
-    fn fast_f32_tile_contract_and_tolerance() {
-        let exact = Euclidean::exact();
-        let m32 = Euclidean::fast_f32();
-        assert!(m32.wants_f32_tiles());
-        assert!(!Euclidean::fast().wants_f32_tiles());
-        assert!(!exact.wants_f32_tiles());
-        let dim = 12;
-        let stride32 = kernel::pad_dim_f32(dim);
-        let rows: Vec<Vec<f64>> = (0..9)
-            .map(|i| (0..dim).map(|j| (i * 3 + j) as f64 * 0.25 - 1.0).collect())
-            .collect();
-        let q: Vec<f64> = (0..dim).map(|j| j as f64 * 0.1).collect();
-        let mut q32 = vec![0.0f32; stride32];
-        for (d, s) in q32.iter_mut().zip(&q) {
-            *d = *s as f32;
-        }
-        let mut flat32 = vec![0.0f32; rows.len() * stride32];
-        for (r, row) in rows.iter().enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                flat32[r * stride32 + j] = v as f32;
-            }
-        }
-        let bounds = vec![f64::INFINITY; rows.len()];
-        let mut out = vec![0.0; rows.len()];
-        // Exact and plain-fast instances must decline the f32 tile.
-        assert!(!exact.dist_tile_f32(&q32, &flat32, stride32, dim, &bounds, &mut out));
-        assert!(!Euclidean::fast().dist_tile_f32(&q32, &flat32, stride32, dim, &bounds, &mut out));
-        // A broken layout must be declined too.
-        assert!(!m32.dist_tile_f32(&q32[..dim], &flat32, dim, dim, &bounds, &mut out));
-        // The real call evaluates within f32 tolerance of the exact dist.
-        assert!(m32.dist_tile_f32(&q32, &flat32, stride32, dim, &bounds, &mut out));
-        for (i, row) in rows.iter().enumerate() {
-            let want = exact.dist(&q, row);
-            assert!(
-                (out[i] - want).abs() <= 1e-5 * (1.0 + want),
-                "row {i}: {} vs {want}",
-                out[i]
-            );
-        }
-        // Finite bounds prune with strict dist_under semantics.
-        let tight = out.clone();
-        let mut out2 = vec![0.0; rows.len()];
-        assert!(m32.dist_tile_f32(&q32, &flat32, stride32, dim, &tight, &mut out2));
-        for (i, &d) in out.iter().enumerate() {
-            assert!(
-                out2[i].is_nan(),
-                "row {i}: tie at its own f32 distance {d} must prune"
-            );
-        }
-    }
-
-    #[test]
-    fn fast_box_bounds_still_bracket_fast_distances() {
-        let m = Euclidean::fast();
-        let lo = vec![-1.0; 16];
-        let hi = vec![2.0; 16];
-        let q: Vec<f64> = (0..16).map(|j| j as f64 * 0.3 - 2.0).collect();
-        // Points inside the box, including corners.
-        for s in 0..8 {
-            let p: Vec<f64> = (0..16)
-                .map(|j| {
-                    let t = ((j + s) % 4) as f64 / 3.0;
-                    -1.0 + 3.0 * t
-                })
-                .collect();
-            let d = m.dist(&q, &p);
-            let min = m.box_min_dist(&q, &lo, &hi).unwrap();
-            let max = m.box_max_dist(&q, &lo, &hi).unwrap();
-            assert!(min <= d, "deflated min {min} exceeds fast dist {d}");
-            assert!(max >= d, "inflated max {max} below fast dist {d}");
-        }
-    }
-
-    #[test]
     fn tier_is_reported_per_instance() {
-        assert_eq!(Euclidean::exact().tier(), KernelTier::Exact);
-        assert_eq!(Euclidean::fast().tier(), KernelTier::Fast);
-        assert_eq!(Euclidean::fast_f32().tier(), KernelTier::FastF32);
-        assert_eq!(FullPrecision(Euclidean::fast()).tier(), KernelTier::Fast);
+        // The benchmark pins `Euclidean::exact()`; it must be the metric
+        // every library caller gets by writing `Euclidean`.
+        assert_eq!(Euclidean, Euclidean::exact());
+        assert_eq!(Euclidean.tier(), KernelTier::Exact);
+        assert_eq!(FullPrecision(Euclidean).tier(), KernelTier::Exact);
         assert_eq!(Manhattan.tier(), KernelTier::Exact);
-        // The const defers to the process default.
-        assert_eq!(Euclidean.tier(), kernel::selected_tier());
     }
 
     #[test]

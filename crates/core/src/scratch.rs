@@ -29,12 +29,6 @@ use std::collections::BinaryHeap;
 /// ([`crate::Metric::dist_tile`]): the zero-padded query, optional gathered
 /// rows, per-row bounds, and per-row outputs. Reused across queries; all
 /// invariants (pad coordinates stay zero) are maintained by the accessors.
-///
-/// Gathered tiles stay f64 in every kernel tier: the fast-f32 storage path
-/// ([`crate::Metric::dist_tile_f32`]) applies only to contiguous
-/// pre-quantized pool segments, where halved memory traffic pays — a
-/// gather already touches the f64 rows, so quantizing per query would add
-/// work, not save bandwidth.
 #[derive(Debug, Clone, Default)]
 pub struct TileEvalScratch {
     /// The query padded with zeros to the tile stride.

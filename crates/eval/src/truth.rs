@@ -5,12 +5,6 @@
 //! every evaluated `k` once per dataset — a single (parallelized) kNN pass —
 //! after which the exact answer for any query is one O(n) scan:
 //! `RkNN(q, k) = {x ≠ q : d(x, q) ≤ d_k(x)}`.
-//!
-//! Ground truth inherits the kernel tier of the index's metric. To serve
-//! as the reference across tiers (e.g. when benchmarking the fast tier
-//! against exact answers), build the truth index with an explicitly
-//! exact-tier metric — `Euclidean::exact()` — rather than the ambient
-//! default, which follows `RKNN_KERNEL_TIER`.
 
 use rknn_core::{CursorScratch, Dataset, Metric, PointId, SearchStats};
 use rknn_index::KnnIndex;

@@ -112,16 +112,6 @@ fn pad_query(q: &[f64], stride: usize, buf: &mut Vec<f64>) {
 /// *live* threshold. Decisions, entries, and counters therefore match the
 /// per-point liveness loop exactly; the snapshot only trades a little
 /// extra coordinate work for blockwise SIMD evaluation.
-///
-/// When the metric asks for f32 tiles ([`Metric::wants_f32_tiles`], the
-/// fast-f32 kernel tier), each block first streams the pool's f32
-/// quantization ([`crate::PointPool::segments_f32`]) through
-/// [`Metric::dist_tile_f32`] — half the memory traffic — and falls back to
-/// the f64 tile only if the metric declines the layout. Distances then
-/// carry f32 quantization error, so the per-point byte-identity above holds
-/// per *tier*: the fast-f32 tier promises matching answer sets on tie-free
-/// inputs rather than matching bits (see the kernel-tier contract in
-/// `rknn-core`).
 fn scan_tiles<M: Metric, St>(
     metric: &M,
     pool: &PointPool,
@@ -131,44 +121,21 @@ fn scan_tiles<M: Metric, St>(
     mut commit: impl FnMut(&mut St, PointId, f64),
 ) {
     let (stride, dim) = (pool.stride(), pool.dim());
-    let (stride32, want32) = (pool.stride32(), metric.wants_f32_tiles() && dim > 0);
-    // The query's f32 quantization, padded like the rows; built only for
-    // the fast-f32 tier (one small allocation per scan, dwarfed by the
-    // halved row traffic it buys).
-    let mut q32: Vec<f32> = Vec::new();
-    if want32 {
-        q32.resize(stride32, 0.0);
-        for (j, &v) in qpad[..dim].iter().enumerate() {
-            q32[j] = v as f32;
-        }
-    }
     let mut bounds = [0.0f64; TILE];
     let mut out = [0.0f64; TILE];
-    let mut do_seg = |seg: crate::PoolSegment<'_>, rows32: Option<&[f32]>, state: &mut St| {
+    for seg in pool.segments() {
         let mut start = 0usize;
         while start < seg.len {
             let m = TILE.min(seg.len - start);
             bounds[..m].fill(block_bound(state));
-            let evaluated32 = rows32.is_some_and(|r32| {
-                metric.dist_tile_f32(
-                    &q32,
-                    &r32[start * stride32..(start + m) * stride32],
-                    stride32,
-                    dim,
-                    &bounds[..m],
-                    &mut out[..m],
-                )
-            });
-            if !evaluated32 {
-                metric.dist_tile(
-                    qpad,
-                    &seg.padded[start * stride..(start + m) * stride],
-                    stride,
-                    dim,
-                    &bounds[..m],
-                    &mut out[..m],
-                );
-            }
+            metric.dist_tile(
+                qpad,
+                &seg.padded[start * stride..(start + m) * stride],
+                stride,
+                dim,
+                &bounds[..m],
+                &mut out[..m],
+            );
             for (i, &d) in out[..m].iter().enumerate() {
                 let id = seg.first_id + start + i;
                 if !pool.is_alive(id) {
@@ -177,15 +144,6 @@ fn scan_tiles<M: Metric, St>(
                 commit(state, id, d);
             }
             start += m;
-        }
-    };
-    if want32 {
-        for (seg, rows32) in pool.segments_f32() {
-            do_seg(seg, Some(rows32), state);
-        }
-    } else {
-        for seg in pool.segments() {
-            do_seg(seg, None, state);
         }
     }
 }
@@ -825,58 +783,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    /// The fast-f32 tile path must return the same answer *sets* as the
-    /// exact tier on tie-free data (the fast-f32 contract), with distances
-    /// within f32 quantization error — under churn, so both the lazy base
-    /// mirror and the appended shadow are exercised.
-    #[test]
-    fn f32_tile_scan_matches_exact_answer_sets_on_tie_free_data() {
-        let rows: Vec<Vec<f64>> = (0..150)
-            .map(|i| {
-                let x = i as f64;
-                vec![(x * 0.37).sin() * 3.0, (x * 0.11).cos() * 2.0, x * 0.01]
-            })
-            .collect();
-        let ds = Dataset::from_rows(&rows).unwrap().into_shared();
-        let mut fast = LinearScan::build(ds.clone(), Euclidean::fast_f32());
-        let mut exact = LinearScan::build(ds, Euclidean::exact());
-        assert!(fast.metric().wants_f32_tiles());
-        for j in 0..40 {
-            let x = 200.0 + j as f64;
-            let p = [(x * 0.37).sin() * 3.0, (x * 0.11).cos() * 2.0, x * 0.01];
-            fast.insert(&p).unwrap();
-            exact.insert(&p).unwrap();
-        }
-        for id in [0, 63, 64, 149, 150, 155] {
-            assert!(fast.remove(id) && exact.remove(id));
-        }
-        let mut st = SearchStats::new();
-        for q in [[0.3, -1.2, 0.7], [2.5, 1.5, 1.4], [-3.0, 0.0, 0.0]] {
-            for k in [1usize, 5, 17] {
-                let a = fast.knn(&q, k, None, &mut st);
-                let b = exact.knn(&q, k, None, &mut st);
-                let ids = |v: &[Neighbor]| v.iter().map(|n| n.id).collect::<Vec<_>>();
-                assert_eq!(ids(&a), ids(&b), "k={k} q={q:?}");
-                for (na, nb) in a.iter().zip(&b) {
-                    assert!(
-                        (na.dist - nb.dist).abs() <= 1e-4 * (1.0 + nb.dist),
-                        "id={} {} vs {}",
-                        na.id,
-                        na.dist,
-                        nb.dist
-                    );
-                }
-            }
-            // The full sorted table drains in the same id order.
-            let (a, _) = drain(&mut *fast.cursor(&q, Some(10)));
-            let (b, _) = drain(&mut *exact.cursor(&q, Some(10)));
-            assert_eq!(
-                a.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
-                b.iter().map(|&(id, _)| id).collect::<Vec<_>>()
-            );
         }
     }
 

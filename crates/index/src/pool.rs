@@ -188,40 +188,6 @@ impl PointPool {
         [base, extra].into_iter().filter(|s| s.len > 0)
     }
 
-    /// The f32 row stride shared by both segments (`dim` rounded up to a
-    /// multiple of eight); see [`rknn_core::F32Rows::stride32`].
-    #[inline]
-    pub fn stride32(&self) -> usize {
-        self.extra.stride32()
-    }
-
-    /// [`PointPool::segments`] paired with each segment's f32 quantization
-    /// (rows of [`PointPool::stride32`] coordinates) — the inputs of the
-    /// fast-f32 tile path ([`rknn_core::Metric::dist_tile_f32`]). The base
-    /// dataset's mirror is built lazily on first call and cached
-    /// ([`rknn_core::Dataset::f32_rows`]); the appended segment's shadow is
-    /// maintained on every insert. Exact-tier scans that never call this
-    /// never materialize the base mirror.
-    pub fn segments_f32(&self) -> impl Iterator<Item = (PoolSegment<'_>, &'_ [f32])> {
-        let base = (
-            PoolSegment {
-                first_id: 0,
-                len: self.base.len(),
-                padded: self.base.padded_flat(),
-            },
-            self.base.f32_rows().padded_flat(),
-        );
-        let extra = (
-            PoolSegment {
-                first_id: self.base.len(),
-                len: self.extra.len(),
-                padded: self.extra.padded_flat(),
-            },
-            self.extra.padded_flat32(),
-        );
-        [base, extra].into_iter().filter(|(s, _)| s.len > 0)
-    }
-
     /// The base dataset when it still *is* the live point set: no points
     /// appended, none tombstoned, ids `0..len` mapping identically. Scans
     /// over all points (ground truth, all-pairs passes) can then borrow the
@@ -399,33 +365,6 @@ mod tests {
         }
         // A pool with no appended points exposes only the base segment.
         assert_eq!(pool().segments().count(), 1);
-    }
-
-    #[test]
-    fn f32_segments_mirror_the_f64_segments() {
-        let mut p = pool();
-        p.insert(&[2.5, 2.0]).unwrap();
-        p.insert(&[1.0 / 3.0, 4.0]).unwrap();
-        p.remove(1);
-        let stride32 = p.stride32();
-        assert_eq!(stride32, 8, "dim 2 pads to one 8-lane f32 row");
-        let segs: Vec<_> = p.segments_f32().collect();
-        assert_eq!(segs.len(), 2);
-        for (seg, rows32) in &segs {
-            assert_eq!(rows32.len(), seg.len * stride32);
-            for i in 0..seg.len {
-                let row32 = &rows32[i * stride32..(i + 1) * stride32];
-                let want = p.point(seg.first_id + i);
-                for (j, &v) in want.iter().enumerate() {
-                    assert_eq!(row32[j].to_bits(), (v as f32).to_bits());
-                }
-                assert!(row32[p.dim()..].iter().all(|&v| v == 0.0));
-            }
-        }
-        // Both segment views agree on ids and lengths.
-        let f64s: Vec<_> = p.segments().map(|s| (s.first_id, s.len)).collect();
-        let f32s: Vec<_> = segs.iter().map(|(s, _)| (s.first_id, s.len)).collect();
-        assert_eq!(f64s, f32s);
     }
 
     #[test]

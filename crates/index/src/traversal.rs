@@ -33,17 +33,10 @@
 //! * every future hot-path optimization of the loop benefits all substrates
 //!   at once.
 //!
-//! The traversal itself is kernel-tier agnostic: every distance — pivot
-//! checks, tile batches, lower bounds — flows through the one [`Metric`]
-//! instance, so whichever tier that metric resolves to
-//! ([`rknn_core::KernelTier`]) governs the whole cursor uniformly. Under a
-//! fast tier the per-point and tile evaluations still agree bitwise
-//! *within* the tier (fast kernels are zero-padding invariant), so pruning
-//! decisions stay consistent with emitted distances; only cross-tier
-//! comparisons are out of contract. Gathered candidate tiles remain f64
-//! even under the fast-f32 tier — the f32 storage path is confined to
-//! contiguous scans over pool segments, where halved memory traffic
-//! actually pays.
+//! Every distance — pivot checks, tile batches, lower bounds — flows
+//! through the one [`Metric`] instance, and its per-point and tile
+//! evaluations agree bitwise, so pruning decisions stay consistent with
+//! emitted distances.
 //!
 //! # Bounded-mode soundness
 //!

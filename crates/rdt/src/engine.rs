@@ -369,11 +369,8 @@ impl DkCache {
 /// counts as one distance computation, it just touches fewer coordinates.
 ///
 /// The witness pass, like the traversal feeding it, evaluates every pair
-/// through the one metric instance, so it runs in whatever kernel tier
-/// that metric resolves to ([`rknn_core::KernelTier`]): cursor distances,
-/// witness comparisons, and the verification kNN all agree within the
-/// tier, and under the fast tier answer *sets* on tie-free inputs match
-/// the exact tier while distances may differ by bounded ulps.
+/// through the one metric instance, so cursor distances, witness
+/// comparisons and the verification kNN agree bitwise.
 ///
 /// # Panics
 ///
