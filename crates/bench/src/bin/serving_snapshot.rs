@@ -29,12 +29,12 @@
 //!    `d_k` cache over a stride sample, one without; the first-100-queries
 //!    p99 of each is recorded (satellite: cold-start tail with and without
 //!    prewarm).
-//! 6. **chaos** — a seeded [`rknn_serve::FaultPlan`] (worker panics, one
-//!    worker death, service delays, an injected queue-full window) driven
-//!    together with a deadline storm and malformed coordinate queries. The
-//!    run *asserts* zero lost tickets (`submitted == completed + failed`),
-//!    zero duplicates, typed errors only, byte-identity of every answered
-//!    query to the sequential driver, at least one supervisor respawn, and
+//! 6. **chaos** — a seeded [`rknn_serve::FaultPlan`] (worker panics,
+//!    service delays, an injected queue-full window) driven together with
+//!    a deadline storm and malformed coordinate queries. The run *asserts*
+//!    zero lost tickets (`submitted == completed + failed`), zero
+//!    duplicates, typed errors only, byte-identity of every answered query
+//!    to the sequential driver, at least one observed panic, and
 //!    post-fault p99 recovery within a generous factor of a fault-free
 //!    baseline — then records the injected schedule next to the observed
 //!    outcome counts.
@@ -516,13 +516,13 @@ fn main() {
 
     // The schedule: seeded panics/delays scattered across the first half
     // of the execution sequence, an injected queue-full window, and one
-    // worker death pinned just past the scattered span. Execution slots
+    // more panic pinned just past the scattered span. Execution slots
     // number only jobs that reach the fault hook (deadline-shed jobs take
-    // none), so the death fires even when the deadline storm below sheds
+    // none), so that panic fires even when the deadline storm below sheds
     // jobs around its slot.
     let chaos_span = (chaos_total as u64) / 2;
-    let plan = FaultPlan::scattered(chaos_seed, chaos_span, 3, 0, 3, Duration::from_millis(20))
-        .death_at(chaos_span)
+    let plan = FaultPlan::scattered(chaos_seed, chaos_span, 3, 3, Duration::from_millis(20))
+        .panic_at(chaos_span)
         .reject_window(40, 50);
     let injected = plan.counts();
     let last_fault = plan.last_execution_fault().expect("plan has faults");
@@ -532,7 +532,6 @@ fn main() {
             workers: chaos_workers,
             queue_capacity: queue_cap,
             faults: Some(Arc::new(plan)),
-            ..EngineConfig::default()
         },
     );
 
@@ -552,7 +551,7 @@ fn main() {
 
     // The chaos drive: point queries through a bounded-retry client, with
     // a deadline storm (offers 100..140: expired and hair-trigger
-    // deadlines) landing while the fault plan wedges and kills workers.
+    // deadlines) landing while the fault plan wedges and panics workers.
     let policy = RetryPolicy::new(6)
         .with_backoff(Duration::from_micros(200), Duration::from_millis(2))
         .with_seed(chaos_seed);
@@ -619,34 +618,28 @@ fn main() {
         "chaos gate: zero lost tickets"
     );
     assert!(chaos_stats.panics >= 1, "injected panics must be observed");
-    assert!(
-        chaos_stats.respawns >= 1,
-        "the killed worker must be respawned by the supervisor"
-    );
     assert_eq!(chaos_stats.invalid_inputs as usize, invalid_typed);
     eprintln!(
         "      {answered} answered byte-identical, {chaos_deadline} deadline, \
-         {chaos_internal} internal, {} respawns, recovery p99 {recovery_p99:.2}ms \
+         {chaos_internal} internal, {} panics, recovery p99 {recovery_p99:.2}ms \
          (baseline {baseline_p99:.2}ms)",
-        chaos_stats.respawns
+        chaos_stats.panics
     );
     let chaos_json = format!(
         "  \"chaos\": {{ \"seed\": {chaos_seed}, \"workers\": {chaos_workers}, \
-         \"offered\": {chaos_total}, \"injected\": {{ \"panics\": {ip}, \"deaths\": {id_}, \
+         \"offered\": {chaos_total}, \"injected\": {{ \"panics\": {ip}, \
          \"delays\": {il}, \"rejected_submits\": {ir} }}, \"accepted\": {accepted}, \
          \"answered\": {answered}, \"deadline_exceeded\": {chaos_deadline}, \
          \"internal_errors\": {chaos_internal}, \"rejected_saturated\": {rejected_saturated}, \
          \"invalid_inputs_typed\": {invalid_typed}, \"retries_used\": {retries_used}, \
-         \"observed\": {{ \"panics\": {op}, \"respawns\": {or_}, \"quarantined\": {oq}, \
+         \"observed\": {{ \"panics\": {op}, \"quarantined\": {oq}, \
          \"deadline_exceeded\": {od}, \"injected_rejects\": {oj} }}, \"lost\": 0, \
          \"duplicated\": 0, \"typed_errors_only\": true, \"byte_identical_answers\": true, \
          \"baseline_p99_ms\": {baseline_p99:.3}, \"recovery_p99_ms\": {recovery_p99:.3} }}",
         ip = injected.panics,
-        id_ = injected.deaths,
         il = injected.delays,
         ir = injected.rejected_submits,
         op = chaos_stats.panics,
-        or_ = chaos_stats.respawns,
         oq = chaos_stats.quarantined,
         od = chaos_stats.deadline_exceeded,
         oj = chaos_stats.injected_rejects,

@@ -601,7 +601,7 @@ pub fn serve_io<R: BufRead, W: Write>(args: &Args, input: R, out: &mut W) -> Res
     let deadline_ms: u64 = args.get_parsed("deadline-ms", 0)?;
     let deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
     // `--chaos SEED` arms a deterministic fault plan against the REPL's own
-    // engine: injected panics/deaths/delays surface as typed per-query
+    // engine: injected panics/delays surface as typed per-query
     // errors while the session keeps serving.
     let faults = match args.get("chaos") {
         None => None,
@@ -610,8 +610,7 @@ pub fn serve_io<R: BufRead, W: Write>(args: &Args, input: R, out: &mut W) -> Res
             Some(Arc::new(FaultPlan::scattered(
                 seed,
                 32,
-                2,
-                1,
+                3,
                 2,
                 Duration::from_millis(2),
             )))
@@ -686,7 +685,6 @@ where
             workers,
             queue_capacity,
             faults,
-            ..EngineConfig::default()
         },
     );
     // Attaches the session-wide deadline (if any) to a query request.
@@ -829,13 +827,12 @@ where
                 writeln!(
                     out,
                     "epoch {} · submitted {} · completed {} · failed {} · rejected {} · \
-                     respawns {} · stolen {} · swaps {} · queued {}",
+                     stolen {} · swaps {} · queued {}",
                     s.epoch,
                     s.submitted,
                     s.completed,
                     s.failed,
                     s.rejected,
-                    s.respawns,
                     s.stolen,
                     s.swaps,
                     s.queued,
@@ -1154,9 +1151,9 @@ mod tests {
             text.contains("engine closed: 2 completed, 0 failed, 0 rejected, 0 epoch swaps"),
             "{text}"
         );
-        // `--chaos` injects seeded panics/deaths/delays: faulted queries
-        // report typed errors, the supervisor respawns, the REPL survives
-        // to a clean shutdown.
+        // `--chaos` injects seeded panics/delays: faulted queries report
+        // typed errors, each worker serves on after its panics, the REPL
+        // survives to a clean shutdown.
         let script2: String =
             (0..40).map(|i| format!("q {i}\n")).collect::<String>() + "stats\nquit\n";
         let mut out2 = Vec::new();

@@ -17,10 +17,8 @@
 //!
 //! One bounded queue per worker. Submission round-robins across queues and
 //! probes the others when the preferred one is full; if every queue is at
-//! capacity the submit either sheds a strictly-lower-priority queued job
-//! (resolving that ticket with [`QueryError::Shed`]) or is rejected with
-//! [`QueryError::Saturated`] — the engine applies backpressure instead of
-//! buffering unboundedly. Workers pop their own queue from the front
+//! capacity the submit is rejected with [`QueryError::Saturated`] — the
+//! engine applies backpressure instead of buffering unboundedly. Workers pop their own queue from the front
 //! (submission order) and steal from the *back* of sibling queues when
 //! idle, the classic split that keeps owned work FIFO while stolen work
 //! contends at the far end. Each worker owns one
@@ -42,14 +40,17 @@
 //!   ticket is shed at dequeue with [`QueryError::DeadlineExceeded`]
 //!   without wasting service time; in flight, the deadline rides the
 //!   query's [`CancelToken`], checked at tile-block granularity.
-//! * **Panic isolation.** Each query runs under `catch_unwind`. A panic
-//!   resolves exactly that submitter's ticket with
-//!   [`QueryError::Internal`], the worker rebuilds its scratch from
-//!   scratch, and a per-worker consecutive-failure breaker quarantines
-//!   repeat-offender inputs (the poison-pill log, [`Engine::poison_log`]).
-//! * **Supervision.** A worker thread that dies outright (a panic outside
-//!   the protected region) is detected by the supervisor thread and
-//!   respawned; its in-flight ticket still resolves via a drop guard.
+//! * **Panic isolation.** Each dequeued job runs inside one
+//!   `catch_unwind` region that spans everything between the dequeue and
+//!   the finished outcome: the dequeue-time sheds, the fault hook, the
+//!   epoch pin, worker-state set-up, the query, and building the response
+//!   from the algorithm's answer. A panic anywhere in it resolves exactly
+//!   that submitter's ticket with [`QueryError::Internal`] and the same
+//!   thread serves on with fresh scratch — there is no "outside" for
+//!   user code to panic in, so no thread-level recovery layer. Inputs that
+//!   keep panicking are quarantined (the poison-pill log,
+//!   [`Engine::poison_log`]): at 2 panics per input, or when 3
+//!   consecutive panics on one worker trip its breaker.
 //! * **Honest shutdown.** [`Engine::close`] wakes every parked thread;
 //!   tickets still queued when the engine is torn down resolve with
 //!   [`QueryError::Closed`]. After a full drain,
@@ -60,7 +61,7 @@
 //! of the above reproducibly.
 
 use crate::fault::{Fault, FaultPlan};
-use crate::supervisor::{spawn_supervisor, Lifeline, PoisonLog, PoisonPill};
+use crate::poison::{PoisonLog, PoisonPill};
 use rknn_core::{CancelToken, CoreError, Metric, Neighbor, PointId, SearchStats};
 use rknn_index::KnnIndex;
 use rknn_rdt::algorithm::{requested_threads, AlgorithmAnswer, RknnAlgorithm};
@@ -69,7 +70,17 @@ use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Consecutive panics on one worker before its breaker trips and the
+/// offending input is quarantined outright.
+const BREAKER_THRESHOLD: u32 = 3;
+
+/// Panics attributed to one *input* (across workers) before that input is
+/// quarantined — later submissions of it resolve [`QueryError::Internal`]
+/// without touching the algorithm.
+const POISON_THRESHOLD: u32 = 2;
 
 /// An immutable `(epoch, index, prepared algorithm)` triple — the unit the
 /// engine serves from and swaps atomically.
@@ -150,23 +161,9 @@ impl QueryInput {
     }
 }
 
-/// Scheduling priority of a request. Under saturation the engine may shed
-/// a queued strictly-lower-priority job to admit a new one (see
-/// [`EngineConfig::shed_lower_priority`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Priority {
-    /// Shed first under overload.
-    Low,
-    /// The default.
-    #[default]
-    Normal,
-    /// Never shed in favor of other work; can displace `Low` and `Normal`.
-    High,
-}
-
-/// One query submission: what to ask, how long it may take, how important
-/// it is. `PointId` converts directly (`engine.submit(42)?`) for the
-/// common no-deadline case.
+/// One query submission: what to ask and how long it may take. `PointId`
+/// converts directly (`engine.submit(42)?`) for the common no-deadline
+/// case.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryRequest {
     /// What to query.
@@ -175,8 +172,6 @@ pub struct QueryRequest {
     /// [`QueryError::DeadlineExceeded`]; in flight it trips the query's
     /// [`CancelToken`] at the next tile-block checkpoint.
     pub deadline: Option<Instant>,
-    /// Scheduling priority under saturation.
-    pub priority: Priority,
 }
 
 impl QueryRequest {
@@ -185,7 +180,6 @@ impl QueryRequest {
         QueryRequest {
             input: QueryInput::Point(q),
             deadline: None,
-            priority: Priority::default(),
         }
     }
 
@@ -194,7 +188,6 @@ impl QueryRequest {
         QueryRequest {
             input: QueryInput::Coords(coords),
             deadline: None,
-            priority: Priority::default(),
         }
     }
 
@@ -207,12 +200,6 @@ impl QueryRequest {
     /// Sets the deadline `timeout` from now.
     pub fn with_timeout(self, timeout: Duration) -> Self {
         self.with_deadline(Instant::now() + timeout)
-    }
-
-    /// Sets the scheduling priority.
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
     }
 }
 
@@ -236,9 +223,8 @@ impl From<PointId> for QueryRequest {
 /// quarantined), and will not improve on resubmission.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryError {
-    /// Every shard queue is at capacity (and nothing shed-able was
-    /// queued). The engine sheds load instead of buffering unboundedly;
-    /// back off and retry.
+    /// Every shard queue is at capacity. The engine sheds load instead of
+    /// buffering unboundedly; back off and retry.
     Saturated {
         /// Jobs queued across all shards at rejection time.
         queued: usize,
@@ -261,19 +247,14 @@ pub enum QueryError {
     /// The ticket was cancelled via [`Ticket::cancel`] before an answer
     /// was produced.
     Cancelled,
-    /// The request was shed from the queue to admit a higher-priority
-    /// submission under saturation.
-    Shed {
-        /// How long the request had been waiting when it was shed.
-        queued_for: Duration,
-    },
-    /// The query panicked inside a worker (or its worker thread died).
-    /// The worker was recovered with fresh scratch; only this submitter
-    /// observes the failure.
+    /// The job panicked somewhere between its dequeue and its finished
+    /// response, or its input is quarantined after repeated panics. The
+    /// worker serves on with fresh scratch; only this submitter observes
+    /// the failure.
     Internal {
         /// Index of the worker that failed.
         worker: usize,
-        /// The panic message, or a description of the worker's death.
+        /// The panic message, or why the input was refused.
         reason: String,
     },
     /// The active algorithm cannot answer this kind of input (currently:
@@ -298,10 +279,6 @@ impl std::fmt::Display for QueryError {
                 write!(f, "deadline exceeded after {queued_for:?} in queue")
             }
             QueryError::Cancelled => write!(f, "query cancelled"),
-            QueryError::Shed { queued_for } => write!(
-                f,
-                "shed after {queued_for:?} in queue to admit higher-priority work"
-            ),
             QueryError::Internal { worker, reason } => {
                 write!(f, "internal error on worker {worker}: {reason}")
             }
@@ -324,7 +301,7 @@ impl std::error::Error for QueryError {
     }
 }
 
-/// Executor sizing and fault-tolerance thresholds.
+/// Executor sizing and the fault-injection schedule.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Worker threads. `0` defers to the `RKNN_THREADS` environment
@@ -334,17 +311,6 @@ pub struct EngineConfig {
     /// Per-shard queue bound; total admission capacity is
     /// `workers × queue_capacity`.
     pub queue_capacity: usize,
-    /// Consecutive panics on one worker before the breaker trips and the
-    /// offending input is quarantined outright.
-    pub breaker_threshold: u32,
-    /// Panics attributed to one *input* (across workers) before that input
-    /// is quarantined — subsequent submissions of it resolve
-    /// [`QueryError::Internal`] without touching a worker.
-    pub poison_threshold: u32,
-    /// Under saturation, shed a queued strictly-lower-priority job to
-    /// admit the new one (resolving the victim's ticket
-    /// [`QueryError::Shed`]) instead of rejecting outright.
-    pub shed_lower_priority: bool,
     /// Deterministic fault-injection schedule, for chaos tests. `None` in
     /// production.
     pub faults: Option<Arc<FaultPlan>>,
@@ -355,9 +321,6 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: 0,
             queue_capacity: 128,
-            breaker_threshold: 3,
-            poison_threshold: 2,
-            shed_lower_priority: true,
             faults: None,
         }
     }
@@ -409,30 +372,30 @@ impl QueryResponse {
 }
 
 /// Locks a mutex, recovering the guard if a panicking thread poisoned it —
-/// the engine's own invariants (idempotent fulfillment, atomic counters,
+/// the engine's own invariants (single fulfillment, atomic counters,
 /// full-value cache stores) do not depend on lock poisoning.
-pub(crate) fn lock_mutex<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock_mutex<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// [`Condvar::wait`] with the same poison recovery as [`lock_mutex`].
-pub(crate) fn wait_cv<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+fn wait_cv<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One-slot rendezvous between the worker that resolves a query and the
 /// caller waiting on its [`Ticket`].
 #[derive(Debug)]
-pub(crate) struct ResponseCell {
-    pub(crate) slot: Mutex<Option<Result<QueryResponse, QueryError>>>,
-    pub(crate) ready: Condvar,
+struct ResponseCell {
+    slot: Mutex<Option<Result<QueryResponse, QueryError>>>,
+    ready: Condvar,
     /// Trips the in-flight query's [`CancelToken`]; set by
     /// [`Ticket::cancel`].
-    pub(crate) cancel: Arc<AtomicBool>,
+    cancel: Arc<AtomicBool>,
 }
 
 impl ResponseCell {
-    pub(crate) fn new() -> Arc<Self> {
+    fn new() -> Arc<Self> {
         Arc::new(ResponseCell {
             slot: Mutex::new(None),
             ready: Condvar::new(),
@@ -440,17 +403,12 @@ impl ResponseCell {
         })
     }
 
-    /// Resolves the ticket. Idempotent, first outcome wins: a ticket can
-    /// race between (say) a worker's drop guard and the shutdown sweep,
-    /// and the waiter must observe exactly one outcome.
-    pub(crate) fn fulfill(&self, outcome: Result<QueryResponse, QueryError>) -> bool {
-        let mut slot = lock_mutex(&self.slot);
-        if slot.is_some() {
-            return false;
-        }
-        *slot = Some(outcome);
+    /// Resolves the ticket. A job leaves the queues exactly once — popped
+    /// by one worker, or swept at teardown — so each cell is fulfilled
+    /// exactly once.
+    fn fulfill(&self, outcome: Result<QueryResponse, QueryError>) {
+        *lock_mutex(&self.slot) = Some(outcome);
         self.ready.notify_all();
-        true
     }
 }
 
@@ -463,8 +421,7 @@ pub struct Ticket {
 impl Ticket {
     /// Blocks until the query resolves. Every accepted submission resolves
     /// exactly once — with an answer or a typed [`QueryError`] — even
-    /// through worker panics, worker deaths, and shutdown, so this always
-    /// returns.
+    /// through panics and shutdown, so this always returns.
     pub fn wait(self) -> Result<QueryResponse, QueryError> {
         let mut slot = lock_mutex(&self.cell.slot);
         loop {
@@ -513,12 +470,11 @@ impl Ticket {
 
 /// A queued query.
 #[derive(Debug)]
-pub(crate) struct Job {
-    pub(crate) input: QueryInput,
-    pub(crate) submitted_at: Instant,
-    pub(crate) deadline: Option<Instant>,
-    pub(crate) priority: Priority,
-    pub(crate) cell: Arc<ResponseCell>,
+struct Job {
+    input: QueryInput,
+    submitted_at: Instant,
+    deadline: Option<Instant>,
+    cell: Arc<ResponseCell>,
 }
 
 /// Monotonic counters describing an engine's lifetime so far.
@@ -533,8 +489,8 @@ pub struct EngineStats {
     pub submitted: u64,
     /// Tickets resolved with an answer.
     pub completed: u64,
-    /// Tickets resolved with a typed error (deadline, shed, cancel,
-    /// internal, unsupported, shutdown sweep).
+    /// Tickets resolved with a typed error (deadline, cancel, internal,
+    /// unsupported, shutdown sweep).
     pub failed: u64,
     /// Submissions rejected with [`QueryError::Saturated`] (including
     /// injected queue-full windows).
@@ -547,17 +503,13 @@ pub struct EngineStats {
     pub deadline_exceeded: u64,
     /// Tickets resolved [`QueryError::Cancelled`].
     pub cancelled: u64,
-    /// Tickets resolved [`QueryError::Shed`] (priority displacement).
-    pub shed: u64,
-    /// Tickets resolved [`QueryError::Internal`] (panics, worker deaths,
-    /// quarantined inputs).
+    /// Tickets resolved [`QueryError::Internal`] (panics, quarantined
+    /// inputs).
     pub internal_errors: u64,
     /// Tickets swept with [`QueryError::Closed`] at teardown.
     pub aborted: u64,
-    /// Worker panics observed (caught or fatal).
+    /// Panics caught in worker jobs.
     pub panics: u64,
-    /// Worker threads respawned by the supervisor.
-    pub respawns: u64,
     /// Inputs quarantined by the poison log.
     pub quarantined: u64,
     /// Jobs a worker stole from a sibling's queue.
@@ -570,62 +522,83 @@ pub struct EngineStats {
     pub epoch: u64,
 }
 
-/// State shared between the engine handle, its worker threads, and the
-/// supervisor.
+/// State shared between the engine handle and its worker threads.
 #[derive(Debug)]
-pub(crate) struct Shared<M, I, A> {
-    pub(crate) snapshot: RwLock<Arc<Snapshot<M, I, A>>>,
-    pub(crate) shards: Vec<Mutex<VecDeque<Job>>>,
-    pub(crate) queue_capacity: usize,
+struct Shared<M, I, A> {
+    snapshot: RwLock<Arc<Snapshot<M, I, A>>>,
+    shards: Vec<Mutex<VecDeque<Job>>>,
+    queue_capacity: usize,
     /// Queued-job count; workers park only when it reads zero.
-    pub(crate) queued: AtomicUsize,
+    queued: AtomicUsize,
     /// Pairs with `wake`: submission takes this lock around its notify so a
     /// worker checking `queued` under the same lock can never miss it.
-    pub(crate) idle: Mutex<()>,
-    pub(crate) wake: Condvar,
-    pub(crate) open: AtomicBool,
-    pub(crate) rr: AtomicUsize,
+    idle: Mutex<()>,
+    wake: Condvar,
+    open: AtomicBool,
+    rr: AtomicUsize,
     /// Submission sequence (every non-closed submit attempt), keying the
     /// fault plan's rejection windows.
-    pub(crate) submit_seq: AtomicU64,
+    submit_seq: AtomicU64,
     /// Execution sequence (every dequeued job that survives the deadline,
     /// cancel and quarantine sheds), keying injected worker faults.
-    pub(crate) exec_seq: AtomicU64,
-    pub(crate) faults: Option<Arc<FaultPlan>>,
-    pub(crate) breaker_threshold: u32,
-    pub(crate) poison_threshold: u32,
-    pub(crate) shed_lower_priority: bool,
+    exec_seq: AtomicU64,
+    faults: Option<Arc<FaultPlan>>,
     /// Inputs blamed for worker panics; quarantined ones are refused at
     /// dequeue.
-    pub(crate) poison: Mutex<PoisonLog>,
-    /// Indices of workers whose threads died; the supervisor drains this.
-    pub(crate) dead: Mutex<Vec<usize>>,
-    /// Wakes the supervisor when `dead` gains an entry (or at close).
-    pub(crate) reap: Condvar,
-    /// Worker join handles, indexed by worker; the supervisor swaps in
-    /// replacements, teardown drains them.
-    pub(crate) handles: Mutex<Vec<Option<std::thread::JoinHandle<()>>>>,
-    pub(crate) submitted: AtomicU64,
-    pub(crate) completed: AtomicU64,
-    pub(crate) failed: AtomicU64,
-    pub(crate) rejected: AtomicU64,
-    pub(crate) invalid_inputs: AtomicU64,
-    pub(crate) injected_rejects: AtomicU64,
-    pub(crate) deadline_exceeded: AtomicU64,
-    pub(crate) cancelled: AtomicU64,
-    pub(crate) shed: AtomicU64,
-    pub(crate) internal_errors: AtomicU64,
-    pub(crate) aborted: AtomicU64,
-    pub(crate) panics: AtomicU64,
-    pub(crate) respawns: AtomicU64,
-    pub(crate) quarantined: AtomicU64,
-    pub(crate) stolen: AtomicU64,
-    pub(crate) swaps: AtomicU64,
+    poison: Mutex<PoisonLog>,
+    submitted: AtomicU64,
+    completed: AtomicU64,
+    failed: AtomicU64,
+    rejected: AtomicU64,
+    invalid_inputs: AtomicU64,
+    injected_rejects: AtomicU64,
+    deadline_exceeded: AtomicU64,
+    cancelled: AtomicU64,
+    internal_errors: AtomicU64,
+    aborted: AtomicU64,
+    panics: AtomicU64,
+    quarantined: AtomicU64,
+    stolen: AtomicU64,
+    swaps: AtomicU64,
 }
 
-/// The long-lived serving engine: supervised worker threads over an
-/// epoch-swapped [`Snapshot`], accepting queries through bounded
-/// per-worker queues, resolving every accepted ticket exactly once.
+impl<M, I, A> Shared<M, I, A> {
+    /// Stops admission and wakes every parked worker, so blocked producers
+    /// observe [`QueryError::Closed`] and workers drain and exit.
+    fn close(&self) {
+        self.open.store(false, Relaxed);
+        let _guard = lock_mutex(&self.idle);
+        self.wake.notify_all();
+    }
+
+    /// Counts `outcome` under its cause and resolves `cell` with it: the
+    /// one place a ticket is resolved.
+    fn resolve(&self, cell: &ResponseCell, outcome: Result<QueryResponse, QueryError>) {
+        let cause = match &outcome {
+            Ok(_) => Some(&self.completed),
+            Err(err) => {
+                self.failed.fetch_add(1, Relaxed);
+                match err {
+                    QueryError::DeadlineExceeded { .. } => Some(&self.deadline_exceeded),
+                    QueryError::Cancelled => Some(&self.cancelled),
+                    QueryError::Internal { .. } => Some(&self.internal_errors),
+                    QueryError::Closed => Some(&self.aborted),
+                    // `Unsupported` has no cause counter; `Saturated` and
+                    // `InvalidInput` are submit-time rejections.
+                    _ => None,
+                }
+            }
+        };
+        if let Some(counter) = cause {
+            counter.fetch_add(1, Relaxed);
+        }
+        cell.fulfill(outcome);
+    }
+}
+
+/// The long-lived serving engine: worker threads over an epoch-swapped
+/// [`Snapshot`], accepting queries through bounded per-worker queues,
+/// resolving every accepted ticket exactly once.
 ///
 /// Dropping the engine closes it, drains or sweeps all queued work, and
 /// joins the workers; [`Engine::shutdown`] does the same and returns the
@@ -633,8 +606,7 @@ pub(crate) struct Shared<M, I, A> {
 #[derive(Debug)]
 pub struct Engine<M, I, A> {
     shared: Arc<Shared<M, I, A>>,
-    supervisor: Option<std::thread::JoinHandle<()>>,
-    workers: usize,
+    handles: Vec<JoinHandle<()>>,
 }
 
 impl<M, I, A> Engine<M, I, A>
@@ -649,9 +621,7 @@ where
         let queue_capacity = config.queue_capacity.max(1);
         let shared = Arc::new(Shared {
             snapshot: RwLock::new(Arc::new(snapshot)),
-            shards: (0..workers)
-                .map(|_| Mutex::new(VecDeque::with_capacity(queue_capacity)))
-                .collect(),
+            shards: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             queue_capacity,
             queued: AtomicUsize::new(0),
             idle: Mutex::new(()),
@@ -660,14 +630,8 @@ where
             rr: AtomicUsize::new(0),
             submit_seq: AtomicU64::new(0),
             exec_seq: AtomicU64::new(0),
-            faults: config.faults.clone(),
-            breaker_threshold: config.breaker_threshold.max(1),
-            poison_threshold: config.poison_threshold.max(1),
-            shed_lower_priority: config.shed_lower_priority,
+            faults: config.faults,
             poison: Mutex::new(PoisonLog::default()),
-            dead: Mutex::new(Vec::new()),
-            reap: Condvar::new(),
-            handles: Mutex::new((0..workers).map(|_| None).collect()),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
@@ -676,24 +640,23 @@ where
             injected_rejects: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
             internal_errors: AtomicU64::new(0),
             aborted: AtomicU64::new(0),
             panics: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
             stolen: AtomicU64::new(0),
             swaps: AtomicU64::new(0),
         });
-        for w in 0..workers {
-            spawn_worker(&shared, w);
-        }
-        let supervisor = Some(spawn_supervisor(Arc::clone(&shared)));
-        Engine {
-            shared,
-            supervisor,
-            workers,
-        }
+        let handles = (0..workers)
+            .map(|w| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("rknn-serve-{w}"))
+                    .spawn(move || worker_loop(&shared, w))
+                    .expect("spawn engine worker")
+            })
+            .collect();
+        Engine { shared, handles }
     }
 
     /// Submits a query, returning a [`Ticket`] for its eventual outcome,
@@ -712,7 +675,7 @@ where
                 self.shared.rejected.fetch_add(1, Relaxed);
                 return Err(QueryError::Saturated {
                     queued: self.shared.queued.load(Relaxed),
-                    capacity: self.shared.shards.len() * self.shared.queue_capacity,
+                    capacity: self.queue_capacity(),
                 });
             }
         }
@@ -725,17 +688,14 @@ where
             input: request.input,
             submitted_at: Instant::now(),
             deadline: request.deadline,
-            priority: request.priority,
             cell: Arc::clone(&cell),
         };
         let shards = &self.shared.shards;
         let preferred = self.shared.rr.fetch_add(1, Relaxed) % shards.len();
-        let mut job = Some(job);
         for offset in 0..shards.len() {
-            let shard = &shards[(preferred + offset) % shards.len()];
-            let mut queue = lock_mutex(shard);
+            let mut queue = lock_mutex(&shards[(preferred + offset) % shards.len()]);
             if queue.len() < self.shared.queue_capacity {
-                queue.push_back(job.take().expect("job is unspent"));
+                queue.push_back(job);
                 drop(queue);
                 self.shared.queued.fetch_add(1, Relaxed);
                 self.shared.submitted.fetch_add(1, Relaxed);
@@ -744,42 +704,10 @@ where
                 return Ok(Ticket { cell });
             }
         }
-        // Every queue is full. Before rejecting, try to displace a queued
-        // job of strictly lower priority: newest such job, lowest priority
-        // first, so `High` traffic stays admissible through a `Low` flood.
-        if self.shared.shed_lower_priority {
-            let incoming = job.as_ref().expect("job is unspent").priority;
-            for offset in 0..shards.len() {
-                let shard = &shards[(preferred + offset) % shards.len()];
-                let mut queue = lock_mutex(shard);
-                let victim_at = queue
-                    .iter()
-                    .enumerate()
-                    .rev()
-                    .filter(|(_, queued)| queued.priority < incoming)
-                    .min_by_key(|(_, queued)| queued.priority)
-                    .map(|(i, _)| i);
-                if let Some(i) = victim_at {
-                    let victim = queue.remove(i).expect("victim index is in range");
-                    queue.push_back(job.take().expect("job is unspent"));
-                    drop(queue);
-                    // Queue population is unchanged: one out, one in.
-                    self.shared.submitted.fetch_add(1, Relaxed);
-                    self.shared.shed.fetch_add(1, Relaxed);
-                    self.shared.failed.fetch_add(1, Relaxed);
-                    victim.cell.fulfill(Err(QueryError::Shed {
-                        queued_for: victim.submitted_at.elapsed(),
-                    }));
-                    let _guard = lock_mutex(&self.shared.idle);
-                    self.shared.wake.notify_one();
-                    return Ok(Ticket { cell });
-                }
-            }
-        }
         self.shared.rejected.fetch_add(1, Relaxed);
         Err(QueryError::Saturated {
             queued: self.shared.queued.load(Relaxed),
-            capacity: shards.len() * self.shared.queue_capacity,
+            capacity: self.queue_capacity(),
         })
     }
 
@@ -822,15 +750,14 @@ where
             .clone()
     }
 
-    /// Worker threads the engine was sized for (respawns keep this
-    /// constant).
+    /// Worker threads the engine runs.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.shared.shards.len()
     }
 
     /// Total admission capacity (shards × per-shard bound).
     pub fn queue_capacity(&self) -> usize {
-        self.workers * self.shared.queue_capacity
+        self.shared.shards.len() * self.shared.queue_capacity
     }
 
     /// Current counters.
@@ -844,11 +771,9 @@ where
             injected_rejects: self.shared.injected_rejects.load(Relaxed),
             deadline_exceeded: self.shared.deadline_exceeded.load(Relaxed),
             cancelled: self.shared.cancelled.load(Relaxed),
-            shed: self.shared.shed.load(Relaxed),
             internal_errors: self.shared.internal_errors.load(Relaxed),
             aborted: self.shared.aborted.load(Relaxed),
             panics: self.shared.panics.load(Relaxed),
-            respawns: self.shared.respawns.load(Relaxed),
             quarantined: self.shared.quarantined.load(Relaxed),
             stolen: self.shared.stolen.load(Relaxed),
             swaps: self.shared.swaps.load(Relaxed),
@@ -863,125 +788,52 @@ where
         lock_mutex(&self.shared.poison).pills().to_vec()
     }
 
-    /// Stops accepting submissions and wakes every parked thread — workers
-    /// (so blocked-at-capacity producers observing [`QueryError::Closed`]
-    /// can make progress and workers can drain), and the supervisor (so it
-    /// can exit). Queued work still drains; tickets still queued when the
-    /// engine is finally torn down resolve [`QueryError::Closed`].
+    /// Stops accepting submissions and wakes every parked worker, so
+    /// blocked-at-capacity producers observe [`QueryError::Closed`] and
+    /// workers drain. Queued work still drains; tickets still queued when
+    /// the engine is finally torn down resolve [`QueryError::Closed`].
     pub fn close(&self) {
-        self.shared.open.store(false, Relaxed);
-        {
-            let _guard = lock_mutex(&self.shared.idle);
-            self.shared.wake.notify_all();
-        }
-        {
-            let _guard = lock_mutex(&self.shared.dead);
-            self.shared.reap.notify_all();
-        }
+        self.shared.close();
     }
 
     /// Closes the engine, drains queued work, joins all threads, sweeps
     /// any stranded tickets with [`QueryError::Closed`], and returns the
     /// final counters.
     pub fn shutdown(mut self) -> EngineStats {
-        self.join_all();
-        let stats = self.stats();
-        drop(self);
-        stats
+        self.teardown();
+        self.stats()
     }
+}
 
-    fn join_all(&mut self) {
-        self.close();
-        // Join the supervisor first: after it exits no new workers can be
-        // spawned, so the handle sweep below is complete.
-        if let Some(supervisor) = self.supervisor.take() {
-            let _ = supervisor.join();
+impl<M, I, A> Engine<M, I, A> {
+    /// Closes the engine, joins the workers once they have drained the
+    /// queues, then resolves any job still queued [`QueryError::Closed`]:
+    /// a submit that raced `close` can enqueue after the last worker left.
+    /// Idempotent, so [`Engine::shutdown`] and `Drop` share it.
+    fn teardown(&mut self) {
+        self.shared.close();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
         }
-        loop {
-            let handle = {
-                let mut handles = lock_mutex(&self.shared.handles);
-                handles.iter_mut().find_map(|slot| slot.take())
-            };
-            match handle {
-                Some(handle) => {
-                    let _ = handle.join();
-                }
-                None => break,
+        for shard in &self.shared.shards {
+            let stranded: Vec<Job> = lock_mutex(shard).drain(..).collect();
+            for job in stranded {
+                self.shared.queued.fetch_sub(1, Relaxed);
+                self.shared.resolve(&job.cell, Err(QueryError::Closed));
             }
-        }
-        // If every worker died (or died after close) jobs can be stranded
-        // in the queues; every ticket still resolves, with `Closed`.
-        while let Some(job) = pop_job(&self.shared, 0) {
-            self.shared.aborted.fetch_add(1, Relaxed);
-            self.shared.failed.fetch_add(1, Relaxed);
-            job.cell.fulfill(Err(QueryError::Closed));
         }
     }
 }
 
 impl<M, I, A> Drop for Engine<M, I, A> {
     fn drop(&mut self) {
-        // Mirrors `join_all` without the trait bounds `Drop` cannot have.
-        self.shared.open.store(false, Relaxed);
-        {
-            let _guard = lock_mutex(&self.shared.idle);
-            self.shared.wake.notify_all();
-        }
-        {
-            let _guard = lock_mutex(&self.shared.dead);
-            self.shared.reap.notify_all();
-        }
-        if let Some(supervisor) = self.supervisor.take() {
-            let _ = supervisor.join();
-        }
-        loop {
-            let handle = {
-                let mut handles = lock_mutex(&self.shared.handles);
-                handles.iter_mut().find_map(|slot| slot.take())
-            };
-            match handle {
-                Some(handle) => {
-                    let _ = handle.join();
-                }
-                None => break,
-            }
-        }
-        for shard in &self.shared.shards {
-            let mut queue = lock_mutex(shard);
-            while let Some(job) = queue.pop_front() {
-                self.shared.queued.fetch_sub(1, Relaxed);
-                self.shared.aborted.fetch_add(1, Relaxed);
-                self.shared.failed.fetch_add(1, Relaxed);
-                job.cell.fulfill(Err(QueryError::Closed));
-            }
-        }
+        self.teardown();
     }
-}
-
-/// Spawns (or respawns) worker `w`, storing its join handle in
-/// [`Shared::handles`]. The [`Lifeline`] drop guard reports the thread to
-/// the supervisor if it dies by panic rather than returning.
-pub(crate) fn spawn_worker<M, I, A>(shared: &Arc<Shared<M, I, A>>, w: usize)
-where
-    M: Metric + 'static,
-    I: KnnIndex<M> + 'static,
-    A: RknnAlgorithm<M, I> + Send + Sync + 'static,
-{
-    let thread_shared = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name(format!("rknn-serve-{w}"))
-        .spawn(move || {
-            let lifeline = Lifeline::arm(Arc::clone(&thread_shared), w);
-            worker_loop(&thread_shared, w);
-            lifeline.disarm();
-        })
-        .expect("spawn engine worker");
-    lock_mutex(&shared.handles)[w] = Some(handle);
 }
 
 /// Pops the next job for worker `w`: own queue from the front, then a
 /// steal from the back of each sibling queue.
-pub(crate) fn pop_job<M, I, A>(shared: &Shared<M, I, A>, w: usize) -> Option<Job> {
+fn pop_job<M, I, A>(shared: &Shared<M, I, A>, w: usize) -> Option<Job> {
     let shards = &shared.shards;
     if let Some(job) = lock_mutex(&shards[w]).pop_front() {
         shared.queued.fetch_sub(1, Relaxed);
@@ -1009,47 +861,7 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Resolves an in-flight job's ticket if the worker thread dies while
-/// holding it — the last line of the "no ticket is ever lost" guarantee.
-/// Armed around the execution region, defused on every explicit outcome.
-struct JobGuard<'a, M, I, A> {
-    shared: &'a Shared<M, I, A>,
-    cell: &'a Arc<ResponseCell>,
-    worker: usize,
-    armed: bool,
-}
-
-impl<'a, M, I, A> JobGuard<'a, M, I, A> {
-    fn arm(shared: &'a Shared<M, I, A>, cell: &'a Arc<ResponseCell>, worker: usize) -> Self {
-        JobGuard {
-            shared,
-            cell,
-            worker,
-            armed: true,
-        }
-    }
-
-    fn defuse(mut self) {
-        self.armed = false;
-    }
-}
-
-impl<M, I, A> Drop for JobGuard<'_, M, I, A> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        self.shared.failed.fetch_add(1, Relaxed);
-        self.shared.internal_errors.fetch_add(1, Relaxed);
-        self.shared.panics.fetch_add(1, Relaxed);
-        self.cell.fulfill(Err(QueryError::Internal {
-            worker: self.worker,
-            reason: "worker thread died while executing this query".to_string(),
-        }));
-    }
-}
-
-pub(crate) fn worker_loop<M, I, A>(shared: &Arc<Shared<M, I, A>>, w: usize)
+fn worker_loop<M, I, A>(shared: &Shared<M, I, A>, w: usize)
 where
     M: Metric,
     I: KnnIndex<M>,
@@ -1059,8 +871,8 @@ where
     // first time this worker serves a query under a new snapshot, and
     // discarded wholesale after a panic (the scratch may be mid-mutation).
     let mut state: Option<(u64, A::Worker)> = None;
-    // The breaker: consecutive failed queries on *this* worker. Trips into
-    // quarantining the current input at `breaker_threshold`.
+    // The breaker: consecutive panics on *this* worker. Trips into
+    // quarantining the current input at `BREAKER_THRESHOLD`.
     let mut consecutive_failures: u32 = 0;
     loop {
         let Some(job) = pop_job(shared, w) else {
@@ -1074,156 +886,142 @@ where
             }
             continue;
         };
-        let started_at = Instant::now();
-        // Deadline shed at dequeue: don't spend service time on a ticket
-        // whose submitter has already given up.
-        if let Some(deadline) = job.deadline {
-            if started_at >= deadline {
-                shared.deadline_exceeded.fetch_add(1, Relaxed);
-                shared.failed.fetch_add(1, Relaxed);
-                job.cell.fulfill(Err(QueryError::DeadlineExceeded {
-                    queued_for: started_at.saturating_duration_since(job.submitted_at),
-                }));
-                continue;
-            }
-        }
-        if job.cell.cancel.load(Relaxed) {
-            shared.cancelled.fetch_add(1, Relaxed);
-            shared.failed.fetch_add(1, Relaxed);
-            job.cell.fulfill(Err(QueryError::Cancelled));
-            continue;
-        }
-        // Quarantined inputs never reach the algorithm again.
-        if lock_mutex(&shared.poison).is_quarantined(&job.input) {
-            shared.internal_errors.fetch_add(1, Relaxed);
-            shared.failed.fetch_add(1, Relaxed);
-            job.cell.fulfill(Err(QueryError::Internal {
-                worker: w,
-                reason: "input quarantined after repeated worker panics".to_string(),
-            }));
-            continue;
-        }
-        // Injected faults, keyed deterministically on the execution slot.
-        // Only jobs that get this far take a slot: a shed job never reaches
-        // the fault hook, so numbering it would let a shed swallow a
-        // scheduled fault.
-        let eseq = shared.exec_seq.fetch_add(1, Relaxed);
-        let mut inject_panic = false;
-        if let Some(fault) = shared.faults.as_ref().and_then(|f| f.at_execution(eseq)) {
-            match fault {
-                Fault::Delay(delay) => std::thread::sleep(delay),
-                Fault::Panic => inject_panic = true,
-                Fault::Death => {
-                    // Outside the catch_unwind region: the thread dies, the
-                    // guard resolves the ticket, the Lifeline wakes the
-                    // supervisor.
-                    let _guard = JobGuard::arm(shared, &job.cell, w);
-                    panic!("injected fault: worker death at execution slot {eseq}");
+        // The one protected region: everything from the dequeue-time
+        // sheds to the finished response. The shared snapshot survives an
+        // unwind — the algorithm's unwind-safety contract (see
+        // `RknnAlgorithm` docs) keeps its &self state valid.
+        let outcome = match catch_unwind(AssertUnwindSafe(|| run_job(shared, w, &job, &mut state)))
+        {
+            Ok(outcome) => {
+                if outcome.is_ok() {
+                    consecutive_failures = 0;
                 }
-            }
-        }
-        // Pin the epoch: holding this Arc keeps the snapshot alive for the
-        // whole query even if a successor is published meanwhile.
-        let snapshot = shared
-            .snapshot
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        let cancel = CancelToken::from_flag(Arc::clone(&job.cell.cancel), job.deadline);
-        let guard = JobGuard::arm(shared, &job.cell, w);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if inject_panic {
-                panic!("injected fault: worker panic at execution slot {eseq}");
-            }
-            let stale = match &state {
-                Some((epoch, _)) => *epoch != snapshot.epoch,
-                None => true,
-            };
-            if stale {
-                state = Some((snapshot.epoch, snapshot.algo.make_worker(&snapshot.index)));
-            }
-            let (_, worker_state) = state.as_mut().expect("worker state initialized");
-            match &job.input {
-                QueryInput::Point(q) => snapshot
-                    .algo
-                    .query_cancellable(&snapshot.index, *q, worker_state, &cancel)
-                    .map(Some),
-                QueryInput::Coords(coords) => {
-                    match snapshot
-                        .algo
-                        .query_at(&snapshot.index, coords, worker_state, &cancel)
-                    {
-                        Some(result) => result.map(Some),
-                        None => Ok(None),
-                    }
-                }
-            }
-        }));
-        let finished_at = Instant::now();
-        guard.defuse();
-        match outcome {
-            Ok(Ok(Some(answer))) => {
-                consecutive_failures = 0;
-                shared.completed.fetch_add(1, Relaxed);
-                job.cell.fulfill(Ok(QueryResponse {
-                    query: job.input.clone(),
-                    epoch: snapshot.epoch,
-                    neighbors: answer.neighbors().to_vec(),
-                    work: answer.work(),
-                    worker: w,
-                    submitted_at: job.submitted_at,
-                    started_at,
-                    finished_at,
-                }));
-            }
-            Ok(Ok(None)) => {
-                shared.failed.fetch_add(1, Relaxed);
-                job.cell.fulfill(Err(QueryError::Unsupported {
-                    algorithm: snapshot.algo.name(),
-                }));
-            }
-            Ok(Err(_cancelled)) => {
-                shared.failed.fetch_add(1, Relaxed);
-                let deadline_hit = job.deadline.is_some_and(|d| Instant::now() >= d);
-                if deadline_hit {
-                    shared.deadline_exceeded.fetch_add(1, Relaxed);
-                    job.cell.fulfill(Err(QueryError::DeadlineExceeded {
-                        queued_for: started_at.saturating_duration_since(job.submitted_at),
-                    }));
-                } else {
-                    shared.cancelled.fetch_add(1, Relaxed);
-                    job.cell.fulfill(Err(QueryError::Cancelled));
-                }
+                outcome
             }
             Err(payload) => {
-                // The scratch may be mid-mutation: rebuild before the next
-                // query. The shared snapshot is safe — the algorithm's
-                // unwind-safety contract (see `RknnAlgorithm` docs) keeps
-                // &self state valid through an unwind.
                 state = None;
                 consecutive_failures += 1;
                 shared.panics.fetch_add(1, Relaxed);
-                shared.internal_errors.fetch_add(1, Relaxed);
-                shared.failed.fetch_add(1, Relaxed);
                 let reason = panic_reason(payload.as_ref());
-                {
-                    let mut poison = lock_mutex(&shared.poison);
-                    let mut newly = poison.record(&job.input, &reason, shared.poison_threshold);
-                    if consecutive_failures >= shared.breaker_threshold {
-                        newly |= poison.quarantine(&job.input);
-                        consecutive_failures = 0;
-                    }
-                    if newly {
-                        shared.quarantined.fetch_add(1, Relaxed);
-                    }
+                let mut poison = lock_mutex(&shared.poison);
+                let mut newly = poison.record(&job.input, &reason, POISON_THRESHOLD);
+                if consecutive_failures >= BREAKER_THRESHOLD {
+                    newly |= poison.quarantine(&job.input);
+                    consecutive_failures = 0;
                 }
-                job.cell.fulfill(Err(QueryError::Internal {
+                drop(poison);
+                if newly {
+                    shared.quarantined.fetch_add(1, Relaxed);
+                }
+                Err(QueryError::Internal {
                     worker: w,
                     reason: format!("query panicked: {reason}"),
-                }));
+                })
+            }
+        };
+        shared.resolve(&job.cell, outcome);
+    }
+}
+
+/// One dequeued job, from the dequeue-time sheds to its finished outcome.
+/// [`worker_loop`] runs it under `catch_unwind`, so a panic anywhere here
+/// — in the algorithm, in its answer's accessors, or in an injected
+/// fault — fails this job alone.
+fn run_job<M, I, A>(
+    shared: &Shared<M, I, A>,
+    w: usize,
+    job: &Job,
+    state: &mut Option<(u64, A::Worker)>,
+) -> Result<QueryResponse, QueryError>
+where
+    M: Metric,
+    I: KnnIndex<M>,
+    A: RknnAlgorithm<M, I>,
+{
+    let started_at = Instant::now();
+    let deadline_exceeded = || QueryError::DeadlineExceeded {
+        queued_for: started_at.saturating_duration_since(job.submitted_at),
+    };
+    // Deadline shed at dequeue: don't spend service time on a ticket
+    // whose submitter has already given up.
+    if job.deadline.is_some_and(|d| started_at >= d) {
+        return Err(deadline_exceeded());
+    }
+    if job.cell.cancel.load(Relaxed) {
+        return Err(QueryError::Cancelled);
+    }
+    // Quarantined inputs never reach the algorithm again.
+    if lock_mutex(&shared.poison).is_quarantined(&job.input) {
+        return Err(QueryError::Internal {
+            worker: w,
+            reason: "input quarantined after repeated worker panics".to_string(),
+        });
+    }
+    // Injected faults, keyed deterministically on the execution slot.
+    // Only jobs that get this far take a slot: a shed job never reaches
+    // the fault hook, so numbering it would let a shed swallow a
+    // scheduled fault.
+    let eseq = shared.exec_seq.fetch_add(1, Relaxed);
+    match shared.faults.as_ref().and_then(|f| f.at_execution(eseq)) {
+        Some(Fault::Delay(delay)) => std::thread::sleep(delay),
+        Some(Fault::Panic) => panic!("injected fault: worker panic at execution slot {eseq}"),
+        None => {}
+    }
+    // Pin the epoch: holding this Arc keeps the snapshot alive for the
+    // whole query even if a successor is published meanwhile.
+    let snapshot = shared
+        .snapshot
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone();
+    let cancel = CancelToken::from_flag(Arc::clone(&job.cell.cancel), job.deadline);
+    if state
+        .as_ref()
+        .is_none_or(|(epoch, _)| *epoch != snapshot.epoch)
+    {
+        *state = Some((snapshot.epoch, snapshot.algo.make_worker(&snapshot.index)));
+    }
+    let (_, worker_state) = state.as_mut().expect("worker state initialized");
+    let answered = match &job.input {
+        QueryInput::Point(q) => {
+            snapshot
+                .algo
+                .query_cancellable(&snapshot.index, *q, worker_state, &cancel)
+        }
+        QueryInput::Coords(coords) => {
+            match snapshot
+                .algo
+                .query_at(&snapshot.index, coords, worker_state, &cancel)
+            {
+                Some(result) => result,
+                None => {
+                    return Err(QueryError::Unsupported {
+                        algorithm: snapshot.algo.name(),
+                    })
+                }
             }
         }
-    }
+    };
+    let finished_at = Instant::now();
+    let Ok(answer) = answered else {
+        // Cancelled in flight: by the deadline if it has passed, otherwise
+        // by the ticket.
+        return Err(if job.deadline.is_some_and(|d| finished_at >= d) {
+            deadline_exceeded()
+        } else {
+            QueryError::Cancelled
+        });
+    };
+    Ok(QueryResponse {
+        query: job.input.clone(),
+        epoch: snapshot.epoch,
+        neighbors: answer.neighbors().to_vec(),
+        work: answer.work(),
+        worker: w,
+        submitted_at: job.submitted_at,
+        started_at,
+        finished_at,
+    })
 }
 
 #[cfg(test)]
@@ -1425,7 +1223,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 8,
                 faults: Some(Arc::new(plan)),
-                ..EngineConfig::default()
             },
         );
         // First query wedges the single worker for 120ms.
@@ -1448,43 +1245,6 @@ mod tests {
     }
 
     #[test]
-    fn saturation_sheds_lower_priority_for_higher() {
-        let plan = FaultPlan::new().delay_at(0, Duration::from_millis(150));
-        let eng = engine_with(
-            120,
-            908,
-            EngineConfig {
-                workers: 1,
-                queue_capacity: 1,
-                faults: Some(Arc::new(plan)),
-                ..EngineConfig::default()
-            },
-        );
-        // Wedge the worker, then fill the single queue slot with Low work.
-        let wedge = eng.submit(0usize).unwrap();
-        std::thread::sleep(Duration::from_millis(30));
-        let low = eng
-            .submit(QueryRequest::point(1).with_priority(Priority::Low))
-            .unwrap();
-        // Normal displaces Low...
-        let normal = eng.submit(QueryRequest::point(2)).unwrap();
-        match low.wait() {
-            Err(QueryError::Shed { .. }) => {}
-            other => panic!("expected Shed, got {other:?}"),
-        }
-        // ...but an equal-priority submission is rejected, not shed.
-        match eng.submit(QueryRequest::point(3)) {
-            Err(QueryError::Saturated { .. }) => {}
-            other => panic!("expected Saturated, got {other:?}"),
-        }
-        wedge.wait().expect("wedged query answers");
-        normal.wait().expect("displacing query answers");
-        let stats = eng.shutdown();
-        assert_eq!(stats.shed, 1);
-        assert_eq!(stats.submitted, stats.completed + stats.failed);
-    }
-
-    #[test]
     fn cancel_resolves_queued_ticket_typed() {
         let plan = FaultPlan::new().delay_at(0, Duration::from_millis(100));
         let eng = engine_with(
@@ -1494,7 +1254,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 8,
                 faults: Some(Arc::new(plan)),
-                ..EngineConfig::default()
             },
         );
         let wedge = eng.submit(0usize).unwrap();

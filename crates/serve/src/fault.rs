@@ -15,8 +15,10 @@
 //!
 //! Plans are built either explicitly ([`FaultPlan::panic_at`] and friends)
 //! or from a seed ([`FaultPlan::scattered`]), which places a requested
-//! number of panics/deaths/delays pseudo-randomly but reproducibly across a
-//! span of execution slots.
+//! number of panics/delays pseudo-randomly but reproducibly across a span
+//! of execution slots. Both worker faults fire inside the job's protected
+//! region: an injected panic fails that one job, exactly as a panic in the
+//! algorithm would.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -25,13 +27,9 @@ use std::time::Duration;
 /// plan keys it to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// Panic inside the engine's `catch_unwind` region: the submitter gets
-    /// a typed internal error, the worker thread survives.
+    /// Panic inside the job's `catch_unwind` region: the submitter gets a
+    /// typed internal error, the worker thread serves on.
     Panic,
-    /// Panic *outside* the protected region: the worker thread dies and the
-    /// supervisor must respawn it. The in-flight ticket still resolves
-    /// (typed internal error) via the engine's drop guard.
-    Death,
     /// Sleep this long before executing — an artificial service delay that
     /// wedges the worker, building queue depth and pushing queued tickets
     /// past their deadlines.
@@ -44,8 +42,6 @@ pub enum Fault {
 pub struct FaultCounts {
     /// Caught worker panics scheduled.
     pub panics: usize,
-    /// Worker deaths (respawn-requiring) scheduled.
-    pub deaths: usize,
     /// Service delays scheduled.
     pub delays: usize,
     /// Total submissions falling inside rejection windows (an upper bound:
@@ -83,12 +79,6 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules a worker death at execution slot `seq`.
-    pub fn death_at(mut self, seq: u64) -> Self {
-        self.exec.insert(seq, Fault::Death);
-        self
-    }
-
     /// Schedules a service delay of `delay` at execution slot `seq`.
     pub fn delay_at(mut self, seq: u64, delay: Duration) -> Self {
         self.exec.insert(seq, Fault::Delay(delay));
@@ -104,26 +94,18 @@ impl FaultPlan {
         self
     }
 
-    /// Places `panics` caught panics, `deaths` worker deaths, and `delays`
-    /// service delays (each sleeping `delay`) pseudo-randomly across
-    /// execution slots `[0, span)`, deterministically from `seed`.
-    /// Collisions resolve by probing the next free slot, so the requested
-    /// counts are exact whenever `span` has room for them.
-    pub fn scattered(
-        seed: u64,
-        span: u64,
-        panics: usize,
-        deaths: usize,
-        delays: usize,
-        delay: Duration,
-    ) -> Self {
+    /// Places `panics` caught panics and `delays` service delays (each
+    /// sleeping `delay`) pseudo-randomly across execution slots
+    /// `[0, span)`, deterministically from `seed`. Collisions resolve by
+    /// probing the next free slot, so the requested counts are exact
+    /// whenever `span` has room for them.
+    pub fn scattered(seed: u64, span: u64, panics: usize, delays: usize, delay: Duration) -> Self {
         // 2·seed+1: odd (so never zero, as xorshift requires) and
         // injective (so adjacent seeds do not collapse to one stream).
         let mut state = seed.wrapping_mul(2).wrapping_add(1);
         let mut plan = FaultPlan::new();
         let span = span.max(1);
         let wanted: Vec<Fault> = std::iter::repeat_n(Fault::Panic, panics)
-            .chain(std::iter::repeat_n(Fault::Death, deaths))
             .chain(std::iter::repeat_n(Fault::Delay(delay), delays))
             .collect();
         for fault in wanted {
@@ -159,7 +141,6 @@ impl FaultPlan {
         for fault in self.exec.values() {
             match fault {
                 Fault::Panic => counts.panics += 1,
-                Fault::Death => counts.deaths += 1,
                 Fault::Delay(_) => counts.delays += 1,
             }
         }
@@ -181,11 +162,9 @@ mod tests {
     fn explicit_schedule_triggers_exactly_where_placed() {
         let plan = FaultPlan::new()
             .panic_at(3)
-            .death_at(7)
             .delay_at(9, Duration::from_millis(5))
             .reject_window(10, 12);
         assert_eq!(plan.at_execution(3), Some(Fault::Panic));
-        assert_eq!(plan.at_execution(7), Some(Fault::Death));
         assert_eq!(
             plan.at_execution(9),
             Some(Fault::Delay(Duration::from_millis(5)))
@@ -196,19 +175,19 @@ mod tests {
         assert!(plan.rejects_submit(11));
         assert!(!plan.rejects_submit(12));
         let counts = plan.counts();
-        assert_eq!((counts.panics, counts.deaths, counts.delays), (1, 1, 1));
+        assert_eq!((counts.panics, counts.delays), (1, 1));
         assert_eq!(counts.rejected_submits, 2);
         assert_eq!(plan.last_execution_fault(), Some(9));
     }
 
     #[test]
     fn scattered_is_deterministic_and_exact() {
-        let a = FaultPlan::scattered(42, 100, 3, 1, 2, Duration::from_millis(1));
-        let b = FaultPlan::scattered(42, 100, 3, 1, 2, Duration::from_millis(1));
+        let a = FaultPlan::scattered(42, 100, 3, 2, Duration::from_millis(1));
+        let b = FaultPlan::scattered(42, 100, 3, 2, Duration::from_millis(1));
         assert_eq!(a.exec, b.exec, "same seed, same schedule");
         let counts = a.counts();
-        assert_eq!((counts.panics, counts.deaths, counts.delays), (3, 1, 2));
-        let c = FaultPlan::scattered(43, 100, 3, 1, 2, Duration::from_millis(1));
+        assert_eq!((counts.panics, counts.delays), (3, 2));
+        let c = FaultPlan::scattered(43, 100, 3, 2, Duration::from_millis(1));
         assert_ne!(a.exec, c.exec, "different seed, different placement");
         assert!(a.last_execution_fault().unwrap() < 100);
     }

@@ -14,21 +14,23 @@
 //!   cache forward via [`advance_snapshot`] instead of rebuilding it),
 //!   failing with a typed [`AdvanceError`] that leaves the serving
 //!   snapshot untouched.
-//! * [`Engine`] — supervised worker threads, each owning its scratch, fed
+//! * [`Engine`] — worker threads, each owning its scratch, fed
 //!   by per-worker bounded queues with work stealing. Submission validates
 //!   input at the boundary and applies backpressure
 //!   ([`QueryError::Saturated`]) instead of growing without bound;
 //!   [`Engine::publish`] swaps the active snapshot epoch-style — readers
 //!   never block, in-flight queries finish against the epoch they started
 //!   with. Every accepted [`Ticket`] resolves exactly once, with an answer
-//!   or a typed [`QueryError`] — through deadlines, cancellation, worker
-//!   panics, worker deaths, and shutdown (the failure model is documented
-//!   on [`engine`]).
+//!   or a typed [`QueryError`] — through deadlines, cancellation, panics
+//!   (each job runs in one `catch_unwind` region), and shutdown (the
+//!   failure model is documented on [`engine`]).
 //! * [`RetryPolicy`] — the recommended client loop for `Saturated`:
 //!   bounded attempts with decorrelated-jitter backoff.
 //! * [`FaultPlan`] — deterministic, seedable fault injection (worker
-//!   panics, deaths, delays, queue-full windows) keyed on the engine's own
+//!   panics, delays, queue-full windows) keyed on the engine's own
 //!   sequence numbers, for chaos tests that reproduce exactly.
+//! * [`PoisonLog`] — inputs blamed for worker panics, with the quarantine
+//!   that keeps a repeat offender away from the algorithm.
 //! * [`harness`] — open-loop load generation (arrivals on a fixed
 //!   schedule, independent of completions, the methodology that exposes
 //!   coordinated omission) and closed-loop saturation runs, summarized as
@@ -44,18 +46,18 @@ pub mod advance;
 pub mod engine;
 pub mod fault;
 pub mod harness;
+pub mod poison;
 pub mod retry;
-pub mod supervisor;
 
 pub use advance::{advance_snapshot, AdvanceError, AdvanceReport, ChurnOp};
 pub use engine::{
-    Engine, EngineConfig, EngineStats, Priority, QueryError, QueryInput, QueryRequest,
-    QueryResponse, Snapshot, Ticket,
+    Engine, EngineConfig, EngineStats, QueryError, QueryInput, QueryRequest, QueryResponse,
+    Snapshot, Ticket,
 };
 pub use fault::{Fault, FaultCounts, FaultPlan};
 pub use harness::{
     latency_summary, run_closed_loop, run_open_loop, ClosedLoopReport, LatencySummary,
     OpenLoopConfig, OpenLoopReport,
 };
+pub use poison::{PoisonKey, PoisonLog, PoisonPill};
 pub use retry::RetryPolicy;
-pub use supervisor::{PoisonKey, PoisonLog, PoisonPill};

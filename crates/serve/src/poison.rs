@@ -1,114 +1,13 @@
-//! Worker supervision and the poison-pill log.
+//! The poison-pill log: inputs blamed for worker panics.
 //!
-//! Two layers keep a panicking query from taking serving capacity with it:
-//!
-//! * **In-thread recovery** (in [`crate::engine`]'s worker loop): queries
-//!   run under `catch_unwind`, so an ordinary panic resolves one ticket
-//!   with a typed error and the thread lives on with rebuilt scratch.
-//! * **Thread-level supervision** (this module): a panic *outside* the
-//!   protected region kills the thread. Each worker holds a `Lifeline` —
-//!   a drop guard that reports the death to the supervisor thread, which
-//!   joins the corpse and respawns a replacement with the same worker
-//!   index. Serving capacity is restored without operator action, and the
-//!   dying worker's in-flight ticket was already resolved by the engine's
-//!   job guard.
-//!
-//! The [`PoisonLog`] closes the loop on *inputs* that keep panicking
-//! workers: each panic is blamed on the input that triggered it, and an
-//! input crossing the failure threshold (or tripping a worker's
-//! consecutive-failure breaker) is quarantined — later submissions of it
-//! resolve [`crate::QueryError::Internal`] straight from the queue,
-//! without risking another worker.
+//! Each panic caught in a worker job is blamed on the input that triggered
+//! it. An input crossing the per-input failure threshold (or tripping a
+//! worker's consecutive-failure breaker) is quarantined — later
+//! submissions of it resolve [`crate::QueryError::Internal`] straight from
+//! the queue, without reaching the algorithm again.
 
-use crate::engine::{lock_mutex, spawn_worker, wait_cv, QueryInput, Shared};
-use rknn_core::{Metric, PointId};
-use rknn_index::KnnIndex;
-use rknn_rdt::algorithm::RknnAlgorithm;
-use std::sync::atomic::Ordering::Relaxed;
-use std::sync::Arc;
-
-/// Drop guard armed at worker-thread birth: if the thread unwinds instead
-/// of returning, the guard's drop runs mid-unwind and reports the death to
-/// the supervisor. A clean exit [`disarm`](Lifeline::disarm)s it first.
-pub(crate) struct Lifeline<M, I, A> {
-    shared: Arc<Shared<M, I, A>>,
-    worker: usize,
-    armed: bool,
-}
-
-impl<M, I, A> Lifeline<M, I, A> {
-    /// Arms a lifeline for worker `worker`.
-    pub(crate) fn arm(shared: Arc<Shared<M, I, A>>, worker: usize) -> Self {
-        Lifeline {
-            shared,
-            worker,
-            armed: true,
-        }
-    }
-
-    /// The worker exited normally: no death to report.
-    pub(crate) fn disarm(mut self) {
-        self.armed = false;
-    }
-}
-
-impl<M, I, A> Drop for Lifeline<M, I, A> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let mut dead = lock_mutex(&self.shared.dead);
-        dead.push(self.worker);
-        self.shared.reap.notify_all();
-    }
-}
-
-/// Spawns the supervisor thread for `shared`.
-pub(crate) fn spawn_supervisor<M, I, A>(shared: Arc<Shared<M, I, A>>) -> std::thread::JoinHandle<()>
-where
-    M: Metric + 'static,
-    I: KnnIndex<M> + 'static,
-    A: RknnAlgorithm<M, I> + Send + Sync + 'static,
-{
-    std::thread::Builder::new()
-        .name("rknn-serve-supervisor".to_string())
-        .spawn(move || supervisor_loop(&shared))
-        .expect("spawn engine supervisor")
-}
-
-/// Waits for worker deaths and respawns each dead worker into its slot.
-/// Exits when the engine closes and no deaths are pending; deaths after
-/// that are covered by the engine's shutdown sweep (stranded tickets
-/// resolve `Closed`).
-fn supervisor_loop<M, I, A>(shared: &Arc<Shared<M, I, A>>)
-where
-    M: Metric + 'static,
-    I: KnnIndex<M> + 'static,
-    A: RknnAlgorithm<M, I> + Send + Sync + 'static,
-{
-    loop {
-        let died: Vec<usize> = {
-            let mut dead = lock_mutex(&shared.dead);
-            while dead.is_empty() && shared.open.load(Relaxed) {
-                dead = wait_cv(&shared.reap, dead);
-            }
-            dead.drain(..).collect()
-        };
-        if died.is_empty() {
-            // Woken by close with nothing to reap: supervision over.
-            return;
-        }
-        for w in died {
-            // Join the corpse first so its slot is free, then respawn.
-            let corpse = lock_mutex(&shared.handles)[w].take();
-            if let Some(handle) = corpse {
-                let _ = handle.join();
-            }
-            spawn_worker(shared, w);
-            shared.respawns.fetch_add(1, Relaxed);
-        }
-    }
-}
+use crate::engine::QueryInput;
+use rknn_core::PointId;
 
 /// How the poison log identifies an input: dataset ids directly,
 /// coordinate queries by their exact bit patterns (so a resubmitted

@@ -69,7 +69,7 @@ pub mod prelude {
         RknnAlgorithm, RknnAnswer, UpdateReport,
     };
     pub use rknn_serve::{
-        Engine, EngineConfig, FaultPlan, Priority, QueryError, QueryRequest, QueryResponse,
-        RetryPolicy, Snapshot, Ticket,
+        Engine, EngineConfig, FaultPlan, QueryError, QueryRequest, QueryResponse, RetryPolicy,
+        Snapshot, Ticket,
     };
 }

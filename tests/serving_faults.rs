@@ -1,7 +1,7 @@
 //! Fault tolerance: the serving engine keeps its contract — every accepted
 //! ticket resolves exactly once, with an answer or a *typed* error — while
-//! queries panic, workers die, deadlines expire, queues saturate, and the
-//! engine shuts down underneath blocked producers.
+//! queries panic, deadlines expire, queues saturate, and the engine shuts
+//! down underneath blocked producers.
 //!
 //! The invariants under test, from the failure model documented on
 //! `rknn::serve::engine`:
@@ -11,9 +11,10 @@
 //!    byte-identical to the sequential driver;
 //! 2. an input that repeatedly kills workers is quarantined (the poison-pill
 //!    log names it), so one bad query cannot grind the engine down forever;
-//! 3. a worker death (panic outside the protected region) resolves the
-//!    in-flight ticket via the drop guard and the supervisor respawns the
-//!    thread — the engine serves again without intervention;
+//! 3. the protected region spans the whole job: a panic in an answer's
+//!    accessors or the algorithm's name — after the query itself returned
+//!    — still resolves the ticket `Internal`, and the same worker serves
+//!    the next query;
 //! 4. deadlines resolve tickets as [`QueryError::DeadlineExceeded`] whether
 //!    they expire in queue or in flight;
 //! 5. `close()` wakes producers spinning on a saturated queue with
@@ -23,7 +24,7 @@
 //!    as terminal.
 
 use proptest::prelude::*;
-use rknn::core::{Dataset, Euclidean, Neighbor, PointId};
+use rknn::core::{Dataset, Euclidean, Neighbor, PointId, SearchStats};
 use rknn::index::{KnnIndex, LinearScan};
 use rknn::rdt::algorithm::{AlgorithmAnswer, RdtAlgorithm, RknnAlgorithm};
 use rknn::rdt::RdtParams;
@@ -168,7 +169,57 @@ fn rdt_engine(
     )
 }
 
+/// An algorithm whose *accessors* panic: the query itself returns, then
+/// `AlgorithmAnswer::work()` panics for the victim's answer and `name()`
+/// panics always — both reached while the worker builds the outcome, after
+/// the algorithm has finished. Keeps the default `query_at` (`None`), so a
+/// coordinate query fails on the `name()` path of the `Unsupported` error.
+struct PanickyAccessors {
+    victim: PointId,
+}
+
+struct PanickyAnswer {
+    result: Vec<Neighbor>,
+    poisoned: bool,
+}
+
+impl AlgorithmAnswer for PanickyAnswer {
+    fn neighbors(&self) -> &[Neighbor] {
+        &self.result
+    }
+
+    fn work(&self) -> SearchStats {
+        assert!(
+            !self.poisoned,
+            "injected fault: work() of a poisoned answer"
+        );
+        SearchStats::default()
+    }
+}
+
+impl RknnAlgorithm<Euclidean, LinearScan<Euclidean>> for PanickyAccessors {
+    type Worker = ();
+    type Answer = PanickyAnswer;
+
+    fn name(&self) -> String {
+        panic!("injected fault: name()")
+    }
+
+    fn make_worker(&self, _index: &LinearScan<Euclidean>) {}
+
+    fn query(&self, _index: &LinearScan<Euclidean>, q: PointId, _worker: &mut ()) -> PanickyAnswer {
+        PanickyAnswer {
+            result: vec![Neighbor::new(q, 0.0)],
+            poisoned: q == self.victim,
+        }
+    }
+}
+
 const WATCHDOG: Duration = Duration::from_secs(20);
+
+/// How long a ticket whose job panicked may take to resolve: far below the
+/// watchdog, so a lost ticket fails on its own assertion.
+const PROMPT: Duration = Duration::from_secs(5);
 
 /// A ticket under a fault schedule must still resolve; the watchdog turns
 /// a lost ticket into a test failure instead of a hang.
@@ -244,10 +295,6 @@ fn repeat_offender_inputs_are_quarantined_and_named_in_the_poison_log() {
         EngineConfig {
             workers: 1,
             queue_capacity: 8,
-            poison_threshold: 2,
-            // Keep the consecutive-failure breaker out of the way so the
-            // per-input threshold is what trips.
-            breaker_threshold: 100,
             ..EngineConfig::default()
         },
     );
@@ -289,39 +336,67 @@ fn repeat_offender_inputs_are_quarantined_and_named_in_the_poison_log() {
 }
 
 #[test]
-fn the_supervisor_respawns_a_dead_worker_and_service_resumes() {
+fn a_panic_while_building_the_response_resolves_the_ticket() {
     silence_expected_panics();
-    let engine = rdt_engine(
-        30,
-        2,
+    let (n, victim) = (20, 4usize);
+    let engine = Engine::new(
+        Snapshot::prepare(
+            0,
+            LinearScan::build(grid_dataset(n), Euclidean),
+            PanickyAccessors { victim },
+        ),
         EngineConfig {
             workers: 1,
             queue_capacity: 8,
-            faults: Some(Arc::new(FaultPlan::new().death_at(0))),
             ..EngineConfig::default()
         },
     );
-    // Execution slot 0 kills the only worker mid-query: the drop guard
-    // still resolves the ticket, typed.
-    match resolve(&engine.submit(0usize).expect("admitted")) {
+    // The victim's query returns; its answer's `work()` panics while the
+    // worker builds the response.
+    let ticket = engine.submit(victim).expect("admitted");
+    match ticket
+        .wait_timeout(PROMPT)
+        .expect("the ticket resolves promptly instead of being lost")
+    {
         Err(QueryError::Internal { reason, .. }) => {
-            assert!(reason.contains("died"), "{reason}")
+            assert!(reason.contains("query panicked"), "{reason}")
         }
-        other => panic!("the in-flight ticket resolves Internal, got {other:?}"),
+        other => panic!("a panicking work() resolves Internal, got {other:?}"),
     }
-    // The supervisor respawns the thread; subsequent queries answer.
-    for q in 1..6usize {
-        let r = resolve(&engine.submit(q).expect("admitted")).expect("post-respawn queries answer");
-        assert_eq!(r.point_id(), Some(q));
+    let stats = engine.stats();
+    assert_eq!(
+        (stats.completed, stats.failed, stats.panics),
+        (0, 1, 1),
+        "the stats count the failure, not a delivery"
+    );
+    // A coordinate query: the default `query_at` declines, and `name()`
+    // panics while the worker builds the `Unsupported` error.
+    let coords = engine.snapshot().index().point(0).to_vec();
+    let ticket = engine
+        .submit(QueryRequest::coords(coords))
+        .expect("admitted");
+    match ticket.wait_timeout(PROMPT).expect("resolves promptly") {
+        Err(QueryError::Internal { reason, .. }) => {
+            assert!(reason.contains("name()"), "{reason}")
+        }
+        other => panic!("a panicking name() resolves Internal, got {other:?}"),
     }
+    // The single worker serves on.
+    let r = engine
+        .submit(3usize)
+        .expect("admitted")
+        .wait_timeout(PROMPT)
+        .expect("resolves promptly")
+        .expect("a healthy query answers on the same worker");
+    assert_eq!(r.point_id(), Some(3));
+    assert_eq!(r.worker, 0);
     let stats = engine.shutdown();
-    assert!(stats.respawns >= 1, "the supervisor acted");
-    assert!(stats.panics >= 1);
+    assert_eq!((stats.completed, stats.failed, stats.panics), (1, 2, 2));
     assert_eq!(stats.submitted, stats.completed + stats.failed);
 }
 
 #[test]
-fn a_deadline_shed_job_does_not_swallow_a_scheduled_death() {
+fn a_deadline_shed_job_does_not_swallow_a_scheduled_fault() {
     silence_expected_panics();
     let engine = rdt_engine(
         30,
@@ -329,30 +404,29 @@ fn a_deadline_shed_job_does_not_swallow_a_scheduled_death() {
         EngineConfig {
             workers: 1,
             queue_capacity: 8,
-            faults: Some(Arc::new(FaultPlan::new().death_at(1))),
-            ..EngineConfig::default()
+            faults: Some(Arc::new(FaultPlan::new().panic_at(1))),
         },
     );
     // Slot 0 answers normally.
     resolve(&engine.submit(0usize).expect("admitted")).expect("slot 0 answers");
     // An already-expired job is shed at dequeue and takes no slot, so the
-    // death scheduled at slot 1 is still ahead of it.
+    // panic scheduled at slot 1 is still ahead of it.
     let expired = QueryRequest::point(1).with_deadline(std::time::Instant::now());
     match resolve(&engine.submit(expired).expect("admitted")) {
         Err(QueryError::DeadlineExceeded { .. }) => {}
         other => panic!("the expired job is shed, got {other:?}"),
     }
-    // The next executed job lands on slot 1 and kills the worker.
+    // The next executed job lands on slot 1 and panics.
     match resolve(&engine.submit(2usize).expect("admitted")) {
         Err(QueryError::Internal { reason, .. }) => {
-            assert!(reason.contains("died"), "{reason}")
+            assert!(reason.contains("query panicked"), "{reason}")
         }
-        other => panic!("slot 1 carries the scheduled death, got {other:?}"),
+        other => panic!("slot 1 carries the scheduled panic, got {other:?}"),
     }
-    let r = resolve(&engine.submit(3usize).expect("admitted")).expect("post-respawn answers");
+    let r = resolve(&engine.submit(3usize).expect("admitted")).expect("post-panic answers");
     assert_eq!(r.point_id(), Some(3));
     let stats = engine.shutdown();
-    assert_eq!(stats.respawns, 1, "exactly the scheduled death respawned");
+    assert_eq!(stats.panics, 1, "exactly the scheduled panic fired");
     assert_eq!(stats.deadline_exceeded, 1);
     assert_eq!(stats.submitted, stats.completed + stats.failed);
 }
@@ -372,7 +446,6 @@ fn in_flight_deadlines_resolve_as_deadline_exceeded() {
             faults: Some(Arc::new(
                 FaultPlan::new().delay_at(0, Duration::from_millis(80)),
             )),
-            ..EngineConfig::default()
         },
     );
     let ticket = engine
@@ -402,7 +475,6 @@ fn close_wakes_blocked_producers_and_every_queued_ticket_resolves() {
             faults: Some(Arc::new(
                 FaultPlan::new().delay_at(0, Duration::from_millis(300)),
             )),
-            ..EngineConfig::default()
         },
     );
     let mut tickets = vec![engine.submit(0usize).expect("first query admitted")];
@@ -490,7 +562,6 @@ fn retry_policy_is_bounded_under_saturation_and_terminal_on_closed() {
             faults: Some(Arc::new(
                 FaultPlan::new().delay_at(0, Duration::from_millis(800)),
             )),
-            ..EngineConfig::default()
         },
     );
     // Wedge the worker, fill the queue.
