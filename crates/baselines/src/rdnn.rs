@@ -11,10 +11,10 @@
 //! The structure answers exact RkNN queries *for the single `k` it was
 //! built with* — "an independent R-Tree would be required for each possible
 //! value of k" is precisely the limitation the paper holds against it —
-//! and its precomputation (a kNN query per point) dominates setup cost.
+//! and its precomputation (every point's kNN distance) dominates setup cost.
 
 use rknn_core::{Dataset, Metric, Neighbor, PointId, SearchStats};
-use rknn_index::{KnnIndex, RTree};
+use rknn_index::{knn_dists, KnnIndex, RTree};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,8 +28,9 @@ pub struct RdnnTree<M: Metric> {
 }
 
 impl<M: Metric + Clone> RdnnTree<M> {
-    /// Builds the tree: one `k`-NN query per point (served by `forward`)
-    /// followed by an aux-augmented R-tree bulk load.
+    /// Builds the tree: every point's `k`-NN distance in one batched pass
+    /// over `forward` ([`knn_dists`]), then an aux-augmented R-tree bulk
+    /// load.
     pub fn build<I>(ds: Arc<Dataset>, metric: M, k: usize, forward: &I) -> Self
     where
         I: KnnIndex<M> + ?Sized,
@@ -37,17 +38,11 @@ impl<M: Metric + Clone> RdnnTree<M> {
         assert!(k >= 1, "k must be positive");
         let start = Instant::now();
         let mut stats = SearchStats::new();
-        let mut dk = Vec::with_capacity(ds.len());
-        for i in 0..ds.len() {
-            let nn = forward.knn(ds.point(i), k, Some(i), &mut stats);
-            // Fewer than k other points ⇒ every query is a reverse neighbor.
-            let d = if nn.len() < k {
-                f64::INFINITY
-            } else {
-                nn[k - 1].dist
-            };
-            dk.push(d);
-        }
+        // Fewer than k other points ⇒ `d_k = +∞`: every query is a reverse
+        // neighbor.
+        let mut dk = vec![f64::INFINITY; ds.len()];
+        let ids: Vec<PointId> = (0..ds.len()).collect();
+        knn_dists(forward, &ids, k, &mut stats, |i, d| dk[i] = d[k - 1]);
         // The R-tree stores finite aux values; clamp the degenerate case.
         let max_finite = dk
             .iter()

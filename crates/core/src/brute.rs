@@ -134,14 +134,6 @@ impl<M: Metric> BruteForce<M> {
         sort_neighbors(&mut out);
         out
     }
-
-    /// kNN lists for every dataset point (self-excluding), as used by the
-    /// precomputation-heavy baselines. O(n²).
-    pub fn all_knn(&self, k: usize, stats: &mut SearchStats) -> Vec<Vec<Neighbor>> {
-        (0..self.ds.len())
-            .map(|i| self.knn(self.ds.point(i), k, Some(i), stats))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -255,16 +247,5 @@ mod tests {
         let bf2 = BruteForce::new(rest, Euclidean);
         let ext = bf2.rknn_external(&[1.0, 0.0], 2, &mut st);
         assert_eq!(member.len(), ext.len());
-    }
-
-    #[test]
-    fn all_knn_shape() {
-        let bf = BruteForce::new(grid(), Euclidean);
-        let mut st = SearchStats::new();
-        let all = bf.all_knn(3, &mut st);
-        assert_eq!(all.len(), 9);
-        for lists in &all {
-            assert_eq!(lists.len(), 3);
-        }
     }
 }

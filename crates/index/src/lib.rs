@@ -27,10 +27,16 @@
 //! cursor owns the best-first loop, uniform statistics, scratch reuse
 //! ([`rknn_core::TreeScratch`]), and threshold-pruned distance evaluation
 //! for bounded streams.
+//!
+//! All-points precomputation goes through one batched pass instead of a
+//! cursor per point: [`knn_dists`] answers a whole set of forward
+//! k-nearest-distance queries over a transient list of clusters
+//! ([`clusters`]), on any substrate.
 
 #![warn(missing_docs)]
 
 pub mod ball_tree;
+pub mod clusters;
 pub mod cover_tree;
 pub mod linear;
 pub mod mtree;
@@ -41,6 +47,7 @@ pub mod traversal;
 pub mod vp_tree;
 
 pub use ball_tree::BallTree;
+pub use clusters::knn_dists;
 pub use cover_tree::CoverTree;
 pub use linear::LinearScan;
 pub use mtree::MTree;

@@ -677,6 +677,10 @@ impl<M: Metric> KnnIndex<M> for RTree<M> {
         self.pool.is_alive(id)
     }
 
+    fn id_bound(&self) -> usize {
+        self.pool.total()
+    }
+
     fn dim(&self) -> usize {
         self.pool.dim()
     }

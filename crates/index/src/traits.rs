@@ -59,6 +59,15 @@ pub trait KnnIndex<M: Metric>: Send + Sync {
         id < self.num_points()
     }
 
+    /// One past the largest id ever assigned, live or not: the live ids
+    /// are exactly `(0..id_bound()).filter(|&id| has_point(id))`. The
+    /// default assumes a dense id space (`num_points()`); tombstoning
+    /// substrates override it with their pool's total, which counts ids
+    /// churned in past the live count.
+    fn id_bound(&self) -> usize {
+        self.num_points()
+    }
+
     /// Dimensionality of the indexed points.
     fn dim(&self) -> usize;
 

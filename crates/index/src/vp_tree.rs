@@ -320,6 +320,10 @@ impl<M: Metric> KnnIndex<M> for VpTree<M> {
         self.pool.is_alive(id)
     }
 
+    fn id_bound(&self) -> usize {
+        self.pool.total()
+    }
+
     fn dim(&self) -> usize {
         self.pool.dim()
     }

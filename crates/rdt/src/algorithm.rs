@@ -582,9 +582,14 @@ impl RdtAlgorithm {
 
     /// Prewarms up to `sample` verification thresholds during
     /// [`prepare`](RknnAlgorithm::prepare): a deterministic stride sample
-    /// of point ids gets its `d_k` computed eagerly, so a fresh snapshot's
-    /// first queries don't all pay the cold-cache `d_k` miss storm. `0`
-    /// (the default) disables prewarming. The work is charged to
+    /// of the live ids gets its `d_k` computed eagerly, so a fresh
+    /// snapshot's first queries don't all pay the cold-cache `d_k` miss
+    /// storm. The sample is answered in one batched pass
+    /// ([`DkCache::prewarm`]): `n·√n` distances to build a transient list
+    /// of clusters over the `n` live points, then a few thousand per
+    /// sampled point on clustered data, where one cursor per point costs
+    /// `n` each (`DESIGN.md` §3). `0` (the default) disables prewarming.
+    /// The work is charged to
     /// [`precompute_stats`](RknnAlgorithm::precompute_stats) /
     /// [`precompute_time`](RknnAlgorithm::precompute_time), keeping the
     /// precompute-vs-query cost split honest. No-op without `d_k` reuse.
@@ -695,23 +700,24 @@ where
 
     fn prepare(&mut self, index: &I) {
         let start = Instant::now();
-        let n = index.num_points();
-        self.cache = self.reuse_dk.then(|| DkCache::new(self.params.k, n));
+        let bound = index.id_bound();
+        self.cache = self.reuse_dk.then(|| DkCache::new(self.params.k, bound));
         self.prepare_stats = SearchStats::new();
         self.maint_time = Duration::ZERO;
         self.maint_stats = SearchStats::new();
-        if let Some(cache) = self.cache.as_ref() {
-            let sample = self.prewarm.min(n);
-            if sample > 0 {
-                // Deterministic stride sample: `sample` evenly spaced ids,
-                // so the warm set covers the id range independently of any
-                // RNG state and identically on every host.
-                let step = n.checked_div(sample).unwrap_or(1).max(1);
-                let mut scratch = rknn_core::CursorScratch::new();
-                for i in 0..sample {
-                    cache.dk_or_compute(index, i * step, &mut scratch, &mut self.prepare_stats);
-                }
-            }
+        if let Some(cache) = self.cache.as_ref().filter(|_| self.prewarm > 0) {
+            // Deterministic stride sample of the live ids, so the warm set
+            // covers them independently of any RNG state and identically
+            // on every host.
+            let mut ids: Vec<PointId> = (0..bound).filter(|&id| index.has_point(id)).collect();
+            let sample = self.prewarm.min(ids.len());
+            let step = ids.len().checked_div(sample).unwrap_or(1).max(1);
+            let mut pos = 0..;
+            ids.retain(|_| {
+                pos.next()
+                    .is_some_and(|i| i % step == 0 && i / step < sample)
+            });
+            cache.prewarm(index, &ids, &mut self.prepare_stats);
         }
         self.prepare_time = start.elapsed();
     }
@@ -974,6 +980,39 @@ mod tests {
         for (x, y) in a.answers.iter().zip(&b.answers) {
             assert_eq!(x.ids(), y.ids());
         }
+    }
+
+    #[test]
+    fn prepare_on_a_churned_index_caches_inserted_ids() {
+        use rknn_index::DynamicIndex;
+        let mut idx = index(50, 3, 408);
+        let id = idx.insert(&[0.5, 0.5, 0.5]).unwrap();
+        assert_eq!(id, 50);
+        assert!(idx.remove(7));
+        // Live count 50, ids up to 50: the cache must cover id 50.
+        let mut algo = RdtAlgorithm::new(RdtParams::new(4, 4.0));
+        RknnAlgorithm::<_, LinearScan<Euclidean>>::prepare(&mut algo, &idx);
+        let cache = algo.dk_cache().unwrap();
+        let mut scratch = rknn_core::CursorScratch::new();
+        let mut stats = SearchStats::new();
+        let first = cache.dk_or_compute(&idx, id, &mut scratch, &mut stats);
+        let again = cache.dk_or_compute(&idx, id, &mut scratch, &mut stats);
+        assert_eq!(first.to_bits(), again.to_bits());
+        assert_eq!(cache.hit_stats(), (1, 1), "the second lookup hits");
+
+        // A full prewarm covers every live id, the inserted one included,
+        // with the thresholds a per-point lookup computes.
+        let mut warm = RdtAlgorithm::new(RdtParams::new(4, 4.0)).with_prewarm(50);
+        RknnAlgorithm::<_, LinearScan<Euclidean>>::prepare(&mut warm, &idx);
+        let cache = warm.dk_cache().unwrap();
+        assert_eq!(cache.filled(), 50);
+        let reference = DkCache::new(4, 51);
+        for live in (0..51).filter(|&x| x != 7) {
+            let dk = cache.dk_or_compute(&idx, live, &mut scratch, &mut stats);
+            let want = reference.dk_or_compute(&idx, live, &mut scratch, &mut stats);
+            assert_eq!(dk.to_bits(), want.to_bits(), "id {live}");
+        }
+        assert_eq!(cache.hit_stats(), (50, 0));
     }
 
     #[test]

@@ -177,7 +177,8 @@ impl DkCache {
         self.k
     }
 
-    /// `(hits, misses)` so far.
+    /// `(hits, misses)` of [`DkCache::dk_or_compute`] lookups so far;
+    /// [`DkCache::prewarm`] counts as neither.
     pub fn hit_stats(&self) -> (u64, u64) {
         use std::sync::atomic::Ordering::Relaxed;
         (self.hits.load(Relaxed), self.misses.load(Relaxed))
@@ -242,6 +243,26 @@ impl DkCache {
         }
         self.misses.fetch_add(1, Relaxed);
         dk
+    }
+
+    /// Computes and stores `d_k` for every id in `ids` with one batched
+    /// forward pass ([`rknn_index::knn_dists`]), charging its work to
+    /// `stats`. Stored thresholds are bit-identical to the ones
+    /// [`DkCache::dk_or_compute`] would compute; ids beyond the cache's
+    /// range are computed but not stored. Not a lookup, so the hit and
+    /// miss counters are untouched.
+    pub fn prewarm<M, I>(&self, index: &I, ids: &[PointId], stats: &mut SearchStats)
+    where
+        M: Metric,
+        I: KnnIndex<M> + ?Sized,
+    {
+        use std::sync::atomic::Ordering::Relaxed;
+        rknn_index::knn_dists(index, ids, self.k, stats, |id, dists| {
+            let dk = dists.last().copied().unwrap_or(f64::INFINITY);
+            if let Some(slot) = self.vals.get(id) {
+                slot.store(dk.to_bits(), Relaxed);
+            }
+        });
     }
 
     /// Extends the cached id range to `n` slots (new slots unset), so

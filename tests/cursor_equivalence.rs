@@ -31,14 +31,26 @@
 //!   and after compaction, and a clone's inserts leave the original's
 //!   stream untouched.
 //!
+//! * the **batched forward pass** (`rknn_index::knn_dists`, the list of
+//!   clusters behind every all-points precomputation) gives each query
+//!   the first `k` distances of its bounded cursor bit for bit, `+∞` past
+//!   the live count — on duplicate points, exact ties at the k-th
+//!   distance, query subsets, one and two points, churned scans and VP
+//!   trees, and all four metrics.
+//!
 //! All assertions run on whatever kernel backend dispatch selects; CI
 //! reruns this suite with `RKNN_KERNEL=scalar` (and `RKNN_KERNEL=avx2` on
 //! capable hosts) pinned, so the same byte-identity contracts are checked
 //! under every backend.
 
 use proptest::prelude::*;
-use rknn_core::{CursorScratch, Dataset, Euclidean, Neighbor, SearchStats};
-use rknn_index::{BallTree, CoverTree, DynamicIndex, KnnIndex, LinearScan, MTree, RTree, VpTree};
+use rknn_core::{
+    Chebyshev, CursorScratch, Dataset, Euclidean, Manhattan, Metric, Minkowski, Neighbor,
+    SearchStats,
+};
+use rknn_index::{
+    knn_dists, BallTree, CoverTree, DynamicIndex, KnnIndex, LinearScan, MTree, RTree, VpTree,
+};
 use std::sync::Arc;
 
 /// Builds a dataset on the half-integer grid `{0, 0.5, …, 4}` from raw
@@ -97,6 +109,79 @@ fn check_stream_against_scan(
     };
     assert_eq!(bits(&sorted), bits(&reference), "{name}: table diverged");
     stream
+}
+
+/// Checks [`knn_dists`] on `idx` against every query's bounded cursor:
+/// each query reaches the sink once, with the cursor's first `k`
+/// distances bit for bit and `+∞` past the end of its stream.
+fn check_knn_dists<M: Metric, I: KnnIndex<M>>(idx: &I, queries: &[usize], k: usize) {
+    let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut got = vec![None; idx.id_bound()];
+    let mut stats = SearchStats::new();
+    knn_dists(idx, queries, k, &mut stats, |q, d| {
+        assert!(got[q].replace(bits(d)).is_none(), "q={q} answered twice");
+    });
+    let mut scratch = CursorScratch::new();
+    for &q in queries {
+        let mut want: Vec<f64> = drain(
+            &mut *idx.cursor_bounded(idx.point(q), Some(q), k, &mut scratch),
+            k,
+        )
+        .iter()
+        .map(|n| n.dist)
+        .collect();
+        want.resize(k, f64::INFINITY);
+        assert_eq!(
+            got[q].take(),
+            Some(bits(&want)),
+            "{} q={q} k={k}",
+            idx.name()
+        );
+    }
+}
+
+/// Runs [`check_knn_dists`] under `metric` on a scan and a VP tree over
+/// `ds`, then again after both take the same churn: `inserted` rows
+/// appended (ids past the original count) and every `remove_every`-th id
+/// tombstoned. Queries are the ids `i` with `i % every == 0`, tombstoned
+/// ones included; `k_sel` picks `k` from `0..=live + 2`, so `k` may exceed
+/// the live count.
+fn check_knn_dists_under<M: Metric + Clone>(
+    metric: M,
+    ds: &Arc<Dataset>,
+    (inserted, remove_every, every, k_sel): (&[Vec<f64>], usize, usize, usize),
+) {
+    let mut scan = LinearScan::build(ds.clone(), metric.clone());
+    let mut vp = VpTree::build(ds.clone(), metric);
+    for churned in [false, true] {
+        if churned {
+            for row in inserted {
+                let id = scan.insert(row).expect("insert");
+                assert_eq!(vp.insert(row).expect("insert"), id);
+            }
+            for id in (0..scan.id_bound()).step_by(remove_every) {
+                assert!(scan.remove(id) && vp.remove(id));
+            }
+        }
+        let queries: Vec<usize> = (0..scan.id_bound()).step_by(every).collect();
+        let k = k_sel % (scan.num_points() + 3);
+        check_knn_dists(&scan, &queries, k);
+        check_knn_dists(&vp, &queries, k);
+    }
+}
+
+#[test]
+fn batched_knn_dists_cover_one_and_two_points() {
+    for rows in [vec![vec![1.0, 2.0]], vec![vec![1.0, 2.0], vec![1.0, 2.0]]] {
+        let ds = Dataset::from_rows(&rows).unwrap().into_shared();
+        let ids: Vec<usize> = (0..rows.len()).collect();
+        for k in 0..4 {
+            check_knn_dists(&LinearScan::build(ds.clone(), Euclidean), &ids, k);
+            check_knn_dists(&VpTree::build(ds.clone(), Manhattan), &ids, k);
+            check_knn_dists(&LinearScan::build(ds.clone(), Chebyshev), &ids, k);
+            check_knn_dists(&VpTree::build(ds.clone(), Minkowski::new(3.0)), &ids, k);
+        }
+    }
 }
 
 #[test]
@@ -344,5 +429,37 @@ proptest! {
         prop_assert!(tree.check_invariants());
         prop_assert_eq!(tree.node_count(), linear.num_points());
         check_stream_against_scan(&tree, &linear, &q);
+    }
+
+    #[test]
+    fn batched_knn_dists_equal_bounded_cursor_prefixes(
+        levels in proptest::collection::vec(0u8..9, 8..160),
+        inserted in proptest::collection::vec(0u8..9, 0..40),
+        dim in 1usize..5,
+        spread in 0u8..2,
+        remove_every in 3usize..7,
+        every in 1usize..4,
+        k_sel in 0usize..64,
+    ) {
+        // On the half-integer grid, duplicate points and ties at the k-th
+        // distance are common. A spread of 40 shifts every row `i` by
+        // `(i % 4)·40`, making four far-apart clusters whose buckets the
+        // batched pass prunes.
+        let grid = grid_dataset(&levels, dim);
+        let shift = |i: usize| f64::from(spread) * 40.0 * (i % 4) as f64;
+        let rows: Vec<Vec<f64>> = (0..grid.len())
+            .map(|i| grid.point(i).iter().map(|&x| x + shift(i)).collect())
+            .collect();
+        let ds = Dataset::from_rows(&rows).unwrap().into_shared();
+        let inserted: Vec<Vec<f64>> = inserted
+            .chunks_exact(dim)
+            .enumerate()
+            .map(|(i, row)| row.iter().map(|&v| f64::from(v) * 0.5 + shift(i)).collect())
+            .collect();
+        let churn = (&inserted[..], remove_every, every, k_sel);
+        check_knn_dists_under(Euclidean, &ds, churn);
+        check_knn_dists_under(Manhattan, &ds, churn);
+        check_knn_dists_under(Chebyshev, &ds, churn);
+        check_knn_dists_under(Minkowski::new(3.0), &ds, churn);
     }
 }
