@@ -2,7 +2,10 @@
 //!
 //! Supports `--key value` pairs and positional arguments. Deliberately
 //! small: the CLI surface is a handful of flags per subcommand, not worth a
-//! parser dependency under this workspace's dependency policy.
+//! parser dependency under this workspace's dependency policy. Each
+//! subcommand declares what it accepts through [`Args::accept`], so a
+//! misspelled or retired option is an error instead of silently falling
+//! back to a default.
 
 use std::collections::HashMap;
 
@@ -83,6 +86,34 @@ impl Args {
     pub fn has_flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
     }
+
+    /// Refuses anything the subcommand does not accept: an option outside
+    /// `options`, a flag outside `flags`, a declared flag given a value, a
+    /// declared option given none, or a positional argument after the
+    /// subcommand. The error names the offending argument; with several,
+    /// the alphabetically first option or flag.
+    pub fn accept(&self, options: &[&str], flags: &[&str]) -> Result<(), String> {
+        let command = self.command.as_deref().unwrap_or_default();
+        if let Some(extra) = self.positional.first() {
+            return Err(format!("unexpected argument '{extra}' for '{command}'"));
+        }
+        let mut given: Vec<(&str, Option<&str>)> = self
+            .options
+            .iter()
+            .map(|(k, v)| (k.as_str(), Some(v.as_str())))
+            .chain(self.flags.iter().map(|f| (f.as_str(), None)))
+            .collect();
+        given.sort_unstable();
+        for (key, value) in given {
+            match (options.contains(&key), flags.contains(&key), value) {
+                (true, _, Some(_)) | (_, true, None) => {}
+                (true, _, None) => return Err(format!("option --{key} needs a value")),
+                (_, true, Some(v)) => return Err(format!("--{key} takes no value, got '{v}'")),
+                _ => return Err(format!("unknown option --{key} for '{command}'")),
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -121,6 +152,39 @@ mod tests {
         let a = parse("gen --n abc");
         assert!(a.get_parsed::<usize>("n", 1).is_err());
         assert!(Args::parse(vec!["--".to_string()]).is_err());
+    }
+
+    #[test]
+    fn accept_refuses_what_the_subcommand_does_not_declare() {
+        let accept = |line: &str| parse(line).accept(&["input", "k", "t"], &["adaptive"]);
+        assert_eq!(accept("query --input b.csv --k 5 --adaptive"), Ok(()));
+        assert_eq!(accept("query"), Ok(()));
+        // A misspelled option and a retired one: the first is named.
+        assert_eq!(
+            accept("query --input b.csv --k 5 --substrat linear --tier fast"),
+            Err("unknown option --substrat for 'query'".into())
+        );
+        assert_eq!(
+            accept("query --k 5 --tier fast"),
+            Err("unknown option --tier for 'query'".into())
+        );
+        assert_eq!(
+            accept("query --k 5 --verbose"),
+            Err("unknown option --verbose for 'query'".into())
+        );
+        // Declared names used the wrong way round.
+        assert_eq!(
+            accept("query --input b.csv --k"),
+            Err("option --k needs a value".into())
+        );
+        assert_eq!(
+            accept("query --adaptive 3"),
+            Err("--adaptive takes no value, got '3'".into())
+        );
+        assert_eq!(
+            accept("query extra --k 5"),
+            Err("unexpected argument 'extra' for 'query'".into())
+        );
     }
 
     #[test]

@@ -37,6 +37,14 @@ fn kernel_selection(args: &Args) -> Result<String, String> {
     Ok(format!("kernel {}", ops.backend().name()))
 }
 
+/// The options [`load_dataset`] reads, accepted by every command that
+/// takes a dataset.
+const DATA: &[&str] = &["input", "data", "limit", "dims"];
+
+/// The options [`kernel_selection`] and [`Substrate::build`] (or a
+/// command's own substrate switch) read.
+const INDEX: &[&str] = &["kernel", "substrate"];
+
 /// Loads the dataset named by `--input` (or its alias `--data`), honoring
 /// `--limit N` (keep the first N rows while reading — large files are never
 /// materialized whole) and `--dims D` (keep the leading D coordinates).
@@ -73,6 +81,10 @@ fn load_dataset(args: &Args) -> Result<Arc<Dataset>, String> {
 
 /// `gen`: write a synthetic dataset to disk.
 pub fn gen(args: &Args) -> Result<(), String> {
+    args.accept(
+        &["kind", "n", "seed", "out", "dim", "clusters", "sigma"],
+        &[],
+    )?;
     let kind = args.require("kind")?;
     let n: usize = args.get_parsed("n", 10_000)?;
     let seed: u64 = args.get_parsed("seed", 1)?;
@@ -105,6 +117,7 @@ pub fn gen(args: &Args) -> Result<(), String> {
 
 /// `estimate`: run all intrinsic-dimensionality estimators.
 pub fn estimate(args: &Args) -> Result<(), String> {
+    args.accept(DATA, &[])?;
     let ds = load_dataset(args)?;
     println!("dataset: {} points × {} dims", ds.len(), ds.dim());
     println!(
@@ -183,6 +196,8 @@ where
 /// `query`: one reverse-kNN query, dispatched through the unified
 /// [`RknnAlgorithm`] lifecycle (prepare → worker → query) for every method.
 pub fn query(args: &Args) -> Result<(), String> {
+    let own = ["q", "k", "method", "t", "safety", "alpha", "kmax"];
+    args.accept(&[DATA, INDEX, &own].concat(), &["adaptive"])?;
     let ds = load_dataset(args)?;
     let q: usize = args.get_parsed("q", 0)?;
     if q >= ds.len() {
@@ -321,6 +336,10 @@ where
 /// file — the CLI face of the snapshot's `algorithms` section, pointable
 /// at real `.fvecs`/`.idx` data via `--data --limit --dims`.
 pub fn bench(args: &Args) -> Result<(), String> {
+    let own = [
+        "k", "t", "alpha", "kmax", "queries", "seed", "threads", "methods",
+    ];
+    args.accept(&[DATA, INDEX, &own].concat(), &[])?;
     let ds = load_dataset(args)?;
     let k: usize = args.get_parsed("k", 10)?;
     if k == 0 {
@@ -414,6 +433,8 @@ pub fn bench(args: &Args) -> Result<(), String> {
 /// all-points stream ([`MaintainedStream`]) on a dynamic substrate, priced
 /// per update against rebuilding the whole answer table from scratch.
 pub fn churn(args: &Args) -> Result<(), String> {
+    let own = ["k", "t", "updates", "seed", "threads"];
+    args.accept(&[DATA, INDEX, &own].concat(), &[])?;
     let ds = load_dataset(args)?;
     let k: usize = args.get_parsed("k", 10)?;
     if k == 0 {
@@ -581,6 +602,16 @@ pub fn serve(args: &Args) -> Result<(), String> {
 /// [`serve`] against caller-supplied streams, so tests (and the CI smoke)
 /// can drive the REPL without a terminal.
 pub fn serve_io<R: BufRead, W: Write>(args: &Args, input: R, out: &mut W) -> Result<(), String> {
+    let own = [
+        "k",
+        "t",
+        "threads",
+        "queue-cap",
+        "prewarm",
+        "deadline-ms",
+        "chaos",
+    ];
+    args.accept(&[DATA, INDEX, &own].concat(), &[])?;
     let ds = load_dataset(args)?;
     let k: usize = args.get_parsed("k", 10)?;
     if k == 0 {
@@ -864,6 +895,7 @@ where
 /// `hubness`: distribution of reverse-neighbor counts (§1's hubness
 /// application \[46\]).
 pub fn hubness(args: &Args) -> Result<(), String> {
+    args.accept(&[DATA, INDEX, &["k", "t"]].concat(), &[])?;
     let ds = load_dataset(args)?;
     let k: usize = args.get_parsed("k", 10)?;
     if k == 0 {
@@ -919,6 +951,7 @@ pub fn hubness(args: &Args) -> Result<(), String> {
 
 /// `info`: dataset summary.
 pub fn info(args: &Args) -> Result<(), String> {
+    args.accept(DATA, &[])?;
     let ds = load_dataset(args)?;
     println!("points: {}", ds.len());
     println!("dims:   {}", ds.dim());
@@ -1273,6 +1306,69 @@ mod tests {
             "t",
         );
         assert!(hubness(&args(&format!("hubness --input {path} --k 0"))).is_err());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn every_command_refuses_options_it_does_not_declare() {
+        let path = tmp("rknn_cli_unknown.csv");
+        gen(&args(&format!(
+            "gen --kind uniform --n 20 --dim 2 --out {path}"
+        )))
+        .unwrap();
+        let refused = |result: Result<(), String>, want: &str| {
+            assert_eq!(result, Err(want.to_string()));
+        };
+        // A misspelled --substrate and the retired --tier: neither may
+        // silently fall back to a default.
+        refused(
+            query(&args(&format!(
+                "query --input {path} --q 3 --k 5 --substrat linear --tier fast"
+            ))),
+            "unknown option --substrat for 'query'",
+        );
+        refused(
+            query(&args(&format!("query --input {path} --k 3 --tier fast"))),
+            "unknown option --tier for 'query'",
+        );
+        refused(
+            gen(&args(&format!(
+                "gen --kind uniform --out {path} --n 9 --dims 3"
+            ))),
+            "unknown option --dims for 'gen'",
+        );
+        refused(
+            info(&args(&format!("info --input {path} --k 3"))),
+            "unknown option --k for 'info'",
+        );
+        refused(
+            estimate(&args(&format!("estimate --input {path} --t 3"))),
+            "unknown option --t for 'estimate'",
+        );
+        refused(
+            bench(&args(&format!("bench --input {path} --k 3 --method rdt"))),
+            "unknown option --method for 'bench'",
+        );
+        refused(
+            churn(&args(&format!("churn --input {path} --k 3 --queries 4"))),
+            "unknown option --queries for 'churn'",
+        );
+        refused(
+            hubness(&args(&format!("hubness --input {path} --adaptive"))),
+            "unknown option --adaptive for 'hubness'",
+        );
+        refused(
+            serve_io(
+                &args(&format!("serve --input {path} --k 3 --queue-capacity 8")),
+                "quit\n".as_bytes(),
+                &mut Vec::new(),
+            ),
+            "unknown option --queue-capacity for 'serve'",
+        );
+        refused(
+            query(&args(&format!("query --input {path} --k 3 --adaptive 2"))),
+            "--adaptive takes no value, got '2'",
+        );
         let _ = std::fs::remove_file(&path);
     }
 }

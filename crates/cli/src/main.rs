@@ -21,6 +21,10 @@
 //! `--limit N` keeps the first N rows while reading and `--dims D` keeps the
 //! leading D coordinates, so a million-row file slices down without ever
 //! being materialized whole.
+//!
+//! Each subcommand accepts only its own options: a misspelled or unknown
+//! option, a value after a bare flag, a missing value or a stray argument
+//! exits 1 with an `error:` line naming it.
 
 mod args;
 mod commands;
@@ -34,6 +38,7 @@ rknn-cli — reverse k-nearest neighbor search by dimensional testing
 USAGE:
   rknn-cli gen      --kind <sequoia|aloi|fct|mnist|imagenet|uniform|blobs>
                     --n <points> --out <file[.csv|.fvb]> [--seed S] [--dim D]
+                    [--clusters C] [--sigma S]  (blobs)
   rknn-cli estimate --input <file>            intrinsic-dimensionality estimates
   rknn-cli query    --input <file> --q <id> --k <rank>
                     [--t <scale> | --adaptive]
@@ -53,7 +58,7 @@ USAGE:
                     priced per update against rebuild-from-scratch
   rknn-cli serve    --input <file> --k <rank> [--t <scale>] [--threads T]
                     [--queue-cap C] [--prewarm P] [--substrate cover|linear]
-                    [--kernel scalar|avx2|auto]
+                    [--kernel scalar|avx2|auto] [--deadline-ms D] [--chaos SEED]
                     long-lived serving engine driven by stdin:
                     q <id> | insert <coords...> | remove <id> | stats | quit
                     (inserts/removes publish a new snapshot epoch; queries
@@ -64,6 +69,9 @@ Datasets: CSV (comma-separated coordinates, '#' comments), .fvb binary, or
 .fvecs/.ivecs/.bvecs/.idx interchange files. --data is an alias for --input;
 --limit N keeps the first N rows while reading, --dims D the leading D
 coordinates (both stream — the full file is never materialized).
+Each command accepts only the options listed for it: any other option, a
+value after a bare flag (--adaptive), a missing value or a stray argument
+exits 1 with an error naming it.
 Threads: --threads 0 (the bench/serve default) defers to the RKNN_THREADS
 environment override, then to the CPU count — set RKNN_THREADS to make
 worker counts reproducible across hosts.

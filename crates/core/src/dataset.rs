@@ -229,12 +229,23 @@ impl Dataset {
 /// Unlike [`DatasetBuilder`] this type is a *live* store, readable between
 /// pushes; validation (finiteness, dimensionality) is the caller's
 /// responsibility, matching where the pool layer already performs it.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, PartialEq, Default)]
 pub struct PaddedRows {
     dim: usize,
     stride: usize,
     n: usize,
     data: Vec<Lane4>,
+}
+
+/// Clones keep the buffer's capacity ([`crate::clone_with_capacity`]), so
+/// rows pushed to a clone reallocate only when the source's would have.
+impl Clone for PaddedRows {
+    fn clone(&self) -> Self {
+        PaddedRows {
+            data: crate::clone_with_capacity(&self.data),
+            ..*self
+        }
+    }
 }
 
 impl PaddedRows {
@@ -271,6 +282,14 @@ impl PaddedRows {
     #[inline]
     pub fn stride(&self) -> usize {
         self.stride
+    }
+
+    /// Number of rows the store holds before its next reallocation
+    /// (unbounded for zero-dimensional rows, which take no storage).
+    pub fn capacity(&self) -> usize {
+        (self.data.capacity() * 4)
+            .checked_div(self.stride)
+            .unwrap_or(usize::MAX)
     }
 
     /// Appends one row, returning its index.
@@ -800,6 +819,22 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn padded_rows_clones_keep_capacity() {
+        let mut rows = PaddedRows::new(5);
+        rows.push(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert!(rows.capacity() > rows.len());
+        let mut copy = rows.clone();
+        assert_eq!(copy, rows);
+        assert_eq!(copy.capacity(), rows.capacity());
+        let buffer = copy.padded_flat().as_ptr();
+        while copy.len() < rows.capacity() {
+            copy.push(&[0.5; 5]);
+        }
+        assert_eq!(copy.padded_flat().as_ptr(), buffer, "the clone reallocated");
+        assert_eq!(PaddedRows::new(0).capacity(), usize::MAX);
     }
 
     #[test]

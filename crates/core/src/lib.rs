@@ -65,3 +65,16 @@ pub use metric::{Chebyshev, Euclidean, FullPrecision, Manhattan, Metric, Minkows
 pub use neighbor::{Neighbor, PointId};
 pub use scratch::{CandidateTile, CursorScratch, FilterCandidate, QueryScratch, TreeScratch};
 pub use stats::SearchStats;
+
+/// A copy of `v` with the same capacity as `v`, not just its length.
+///
+/// `Vec::clone` allocates exactly `len` slots, so the first push to the
+/// clone of a grown buffer reallocates and copies all of it. A snapshot
+/// successor (a cloned index that then takes a few inserts) keeps the
+/// source's headroom instead, and its buffers grow only when the source's
+/// would have.
+pub fn clone_with_capacity<T: Clone>(v: &Vec<T>) -> Vec<T> {
+    let mut out = Vec::with_capacity(v.capacity());
+    out.extend_from_slice(v);
+    out
+}

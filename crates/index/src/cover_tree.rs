@@ -34,6 +34,31 @@
 //! evaluated by one batched kernel call at one frontier snapshot, with the
 //! decisions, distance bits and counters of one
 //! [`ExpandSink::pivot`] call per child.
+//!
+//! # Flattened subtrees
+//!
+//! Each node also keeps the number of nodes in its subtree, itself
+//! included, in a `u32` array parallel to the arena. An insert counts the
+//! new node on every node of its insert path, and the breadth-first
+//! renumbering carries the counts along. Some nodes expand
+//! straight into the points of their whole subtree instead of staging
+//! their children: every descendant's point goes through
+//! [`ExpandSink::point`], so the points are evaluated in gathered tiles of
+//! 64 at the frontier bound, and no descendant is visited or queued as a
+//! node. A node flattens when either rule holds:
+//!
+//! * its subtree holds at most 64 nodes, one tile of points;
+//! * it has at least 32 children and at most 4,096 nodes below it. At
+//!   base 1.3 a fan-out of 32 means a local expansion dimension of about
+//!   ln 32 / ln 1.3 ≈ 13, where a child's lower bound `d − max_dist`
+//!   prunes next to nothing, so staging each child only adds node visits
+//!   and heap pushes.
+//!
+//! Both rules only trade pruning for batching: every point of a flattened
+//! subtree is still evaluated exactly against the frontier, so streams
+//! stay exact (points at equal distances may surface in another order
+//! than a staged expansion would give them). `DESIGN.md` §3 gives the
+//! counting rule.
 
 use crate::pool::{PointPool, RebuildPolicy};
 use crate::traits::{DynamicIndex, KnnIndex, NnCursor};
@@ -68,6 +93,17 @@ const NIL: u32 = u32::MAX;
 /// reserved).
 const MAX_NODES: usize = NIL as usize;
 
+/// A subtree of at most this many nodes expands flat: its points fill one
+/// gathered tile.
+const FLAT_SUBTREE: u32 = 64;
+
+/// A node with at least this many children expands flat when at most
+/// [`FLAT_BELOW`] nodes lie below it.
+const FLAT_FAN_OUT: usize = 32;
+
+/// The most nodes below a high-fan-out node that expands flat.
+const FLAT_BELOW: u32 = 4096;
+
 /// Checked conversion of an arena index or point id to its `u32` field:
 /// values it cannot hold, `NIL` included, are a capacity error.
 fn link(index: usize) -> Result<u32, CoreError> {
@@ -98,17 +134,35 @@ impl CtNode {
 }
 
 /// A simplified cover tree index.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CoverTree<M: Metric> {
     pool: PointPool,
     metric: M,
     nodes: Vec<CtNode>,
+    /// `sizes[i]` is the number of nodes in node `i`'s subtree, itself
+    /// included.
+    sizes: Vec<u32>,
     root: Option<usize>,
     base: f64,
     policy: RebuildPolicy,
     /// Tombstoned points still routing searches — reset by
     /// [`DynamicIndex::compact`], which rebuilds without them.
     stale: usize,
+}
+
+/// Clones keep the arena's and the pool's capacity, so a snapshot
+/// successor's first inserts append in place instead of reallocating and
+/// copying the whole arena.
+impl<M: Metric + Clone> Clone for CoverTree<M> {
+    fn clone(&self) -> Self {
+        CoverTree {
+            pool: self.pool.clone(),
+            metric: self.metric.clone(),
+            nodes: rknn_core::clone_with_capacity(&self.nodes),
+            sizes: rknn_core::clone_with_capacity(&self.sizes),
+            ..*self
+        }
+    }
 }
 
 /// SplitMix64 step, used for the deterministic build shuffle without pulling
@@ -148,6 +202,7 @@ impl<M: Metric> CoverTree<M> {
             pool: PointPool::new(ds),
             metric,
             nodes: Vec::with_capacity(n),
+            sizes: Vec::with_capacity(n),
             root: None,
             base: cfg.base,
             policy: RebuildPolicy::default(),
@@ -198,7 +253,8 @@ impl<M: Metric> CoverTree<M> {
     }
 
     /// Attaches an existing pool point to the tree structure as a new node
-    /// at the arena's tail, linked last among its parent's children.
+    /// at the arena's tail, linked last among its parent's children, and
+    /// counts it in the subtree size of every node on its insert path.
     fn attach(&mut self, id: PointId) -> Result<(), CoreError> {
         let new = link(self.nodes.len())?;
         let point = link(id)?;
@@ -211,6 +267,7 @@ impl<M: Metric> CoverTree<M> {
         };
         let Some(root) = self.root else {
             self.nodes.push(leaf(0));
+            self.sizes.push(1);
             self.root = Some(0);
             return Ok(());
         };
@@ -230,6 +287,7 @@ impl<M: Metric> CoverTree<M> {
             if d_cur > self.nodes[cur].max_dist {
                 self.nodes[cur].max_dist = d_cur;
             }
+            self.sizes[cur] += 1;
             let mut best: Option<(usize, f64)> = None;
             let mut last = None;
             for child in self.children(cur) {
@@ -247,6 +305,7 @@ impl<M: Metric> CoverTree<M> {
             }
             let level = self.nodes[cur].level - 1;
             self.nodes.push(leaf(level));
+            self.sizes.push(1);
             match last {
                 Some(l) => self.nodes[l].next_sibling = new,
                 None => self.nodes[cur].first_child = new,
@@ -257,16 +316,18 @@ impl<M: Metric> CoverTree<M> {
 
     /// Renumbers the arena breadth-first from the root, keeping sibling
     /// order: the root becomes node 0 and every sibling list becomes one
-    /// contiguous run of records.
+    /// contiguous run of records. Subtree sizes move with their nodes.
     fn renumber_breadth_first(&mut self) {
         let Some(root) = self.root else {
             return;
         };
         let old = std::mem::take(&mut self.nodes);
+        let old_sizes = std::mem::take(&mut self.sizes);
         // `order[p]` is the old index of the node that gets index `p`.
         let mut order = Vec::with_capacity(old.len());
         order.push(root);
         let mut nodes = Vec::with_capacity(old.len());
+        let mut sizes = Vec::with_capacity(old.len());
         while let Some(&i) = order.get(nodes.len()) {
             let mut rec = old[i];
             let first = order.len();
@@ -283,17 +344,22 @@ impl<M: Metric> CoverTree<M> {
                 rec.next_sibling = link(nodes.len() + 1).expect(renumbered);
             }
             nodes.push(rec);
+            sizes.push(old_sizes[i]);
         }
         self.nodes = nodes;
+        self.sizes = sizes;
         self.root = Some(0);
     }
 
     /// Checks the tree's structural invariants (test support): every node
     /// is reached exactly once through the sibling chains from the root,
-    /// and every node's cached radius bounds the distance to each of its
-    /// descendants.
+    /// every node's cached radius bounds the distance to each of its
+    /// descendants, and every node's subtree size counts them.
     #[doc(hidden)]
     pub fn check_invariants(&self) -> bool {
+        if self.sizes.len() != self.nodes.len() {
+            return false;
+        }
         let Some(root) = self.root else {
             return self.nodes.is_empty();
         };
@@ -321,9 +387,52 @@ impl<M: Metric> CoverTree<M> {
                 }
                 sub.extend(self.children(j));
             }
+            if walked != self.sizes[i] as usize {
+                return false;
+            }
             stack.extend(self.children(i));
         }
         seen.iter().all(|&s| s)
+    }
+
+    /// How many nodes expand flat by the fan-out rule alone: at least 32
+    /// children and more than one tile of nodes in the subtree (test
+    /// support).
+    #[doc(hidden)]
+    pub fn flat_by_fan_out(&self) -> usize {
+        (0..self.nodes.len())
+            .filter(|&i| self.sizes[i] > FLAT_SUBTREE && self.flattens(i))
+            .count()
+    }
+
+    /// Whether node `id` expands into the points of its whole subtree
+    /// (see the module docs for the two rules).
+    fn flattens(&self, id: usize) -> bool {
+        let size = self.sizes[id];
+        size <= FLAT_SUBTREE
+            || (size - 1 <= FLAT_BELOW && self.children(id).nth(FLAT_FAN_OUT - 1).is_some())
+    }
+
+    /// Queues the point of every node below `id` as a candidate point.
+    ///
+    /// The walk allocates nothing: it recurses only into a child that has
+    /// both children and a later sibling, and a last child's subtree
+    /// continues the loop, so a chain of single children (duplicate
+    /// points) walks without recursion.
+    fn flatten(&self, id: usize, sink: &mut ExpandSink<'_, M, Self>) {
+        let mut c = self.nodes[id].first_child;
+        while c != NIL {
+            let child = &self.nodes[c as usize];
+            sink.point(child.point());
+            if child.next_sibling == NIL {
+                c = child.first_child;
+            } else {
+                if child.first_child != NIL {
+                    self.flatten(c as usize, sink);
+                }
+                c = child.next_sibling;
+            }
+        }
     }
 }
 
@@ -353,6 +462,10 @@ impl<M: Metric> TreeSubstrate<M> for CoverTree<M> {
         // Every node carries a point; its exact distance was evaluated when
         // the node was queued by its parent (or the seed).
         sink.point_at(self.nodes[id].point(), d_pivot);
+        if self.flattens(id) {
+            self.flatten(id, sink);
+            return;
+        }
         for c in self.children(id) {
             let child = &self.nodes[c];
             sink.covered_child(c, child.point(), child.max_dist);
@@ -431,6 +544,7 @@ impl<M: Metric> DynamicIndex<M> for CoverTree<M> {
 
     fn compact(&mut self) {
         self.nodes.clear();
+        self.sizes.clear();
         self.root = None;
         // Re-attach live points in id order: deterministic, and churn has
         // already decorrelated the order the batch build's shuffle exists
@@ -617,6 +731,108 @@ mod tests {
         assert_eq!(link(MAX_NODES + 1), full);
         assert_eq!(link(usize::MAX), full);
         assert_eq!(std::mem::size_of::<CtNode>(), 24);
+    }
+
+    /// `axes · per_axis` points near the scaled basis vectors `10·e_i` of
+    /// `R^axes`, each coordinate jittered by less than 0.05: the axes'
+    /// points are near-equidistant (about `10·√2` apart), so the root
+    /// takes one child per axis.
+    fn basis_clusters(axes: usize, per_axis: usize, seed: u64) -> Arc<Dataset> {
+        let mut state = seed;
+        let rows: Vec<Vec<f64>> = (0..axes * per_axis)
+            .map(|i| {
+                (0..axes)
+                    .map(|j| {
+                        let jitter = (splitmix64(&mut state) as f64 / u64::MAX as f64) * 0.1 - 0.05;
+                        if j == i % axes {
+                            10.0 + jitter
+                        } else {
+                            jitter
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        Dataset::from_rows(&rows).unwrap().into_shared()
+    }
+
+    /// A full drain's stream (ids and distance bits) and its counters.
+    fn drain_all(tree: &CoverTree<Euclidean>, q: &[f64]) -> (Vec<(PointId, u64)>, SearchStats) {
+        let mut cur = tree.cursor(q, None);
+        let stream = std::iter::from_fn(|| cur.next())
+            .map(|n| (n.id, n.dist.to_bits()))
+            .collect();
+        (stream, cur.stats())
+    }
+
+    #[test]
+    fn a_one_tile_tree_expands_only_its_root() {
+        let ds = random_dataset(64, 4, 13);
+        let tree = CoverTree::build(ds.clone(), Euclidean);
+        assert!(tree.check_invariants());
+        assert_eq!(tree.sizes[0], 64);
+        let (stream, stats) = drain_all(&tree, ds.point(5));
+        assert_eq!(stream.len(), 64);
+        assert_eq!(stats.nodes_visited, 1, "only the root is expanded");
+        assert_eq!(stats.dist_computations, 64, "one distance per point");
+        // One more node, and the root stages its children again.
+        let mut grown = tree.clone();
+        grown.insert(&[0.1, 0.2, 0.3, 0.4]).unwrap();
+        assert!(grown.check_invariants());
+        assert_eq!(grown.sizes[0], 65);
+        assert!(drain_all(&grown, ds.point(5)).1.nodes_visited > 1);
+    }
+
+    #[test]
+    fn a_wide_node_expands_flat_and_streams_exactly() {
+        let ds = basis_clusters(40, 3, 14);
+        let mut tree = CoverTree::build(ds.clone(), Euclidean);
+        assert!(tree.check_invariants());
+        assert!(tree.children(0).count() >= FLAT_FAN_OUT);
+        assert!(tree.sizes[0] > FLAT_SUBTREE);
+        assert_eq!(tree.flat_by_fan_out(), 1, "the root flattens by fan-out");
+        let bf = BruteForce::new(ds.clone(), Euclidean);
+        for q in [0, 41, 119] {
+            let (stream, stats) = drain_all(&tree, ds.point(q));
+            assert_eq!(stats.nodes_visited, 1, "only the root is expanded");
+            let want = bf.knn(ds.point(q), ds.len(), None, &mut SearchStats::new());
+            let want: Vec<u64> = want.iter().map(|n| n.dist.to_bits()).collect();
+            let got: Vec<u64> = stream.iter().map(|&(_, d)| d).collect();
+            assert_eq!(got, want, "q={q}");
+        }
+        // Tombstones inside the flattened subtree are skipped uncounted.
+        for id in (0..ds.len()).step_by(3) {
+            assert!(tree.remove(id));
+        }
+        let (stream, stats) = drain_all(&tree, ds.point(1));
+        assert_eq!(stream.len(), ds.len() - 40);
+        assert!(stream.iter().all(|&(id, _)| !id.is_multiple_of(3)));
+        // The root's pivot is evaluated even when it is a tombstone.
+        let root_dead = usize::from(tree.nodes[0].point().is_multiple_of(3));
+        assert_eq!(stats.dist_computations as usize, stream.len() + root_dead);
+    }
+
+    #[test]
+    fn clones_keep_capacity_so_inserts_append_in_place() {
+        let ds = random_dataset(200, 3, 12);
+        let mut tree = CoverTree::build(ds, Euclidean);
+        tree.insert(&[0.5, 0.5, 0.5]).unwrap();
+        assert!(tree.nodes.capacity() > tree.node_count());
+        let mut fork = tree.clone();
+        assert_eq!(fork.nodes.capacity(), tree.nodes.capacity());
+        assert_eq!(fork.sizes.capacity(), tree.sizes.capacity());
+        let (nodes, sizes) = (fork.nodes.as_ptr(), fork.sizes.as_ptr());
+        let mut state = 3;
+        while fork.node_count() < tree.nodes.capacity().min(tree.sizes.capacity()) {
+            let p: Vec<f64> = (0..3)
+                .map(|_| (splitmix64(&mut state) as f64 / u64::MAX as f64) * 10.0 - 5.0)
+                .collect();
+            fork.insert(&p).unwrap();
+        }
+        assert_eq!(fork.nodes.as_ptr(), nodes, "the node arena moved");
+        assert_eq!(fork.sizes.as_ptr(), sizes, "the subtree sizes moved");
+        assert!(fork.check_invariants());
+        assert_eq!(tree.node_count(), 201, "the source is untouched");
     }
 
     /// Whether every node's children are one contiguous run of records

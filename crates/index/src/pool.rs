@@ -18,7 +18,7 @@ use rknn_core::{CoreError, Dataset, PaddedRows, PointId};
 use std::sync::Arc;
 
 /// A base dataset plus appended points and liveness flags.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PointPool {
     base: Arc<Dataset>,
     dim: usize,
@@ -27,6 +27,20 @@ pub struct PointPool {
     /// Tombstones for removed ids; indexed lazily (empty = all alive).
     dead: Vec<bool>,
     live_count: usize,
+}
+
+/// Clones keep the appended rows' and the tombstones' capacity, so a
+/// snapshot successor's first inserts and removes do not reallocate and
+/// copy buffers the source had already grown.
+impl Clone for PointPool {
+    fn clone(&self) -> Self {
+        PointPool {
+            base: self.base.clone(),
+            extra: self.extra.clone(),
+            dead: rknn_core::clone_with_capacity(&self.dead),
+            ..*self
+        }
+    }
 }
 
 /// One contiguous padded-row segment of a pool, tile-kernel ready.
@@ -365,6 +379,26 @@ mod tests {
         }
         // A pool with no appended points exposes only the base segment.
         assert_eq!(pool().segments().count(), 1);
+    }
+
+    #[test]
+    fn clones_grow_in_place_up_to_the_source_capacity() {
+        let mut src = pool();
+        src.insert(&[2.0, 2.0]).unwrap();
+        src.remove(0);
+        let mut fork = src.clone();
+        assert_eq!(fork.extra.capacity(), src.extra.capacity());
+        assert_eq!(fork.dead.capacity(), src.dead.capacity());
+        let (rows, dead) = (fork.extra.padded_flat().as_ptr(), fork.dead.as_ptr());
+        while fork.extra.len() < src.extra.capacity() {
+            fork.insert(&[3.0, 3.0]).unwrap();
+        }
+        assert!(fork.total() <= src.dead.capacity());
+        assert!(fork.remove(fork.total() - 1));
+        assert_eq!(fork.extra.padded_flat().as_ptr(), rows, "rows moved");
+        assert_eq!(fork.dead.as_ptr(), dead, "tombstones moved");
+        // The source is untouched by the clone's updates.
+        assert_eq!((src.total(), src.live()), (3, 2));
     }
 
     #[test]

@@ -198,16 +198,16 @@ impl DkCache {
     /// zeroed. `&self` suffices — slots are read with the same relaxed
     /// loads queries use, so a copy taken while readers are still filling
     /// slots simply captures "whatever was computed so far"; every captured
-    /// bit pattern is a value a fresh computation would also produce.
+    /// bit pattern is a value a fresh computation would also produce. The
+    /// copy keeps the slots' capacity, so [`DkCache::grow`] on a successor
+    /// reallocates only when this cache's would have.
     pub fn warm_copy(&self) -> DkCache {
         use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+        let mut vals = Vec::with_capacity(self.vals.capacity());
+        vals.extend(self.vals.iter().map(|s| AtomicU64::new(s.load(Relaxed))));
         DkCache {
             k: self.k,
-            vals: self
-                .vals
-                .iter()
-                .map(|s| AtomicU64::new(s.load(Relaxed)))
-                .collect(),
+            vals,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -797,6 +797,25 @@ mod tests {
             assert_eq!(stats.dist_computations, want_dists, "p={p}");
         }
         assert!(neighbours_evicted > 3, "the cases must evict neighbours");
+    }
+
+    #[test]
+    fn warm_copies_keep_thresholds_and_capacity() {
+        let ds = uniform(20, 2, 6);
+        let idx = LinearScan::build(ds.clone(), Euclidean);
+        let mut cache = DkCache::new(3, ds.len());
+        cache.grow(ds.len() + 1);
+        let dk = cache.dk_or_compute(&idx, 4, &mut CursorScratch::new(), &mut SearchStats::new());
+        let mut copy = cache.warm_copy();
+        assert_eq!(copy.vals.capacity(), cache.vals.capacity());
+        assert_eq!((copy.filled(), copy.hit_stats()), (1, (0, 0)));
+        assert_eq!(
+            copy.vals[4].load(std::sync::atomic::Ordering::Relaxed),
+            dk.to_bits()
+        );
+        let slots = copy.vals.as_ptr();
+        copy.grow(cache.vals.capacity());
+        assert_eq!(copy.vals.as_ptr(), slots, "the copy's slots moved");
     }
 
     /// One uncached, never-cancelled query at a fixed `t` with fresh scratch.

@@ -12,7 +12,9 @@
 //! * **bit-identical distances** — sorted by `(distance, id)`, every tree
 //!   stream equals the linear scan's table bit for bit (tree cursors may
 //!   legitimately order *equal* distances differently, since a tied point
-//!   inside an unexpanded subtree surfaces after an already-queued tie);
+//!   inside an unexpanded subtree surfaces after an already-queued tie;
+//!   the cover tree's flattened subtrees, which queue all their points at
+//!   once, reorder such ties too);
 //! * **identical `exclude` handling** — the excluded id never surfaces, on
 //!   any entry point;
 //! * the **scratch-reusing entry point** (`cursor_with`) yields the byte-
@@ -30,6 +32,11 @@
 //!   the same table as the linear scan over the same live points, before
 //!   and after compaction, and a clone's inserts leave the original's
 //!   stream untouched.
+//! * a cover tree whose root has one child per axis of a scaled
+//!   orthonormal basis (at least 32 children, so it **expands flat**, its
+//!   whole subtree evaluated as gathered points) gives the linear scan's
+//!   streams, batched `d_k` and RDT answers, before and after churn that
+//!   leaves tombstones inside the flattened subtree, and after compaction.
 //!
 //! * the **batched forward pass** (`rknn_index::knn_dists`, the list of
 //!   clusters behind every all-points precomputation) gives each query
@@ -51,6 +58,7 @@ use rknn_core::{
 use rknn_index::{
     knn_dists, BallTree, CoverTree, DynamicIndex, KnnIndex, LinearScan, MTree, RTree, VpTree,
 };
+use rknn_rdt::{RdtAlgorithm, RdtParams};
 use std::sync::Arc;
 
 /// Builds a dataset on the half-integer grid `{0, 0.5, …, 4}` from raw
@@ -87,6 +95,11 @@ fn drain(cur: &mut dyn rknn_index::NnCursor, cap: usize) -> Vec<Neighbor> {
     out
 }
 
+/// A neighbor list's ids and distance bits, for byte-identity checks.
+fn keys(ns: &[Neighbor]) -> Vec<(usize, u64)> {
+    ns.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+}
+
 /// Checks `idx`'s full stream from `q` against the linear scan `linear`
 /// over the same live points: nondecreasing, and bit-identical to its
 /// `(dist, id)`-sorted table once sorted the same way. Returns the stream.
@@ -104,10 +117,7 @@ fn check_stream_against_scan(
     );
     let mut sorted = stream.clone();
     rknn_core::neighbor::sort_neighbors(&mut sorted);
-    let bits = |ns: &[Neighbor]| -> Vec<(usize, u64)> {
-        ns.iter().map(|n| (n.id, n.dist.to_bits())).collect()
-    };
-    assert_eq!(bits(&sorted), bits(&reference), "{name}: table diverged");
+    assert_eq!(keys(&sorted), keys(&reference), "{name}: table diverged");
     stream
 }
 
@@ -167,6 +177,99 @@ fn check_knn_dists_under<M: Metric + Clone>(
         let k = k_sel % (scan.num_points() + 3);
         check_knn_dists(&scan, &queries, k);
         check_knn_dists(&vp, &queries, k);
+    }
+}
+
+/// The batched pass's `d_k` table over `queries`, as bit patterns.
+fn knn_dists_table<M: Metric, I: KnnIndex<M>>(
+    idx: &I,
+    queries: &[usize],
+    k: usize,
+) -> Vec<Option<Vec<u64>>> {
+    let mut table = vec![None; idx.id_bound()];
+    knn_dists(idx, queries, k, &mut SearchStats::new(), |q, d| {
+        table[q] = Some(d.iter().map(|x| x.to_bits()).collect());
+    });
+    table
+}
+
+/// `per_axis` rows near each scaled basis vector `10·e_i` of `R^axes`,
+/// every coordinate jittered by less than 0.05. Points on different axes
+/// are all about `10·√2` apart, so a cover tree's root takes one child
+/// per axis.
+fn basis_rows(axes: usize, per_axis: usize, seed: u64) -> Vec<Vec<f64>> {
+    let mut state = seed;
+    let mut jitter = move || {
+        // SplitMix64, mapped to [-0.05, 0.05).
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64 * 0.1 - 0.05
+    };
+    (0..axes * per_axis)
+        .map(|i| {
+            (0..axes)
+                .map(|j| jitter() + if j == i % axes { 10.0 } else { 0.0 })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn flattened_cover_tree_matches_the_scan() {
+    let (axes, k) = (40, 5);
+    for seed in [1u64, 2, 3] {
+        let ds = Dataset::from_rows(&basis_rows(axes, 3, seed))
+            .unwrap()
+            .into_shared();
+        let mut tree = CoverTree::build(ds.clone(), Euclidean);
+        let mut linear = LinearScan::build(ds.clone(), Euclidean);
+        let mut scratch = CursorScratch::new();
+        for stage in ["built", "churned", "compacted"] {
+            match stage {
+                "churned" => {
+                    for row in basis_rows(axes, 1, seed + 100) {
+                        assert_eq!(tree.insert(&row).unwrap(), linear.insert(&row).unwrap());
+                    }
+                    // A step prime to `axes` leaves every axis some points.
+                    for id in (0..tree.id_bound()).step_by(3) {
+                        assert!(tree.remove(id) && linear.remove(id));
+                    }
+                }
+                "compacted" => tree.compact(),
+                _ => {}
+            }
+            let ctx = format!("seed={seed} {stage}");
+            assert!(tree.check_invariants(), "{ctx}");
+            assert!(tree.flat_by_fan_out() > 0, "{ctx}: no wide node");
+            let queries: Vec<usize> = (0..tree.id_bound()).step_by(7).collect();
+            for &q in &queries {
+                let coords = tree.point(q).to_vec();
+                let stream = check_stream_against_scan(&tree, &linear, &coords);
+                for limit in [1, k, 40] {
+                    let bounded = drain(
+                        &mut *tree.cursor_bounded(&coords, None, limit, &mut scratch),
+                        limit,
+                    );
+                    let prefix = &stream[..limit.min(stream.len())];
+                    assert_eq!(keys(&bounded), keys(prefix), "{ctx} q={q} limit={limit}");
+                }
+            }
+            check_knn_dists(&tree, &queries, k);
+            assert_eq!(
+                knn_dists_table(&tree, &queries, k),
+                knn_dists_table(&linear, &queries, k),
+                "{ctx}"
+            );
+            for t in [2.0, 1e3] {
+                let rdt = RdtAlgorithm::new(RdtParams::new(k, t));
+                for &q in queries.iter().filter(|&&q| linear.has_point(q)) {
+                    let (a, b) = (rdt.answer(&tree, q), rdt.answer(&linear, q));
+                    assert_eq!(keys(&a.result), keys(&b.result), "{ctx} t={t} q={q}");
+                }
+            }
+        }
     }
 }
 
