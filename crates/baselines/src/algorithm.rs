@@ -153,7 +153,7 @@ where
 
     /// TPL's R-tree snapshots the dataset at `prepare`; there is no
     /// incremental repair — re-`prepare` against a fresh snapshot under
-    /// churn (`apply_update` keeps the no-op default).
+    /// churn (`apply_updates` keeps the no-op default).
     fn maintenance_cost(&self) -> MaintenanceCost {
         MaintenanceCost::Rebuild
     }
@@ -257,7 +257,7 @@ where
 
     /// The fitted bound lines and aggregate M-tree snapshot the dataset at
     /// `prepare`; conservative bounds do not survive inserts (a new point
-    /// has no fitted line) — re-`prepare` under churn (`apply_update`
+    /// has no fitted line) — re-`prepare` under churn (`apply_updates`
     /// keeps the no-op default).
     fn maintenance_cost(&self) -> MaintenanceCost {
         MaintenanceCost::Rebuild
@@ -342,7 +342,7 @@ where
 
     /// The aux-augmented R-tree stores every point's `d_k` at `prepare`
     /// time; an insert or delete can change the `d_k` of arbitrary other
-    /// points, so the structure must be rebuilt under churn (`apply_update`
+    /// points, so the structure must be rebuilt under churn (`apply_updates`
     /// keeps the no-op default).
     fn maintenance_cost(&self) -> MaintenanceCost {
         MaintenanceCost::Rebuild

@@ -266,17 +266,19 @@ pub trait RknnAlgorithm<M: Metric, I: KnnIndex<M> + ?Sized>: Sync {
         Ok(())
     }
 
-    /// Repairs maintained state after an index update, called once per
-    /// insert/delete with the index already mutated (the removed point, if
-    /// any, already tombstoned). Methods whose maintained state is
+    /// Repairs maintained state after a batch of index updates, called
+    /// once per batch with every update already applied to the index
+    /// (removed points already tombstoned); a caller applying one op at a
+    /// time passes one-element slices. The repair is one pass over the
+    /// batch, not one per update. Methods whose maintained state is
     /// [`MaintenanceCost::Rebuild`] keep the no-op default and document
     /// that callers must re-[`prepare`](Self::prepare) instead; the work
     /// spent here is reported through
     /// [`maintenance_time`](Self::maintenance_time) /
     /// [`maintenance_stats`](Self::maintenance_stats), uniformly with
     /// precomputation.
-    fn apply_update(&mut self, index: &I, update: IndexUpdate) {
-        let _ = (index, update);
+    fn apply_updates(&mut self, index: &I, updates: &[IndexUpdate]) {
+        let _ = (index, updates);
     }
 
     /// How this method's maintained state reacts to index updates.
@@ -285,13 +287,13 @@ pub trait RknnAlgorithm<M: Metric, I: KnnIndex<M> + ?Sized>: Sync {
     }
 
     /// Cumulative wall-clock time spent in
-    /// [`apply_update`](Self::apply_update) since the last
+    /// [`apply_updates`](Self::apply_updates) since the last
     /// [`prepare`](Self::prepare).
     fn maintenance_time(&self) -> Duration {
         Duration::ZERO
     }
 
-    /// Cumulative work spent in [`apply_update`](Self::apply_update) since
+    /// Cumulative work spent in [`apply_updates`](Self::apply_updates) since
     /// the last [`prepare`](Self::prepare).
     fn maintenance_stats(&self) -> SearchStats {
         SearchStats::new()
@@ -494,8 +496,9 @@ impl RdtAlgorithm {
     /// [`DkCache`] ([`DkCache::warm_copy`]): same configuration, thresholds
     /// copied bit-for-bit, counters and time accounting zeroed. This is the
     /// snapshot-advance path of the serving engine — build the next index
-    /// off to the side, carry the cache over, then evict locally through
-    /// [`RknnAlgorithm::apply_update`] for each churn op. Do **not** call
+    /// off to the side, apply every churn op to it, carry the cache over,
+    /// then evict locally with one [`RknnAlgorithm::apply_updates`] pass
+    /// over the whole batch. Do **not** call
     /// [`RknnAlgorithm::prepare`] on the result: that would discard the
     /// carried cache and recreate it cold.
     pub fn warmed(&self) -> RdtAlgorithm {
@@ -730,20 +733,25 @@ where
         self.prepare_stats
     }
 
-    fn apply_update(&mut self, index: &I, update: IndexUpdate) {
+    fn apply_updates(&mut self, index: &I, updates: &[IndexUpdate]) {
         let Some(cache) = self.cache.as_mut() else {
             return;
         };
         let start = Instant::now();
         let mut stats = SearchStats::new();
-        let p = match update {
-            IndexUpdate::Inserted(id) => {
-                cache.grow(id + 1);
-                id
+        let mut points = Vec::with_capacity(updates.len());
+        let mut bound = 0;
+        for &update in updates {
+            match update {
+                IndexUpdate::Inserted(id) => {
+                    bound = bound.max(id + 1);
+                    points.push(id);
+                }
+                IndexUpdate::Removed(id) => points.push(id),
             }
-            IndexUpdate::Removed(id) => id,
-        };
-        cache.invalidate_near(index, p, &mut stats);
+        }
+        cache.grow(bound);
+        cache.invalidate_near(index, &points, &mut stats);
         self.maint_stats.absorb(&stats);
         self.maint_time += start.elapsed();
     }
@@ -925,7 +933,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_update_keeps_cached_answers_exact() {
+    fn apply_updates_keeps_cached_answers_exact() {
         use rknn_index::DynamicIndex;
         // Moderate t so refinement runs and fills the cache; the warm-cache
         // run must be byte-identical to a cold prepare at *any* t, because
@@ -937,9 +945,8 @@ mod tests {
         RknnAlgorithm::<_, LinearScan<Euclidean>>::prepare(&mut algo, &idx);
         let _ = run_algorithm_all_points(&algo, &idx, 2); // warm the cache
         let id = idx.insert(&[0.5, 0.5, 0.5]).unwrap();
-        algo.apply_update(&idx, IndexUpdate::Inserted(id));
         assert!(idx.remove(7));
-        algo.apply_update(&idx, IndexUpdate::Removed(7));
+        algo.apply_updates(&idx, &[IndexUpdate::Inserted(id), IndexUpdate::Removed(7)]);
         let queries: Vec<PointId> = (0..=150).filter(|&q| q != 7).collect();
         let warm = run_algorithm_batch(&algo, &idx, &queries, 2);
         // A stale threshold the localized eviction failed to drop would

@@ -34,7 +34,7 @@
 use crate::answer::{RdtQueryStats, RknnAnswer, Termination};
 use crate::params::RdtParams;
 use rknn_core::{
-    CancelToken, Cancelled, CursorScratch, FilterCandidate, Metric, Neighbor, PointId,
+    kernel, CancelToken, Cancelled, CursorScratch, FilterCandidate, Metric, Neighbor, PointId,
     QueryScratch, SearchStats,
 };
 use rknn_index::KnnIndex;
@@ -276,9 +276,9 @@ impl DkCache {
         }
     }
 
-    /// Localized invalidation after inserting or deleting point `p`: evicts
-    /// exactly the slots whose cached ball contains `p`, plus `p`'s own,
-    /// and returns how many were evicted.
+    /// Localized invalidation after a batch of inserts and deletes: evicts
+    /// exactly the slots whose cached ball contains one of `points`, plus
+    /// the slots of `points` themselves, and returns how many were evicted.
     ///
     /// Soundness in both directions: an insert of `p` lowers `d_k(x)` only
     /// if `d(x, p) < d_k(x)`; a delete of `p` raises `d_k(x)` only if `p`
@@ -286,55 +286,155 @@ impl DkCache {
     /// still-cached pre-delete threshold. Evicting on `d(x, p) <= d_k(x)`
     /// therefore covers every slot either update can change (a `+∞`
     /// threshold always evicts — fewer than `k` neighbors existed, so any
-    /// insert can finish the rank). Every slot evaluation runs through
-    /// [`Metric::dist_le`], abandoning against the cached threshold, and is
-    /// charged to `stats` — this is the per-update maintenance cost the
-    /// dynamic experiments report.
-    pub fn invalidate_near<M, I>(&mut self, index: &I, p: PointId, stats: &mut SearchStats) -> usize
+    /// insert can finish the rank).
+    ///
+    /// The batch's union needs no op order: a cached value never changes
+    /// until its slot is evicted, and the rule reads only coordinates,
+    /// which stay addressable for tombstoned ids. So one pass evicts the
+    /// same slots as one pass per point in any order. It gathers the set
+    /// slots into padded tiles of `EVICT_TILE` rows, each bounded by
+    /// `d_k(x).next_up()` (`+∞` stays `+∞`), and streams every updated
+    /// point through [`Metric::dist_tile`] against each tile. A row is
+    /// evicted when some point's distance is `<= d_k(x)`; the metrics are
+    /// symmetric, so `d(p, x)` carries the bits of `d(x, p)`.
+    ///
+    /// Cost (`DESIGN.md` §3), charged to `stats`: one distance per set slot
+    /// and distinct updated point, `n · |points|` on a warm cache. The
+    /// slots of updated ids are evicted without a distance; unset slots
+    /// cost nothing, and whole blocks of them (all of a cold cache) are
+    /// skipped by one branch-free test each.
+    pub fn invalidate_near<M, I>(
+        &mut self,
+        index: &I,
+        points: &[PointId],
+        stats: &mut SearchStats,
+    ) -> usize
     where
         M: Metric,
         I: KnnIndex<M> + ?Sized,
     {
         const BLOCK: usize = 8;
-        let metric = index.metric();
-        let pc = index.point(p);
-        let mut evicted = 0usize;
-        let mut visit = |x: usize, slot: &mut std::sync::atomic::AtomicU64| {
-            let bits = *slot.get_mut();
-            if bits == Self::UNSET {
-                return;
-            }
-            if x == p {
-                *slot.get_mut() = Self::UNSET;
-                evicted += 1;
-                return;
-            }
-            stats.count_dist();
-            if metric
-                .dist_le(index.point(x), pc, f64::from_bits(bits))
-                .is_some()
-            {
-                *slot.get_mut() = Self::UNSET;
-                evicted += 1;
-            }
+        if points.is_empty() {
+            return 0;
+        }
+        let dim = index.dim();
+        let stride = kernel::pad_dim(dim);
+        // Distinct ids, ascending: the slot walk below meets them in order.
+        let mut ids = points.to_vec();
+        ids.sort_unstable();
+        ids.dedup();
+        let mut tile = EvictTile {
+            queries: vec![0.0; ids.len() * stride],
+            rows: vec![0.0; EVICT_TILE * stride],
+            slots: [0; EVICT_TILE],
+            cached: [0.0; EVICT_TILE],
+            len: 0,
+            stride,
+            dim,
         };
-        // Whole blocks of unset slots (all of a cold cache) are skipped by
-        // one branch-free test each instead of a branch per slot.
-        let tail = self.vals.len() - self.vals.len() % BLOCK;
-        let mut blocks = self.vals.chunks_exact_mut(BLOCK);
-        for (b, block) in (&mut blocks).enumerate() {
+        for (q, &p) in tile.queries.chunks_exact_mut(stride).zip(&ids) {
+            q[..dim].copy_from_slice(index.point(p));
+        }
+        let (mut evicted, mut next) = (0, 0);
+        let n = self.vals.len();
+        for start in (0..n).step_by(BLOCK) {
+            let block = &mut self.vals[start..(start + BLOCK).min(n)];
             if block
                 .iter_mut()
                 .fold(true, |unset, s| unset & (*s.get_mut() == Self::UNSET))
             {
                 continue;
             }
-            for (j, slot) in block.iter_mut().enumerate() {
-                visit(b * BLOCK + j, slot);
+            for x in start..start + block.len() {
+                let bits = *self.vals[x].get_mut();
+                if bits == Self::UNSET {
+                    continue;
+                }
+                while ids.get(next).is_some_and(|&p| p < x) {
+                    next += 1;
+                }
+                if ids.get(next) == Some(&x) {
+                    *self.vals[x].get_mut() = Self::UNSET;
+                    evicted += 1;
+                    continue;
+                }
+                tile.push(x, index.point(x), f64::from_bits(bits));
+                if tile.len == EVICT_TILE {
+                    evicted += tile.flush(index.metric(), &mut self.vals, stats);
+                }
             }
         }
-        for (j, slot) in blocks.into_remainder().iter_mut().enumerate() {
-            visit(tail + j, slot);
+        evicted + tile.flush(index.metric(), &mut self.vals, stats)
+    }
+}
+
+/// Rows per tile of the batched eviction pass
+/// ([`DkCache::invalidate_near`]).
+const EVICT_TILE: usize = 64;
+
+/// The buffers of one [`DkCache::invalidate_near`] pass, allocated once per
+/// call: the updated points as padded queries, and one tile of gathered
+/// slots with their cached thresholds.
+struct EvictTile {
+    /// One zero-padded row of `stride` coordinates per distinct point.
+    queries: Vec<f64>,
+    /// `EVICT_TILE` zero-padded rows; the first `len` hold gathered slots.
+    rows: Vec<f64>,
+    slots: [usize; EVICT_TILE],
+    cached: [f64; EVICT_TILE],
+    len: usize,
+    stride: usize,
+    dim: usize,
+}
+
+impl EvictTile {
+    /// Appends slot `x` with coordinates `coords` and threshold `dk`.
+    fn push(&mut self, x: usize, coords: &[f64], dk: f64) {
+        let at = self.len * self.stride;
+        self.rows[at..at + self.dim].copy_from_slice(coords);
+        self.slots[self.len] = x;
+        self.cached[self.len] = dk;
+        self.len += 1;
+    }
+
+    /// Evicts every gathered slot within its threshold of some query,
+    /// empties the tile and returns how many slots it evicted.
+    fn flush<M: Metric>(
+        &mut self,
+        metric: &M,
+        vals: &mut [std::sync::atomic::AtomicU64],
+        stats: &mut SearchStats,
+    ) -> usize {
+        let len = std::mem::take(&mut self.len);
+        let (rows, cached) = (&self.rows[..len * self.stride], &self.cached[..len]);
+        let mut bounds = [0.0; EVICT_TILE];
+        for (b, &dk) in bounds.iter_mut().zip(cached) {
+            *b = dk.next_up();
+        }
+        let (mut out, mut hit) = ([0.0; EVICT_TILE], [false; EVICT_TILE]);
+        for q in self.queries.chunks_exact(self.stride) {
+            metric.dist_tile(
+                q,
+                rows,
+                self.stride,
+                self.dim,
+                &bounds[..len],
+                &mut out[..len],
+            );
+            stats.count_dists(len as u64);
+            // A pruned row reads NaN and fails the test; a bound of `+∞`
+            // (from `d_k = f64::MAX`) admits more than `d_k`, so the
+            // admitted distance is compared against `d_k` itself.
+            for ((h, &d), &dk) in hit.iter_mut().zip(&out[..len]).zip(cached) {
+                *h |= d <= dk;
+            }
+        }
+        let mut evicted = 0;
+        for (&x, h) in self.slots[..len].iter().zip(hit) {
+            if h {
+                *vals[x].get_mut() = DkCache::UNSET;
+                evicted += 1;
+            }
         }
         evicted
     }
@@ -760,6 +860,50 @@ mod tests {
         Dataset::from_rows(&rows).unwrap().into_shared()
     }
 
+    /// Runs one eviction pass over `cache` and checks it against the brute
+    /// rule: a set slot `x` is evicted iff `x ∈ points` or
+    /// `metric.dist(x, p) <= d_k(x)` for some `p ∈ points`; unset slots
+    /// stay unset, and the pass costs one distance per set slot outside
+    /// `points` and distinct point. Returns `(evicted neighbours, exact
+    /// ties at the threshold)`.
+    fn evict_against_oracle<M: Metric, I: KnnIndex<M>>(
+        idx: &I,
+        cache: &mut DkCache,
+        points: &[PointId],
+    ) -> (usize, usize) {
+        let before: Vec<u64> = cache.vals.iter_mut().map(|s| *s.get_mut()).collect();
+        let mut stats = SearchStats::new();
+        let evicted = cache.invalidate_near(idx, points, &mut stats);
+        let mut distinct = points.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let (mut want_evicted, mut want_dists, mut neighbours, mut ties) = (0, 0, 0, 0);
+        for (x, &bits) in before.iter().enumerate() {
+            let after = *cache.vals[x].get_mut();
+            if bits == DkCache::UNSET {
+                assert_eq!(after, DkCache::UNSET, "points={points:?} x={x}");
+                continue;
+            }
+            let dk = f64::from_bits(bits);
+            let own = distinct.contains(&x);
+            want_dists += if own { 0 } else { distinct.len() as u64 };
+            let dists = distinct
+                .iter()
+                .map(|&p| idx.metric().dist(idx.point(x), idx.point(p)));
+            ties += dists.clone().filter(|&d| d == dk).count();
+            if own || dists.clone().any(|d| d <= dk) {
+                want_evicted += 1;
+                neighbours += usize::from(!own);
+                assert_eq!(after, DkCache::UNSET, "points={points:?} x={x}");
+            } else {
+                assert_eq!(after, bits, "points={points:?} x={x}");
+            }
+        }
+        assert_eq!(evicted, want_evicted, "points={points:?}");
+        assert_eq!(stats.dist_computations, want_dists, "points={points:?}");
+        (neighbours, ties)
+    }
+
     #[test]
     fn invalidate_near_evicts_exactly_the_balls_holding_the_point() {
         // 37 slots: four blocks of 8 and a tail of 5. Blocks 0 and 2 stay
@@ -768,35 +912,92 @@ mod tests {
         let idx = LinearScan::build(ds.clone(), Euclidean);
         let mut cs = CursorScratch::new();
         let mut neighbours_evicted = 0;
-        for p in [0, 12, 34] {
+        let batches: [&[PointId]; 5] = [&[0], &[12], &[34], &[0, 12, 34], &[36, 9, 20, 9]];
+        for points in batches {
             let mut cache = DkCache::new(8, ds.len());
             for x in (0..ds.len()).filter(|x| (x / 8) % 2 == 1 || *x >= 32) {
                 cache.dk_or_compute(&idx, x, &mut cs, &mut SearchStats::new());
             }
-            let before: Vec<u64> = cache.vals.iter_mut().map(|s| *s.get_mut()).collect();
-            let mut stats = SearchStats::new();
-            let evicted = cache.invalidate_near(&idx, p, &mut stats);
-            let (mut want_evicted, mut want_dists) = (0, 0);
-            for (x, &bits) in before.iter().enumerate() {
-                let after = *cache.vals[x].get_mut();
-                if bits == DkCache::UNSET {
-                    assert_eq!(after, DkCache::UNSET, "p={p} x={x}");
-                    continue;
-                }
-                want_dists += u64::from(x != p);
-                let d = Euclidean.dist(ds.point(x), ds.point(p));
-                if x == p || d <= f64::from_bits(bits) {
-                    want_evicted += 1;
-                    neighbours_evicted += usize::from(x != p);
-                    assert_eq!(after, DkCache::UNSET, "p={p} x={x}");
-                } else {
-                    assert_eq!(after, bits, "p={p} x={x}");
-                }
-            }
-            assert_eq!(evicted, want_evicted, "p={p}");
-            assert_eq!(stats.dist_computations, want_dists, "p={p}");
+            neighbours_evicted += evict_against_oracle(&idx, &mut cache, points).0;
         }
         assert!(neighbours_evicted > 3, "the cases must evict neighbours");
+    }
+
+    /// An `n × n` grid of spacing ½: many pairs share a distance bit for
+    /// bit, so thresholds are met with exact ties.
+    fn half_lattice(n: usize) -> Arc<Dataset> {
+        let rows: Vec<Vec<f64>> = (0..n * n)
+            .map(|i| vec![(i % n) as f64 * 0.5, (i / n) as f64 * 0.5])
+            .collect();
+        Dataset::from_rows(&rows).unwrap().into_shared()
+    }
+
+    fn batched_eviction_matches_the_oracle<M: Metric + Copy>(metric: M) {
+        use rknn_index::DynamicIndex;
+        let ds = half_lattice(7);
+        let n = ds.len();
+        let mut cs = CursorScratch::new();
+        let warm = |idx: &LinearScan<M>, k: usize, len: usize, cs: &mut CursorScratch| {
+            let cache = DkCache::new(k, len);
+            // Every slot but block 2 (ids 16..24), which stays unset.
+            for x in (0..len).filter(|x| x / 8 != 2) {
+                cache.dk_or_compute(idx, x, cs, &mut SearchStats::new());
+            }
+            cache
+        };
+        let mut idx = LinearScan::build(ds.clone(), metric);
+        let name = metric.name();
+
+        // Ties exactly at the thresholds, one point and several.
+        let (mut neighbours, mut ties) = (0, 0);
+        let batches: [&[PointId]; 3] = [&[24], &[3, 24, 45], &[0, 48, 48, 17]];
+        for points in batches {
+            let mut cache = warm(&idx, 4, n, &mut cs);
+            let (e, t) = evict_against_oracle(&idx, &mut cache, points);
+            (neighbours, ties) = (neighbours + e, ties + t);
+        }
+        assert!(
+            neighbours > 3,
+            "{name}: the lattice batches must evict neighbours"
+        );
+        assert!(
+            ties > 0,
+            "{name}: some point must sit exactly at a threshold"
+        );
+
+        // `+∞` thresholds: fewer than k other points, so any point evicts.
+        let mut cache = warm(&idx, n, n, &mut cs);
+        assert_eq!(f64::from_bits(*cache.vals[0].get_mut()), f64::INFINITY);
+        evict_against_oracle(&idx, &mut cache, &[10, 30]);
+        assert_eq!(cache.filled(), 0, "{name}: a +inf threshold always evicts");
+
+        // Ids past the cache range are queries without a slot of their own.
+        let mut cache = warm(&idx, 4, n - 6, &mut cs);
+        let (e, _) = evict_against_oracle(&idx, &mut cache, &[n - 1, n - 3, 20]);
+        assert!(e > 0, "{name}: out-of-range points must still evict");
+
+        // One batch inserts a point and removes it again.
+        let mut cache = warm(&idx, 4, n, &mut cs);
+        let id = idx.insert(&[1.25, 1.5]).unwrap();
+        assert!(idx.remove(id));
+        cache.grow(id + 1);
+        let (e, _) = evict_against_oracle(&idx, &mut cache, &[id, id]);
+        assert!(e > 0, "{name}: the transient point must evict its balls");
+
+        // An empty batch evicts nothing and costs nothing.
+        let mut cache = warm(&idx, 4, n, &mut cs);
+        let filled = cache.filled();
+        assert_eq!(evict_against_oracle(&idx, &mut cache, &[]), (0, 0));
+        assert_eq!(cache.filled(), filled);
+    }
+
+    #[test]
+    fn batched_eviction_matches_the_oracle_under_every_metric() {
+        use rknn_core::{Chebyshev, Manhattan, Minkowski};
+        batched_eviction_matches_the_oracle(Euclidean);
+        batched_eviction_matches_the_oracle(Manhattan);
+        batched_eviction_matches_the_oracle(Chebyshev);
+        batched_eviction_matches_the_oracle(Minkowski::new(3.0));
     }
 
     #[test]

@@ -187,7 +187,8 @@ impl MaintainedStream {
         let mut overhead = SearchStats::new();
         let k = self.algo.params().k;
         let p = index.insert(point)?;
-        self.algo.apply_update(&*index, IndexUpdate::Inserted(p));
+        self.algo
+            .apply_updates(&*index, &[IndexUpdate::Inserted(p)]);
         let index = &*index;
 
         // A = RkNN(p) post-insert ⊇ every point whose threshold changed.
@@ -265,7 +266,8 @@ impl MaintainedStream {
         recompute.remove(&id);
 
         assert!(index.remove(id), "maintained id was live in the index");
-        self.algo.apply_update(&*index, IndexUpdate::Removed(id));
+        self.algo
+            .apply_updates(&*index, &[IndexUpdate::Removed(id)]);
         self.answers[id] = None;
 
         let queries: Vec<PointId> = recompute.into_iter().collect();

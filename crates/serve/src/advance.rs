@@ -5,7 +5,8 @@
 //! of re-preparing from scratch on every catalog change, the successor
 //! snapshot clones the live index, applies the churn ops to the clone, and
 //! carries the predecessor's warm `d_k` cache forward — evicting only the
-//! thresholds each update can actually change
+//! thresholds the batch can actually change, in one tiled pass over the
+//! cached slots against every updated point
 //! ([`rknn_rdt::DkCache::invalidate_near`]'s localized rule). The engine
 //! never sees the intermediate states: readers keep answering against the
 //! old epoch until [`crate::Engine::publish`] swaps in the finished
@@ -86,19 +87,19 @@ pub struct AdvanceReport {
     pub removed: Vec<PointId>,
     /// Wall-clock time to clone, mutate, and repair.
     pub build_time: Duration,
-    /// Cache-repair work (the localized eviction scans), uniform with the
-    /// batch driver's maintenance accounting.
+    /// Cache-repair work (the batch's one localized eviction pass),
+    /// uniform with the batch driver's maintenance accounting.
     pub maintenance: SearchStats,
     /// Thresholds still warm in the carried cache after repair (`None`
     /// when the algorithm runs without `d_k` reuse).
     pub cache_filled: Option<usize>,
 }
 
-/// Derives the successor of `prev` with `ops` applied: cloned index, warm
-/// [`rknn_rdt::DkCache`] carried over via [`RdtAlgorithm::warmed`], and
-/// per-op localized eviction through
-/// [`RknnAlgorithm::apply_update`]. The result is query-ready — publish it
-/// without calling `prepare`.
+/// Derives the successor of `prev` with `ops` applied: cloned index with
+/// every op applied, warm [`rknn_rdt::DkCache`] carried over via
+/// [`RdtAlgorithm::warmed`], and one localized eviction pass over the whole
+/// batch through [`RknnAlgorithm::apply_updates`]. The result is
+/// query-ready — publish it without calling `prepare`.
 ///
 /// Fails with a typed [`AdvanceError`] naming the offending op if an
 /// insert is rejected by the index or a remove names an id that is not
@@ -117,24 +118,26 @@ where
     let mut algo = prev.algo().warmed();
     let mut inserted = Vec::new();
     let mut removed = Vec::new();
+    let mut updates = Vec::with_capacity(ops.len());
     for (at, op) in ops.iter().enumerate() {
         match op {
             ChurnOp::Insert(coords) => {
                 let id = index
                     .insert(coords)
                     .map_err(|source| AdvanceError::Insert { op: at, source })?;
-                RknnAlgorithm::<M, I>::apply_update(&mut algo, &index, IndexUpdate::Inserted(id));
+                updates.push(IndexUpdate::Inserted(id));
                 inserted.push(id);
             }
             ChurnOp::Remove(id) => {
                 if !index.remove(*id) {
                     return Err(AdvanceError::RemoveMissing { op: at, id: *id });
                 }
-                RknnAlgorithm::<M, I>::apply_update(&mut algo, &index, IndexUpdate::Removed(*id));
+                updates.push(IndexUpdate::Removed(*id));
                 removed.push(*id);
             }
         }
     }
+    RknnAlgorithm::<M, I>::apply_updates(&mut algo, &index, &updates);
     let report = AdvanceReport {
         epoch: prev.epoch() + 1,
         inserted,
@@ -189,6 +192,41 @@ mod tests {
         // The predecessor snapshot is untouched by the advance.
         assert_eq!(snap.epoch(), 0);
         assert_eq!(snap.index().num_points(), 180);
+    }
+
+    #[test]
+    fn a_batch_that_removes_its_own_insert_matches_a_cold_rebuild() {
+        let ds = rknn_data::gaussian_blobs(150, 3, 3, 0.4, 952).into_shared();
+        let idx = LinearScan::build(ds, Euclidean);
+        let params = RdtParams::new(3, 4.0);
+        let snap = Snapshot::prepare(0, idx, RdtAlgorithm::new(params));
+        let queries: Vec<usize> = (0..150).collect();
+        let _ = run_algorithm_batch(snap.algo(), snap.index(), &queries, 2);
+
+        // The transient point is tombstoned before the batch's eviction
+        // pass runs, which still reads its coordinates as a query.
+        let transient = snap.index().point(40).to_vec();
+        let ops = vec![
+            ChurnOp::Insert(transient),
+            ChurnOp::Remove(3),
+            ChurnOp::Remove(150),
+            ChurnOp::Insert(vec![0.1, 0.7, 0.3]),
+        ];
+        let (next, report) = advance_snapshot(&snap, &ops).unwrap();
+        assert_eq!(report.inserted, vec![150, 151]);
+        assert_eq!(report.removed, vec![3, 150]);
+        assert!(report.cache_filled.unwrap() > 0, "warm thresholds survive");
+
+        let live: Vec<usize> = (0..152).filter(|&q| q != 3 && q != 150).collect();
+        let got = run_algorithm_batch(next.algo(), next.index(), &live, 2);
+        let mut cold = RdtAlgorithm::new(params);
+        RknnAlgorithm::<_, LinearScan<Euclidean>>::prepare(&mut cold, next.index());
+        let want = run_algorithm_batch(&cold, next.index(), &live, 2);
+        for ((a, b), &q) in got.answers.iter().zip(&want.answers).zip(&live) {
+            let av: Vec<(usize, u64)> = a.result.iter().map(|n| (n.id, n.dist.to_bits())).collect();
+            let bv: Vec<(usize, u64)> = b.result.iter().map(|n| (n.id, n.dist.to_bits())).collect();
+            assert_eq!(av, bv, "q={q}");
+        }
     }
 
     #[test]
