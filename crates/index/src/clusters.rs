@@ -1,5 +1,4 @@
-//! Batched forward k-nearest-neighbor distances over a transient list of
-//! clusters.
+//! Batched forward k-nearest-neighbor distances over a list of clusters.
 //!
 //! Every all-points precomputation in the workspace — RDT's `d_k` prewarm,
 //! the RdNN-Tree's kNN radii, MRkNNCoP's bound lines — needs the `k`
@@ -26,8 +25,13 @@
 //!
 //! Distances are the kernel's exact values, so each query's list is bit
 //! for bit the first `k` distances of a bounded cursor from the same point
-//! (`DESIGN.md` §3 gives the counting rule). The structure lives only for
-//! the call.
+//! (`DESIGN.md` §3 gives the counting rule). The pass returns the list it
+//! built ([`ClusterList`]: centers, radii and buckets) and drops its
+//! per-group scratch. Ids are append-only and a point's coordinates never
+//! change, so the list stays valid for the index it was built on and
+//! every successor derived from it by inserts and removes: RDT's `d_k`
+//! cache keeps it to skip whole buckets when it repairs thresholds after
+//! an update.
 
 use crate::traits::KnnIndex;
 use rknn_core::kernel::pad_dim;
@@ -47,6 +51,97 @@ const SLACK: f64 = 1e-9;
 
 /// Home bucket of a query that is not a live point.
 const NO_HOME: u32 = u32::MAX;
+
+/// The lower bound `d − r` on the distance from a point at distance `d`
+/// from a center to any member within radius `r` of it, widened by
+/// [`SLACK`]; `−∞` where `∞ − ∞` bounds nothing.
+fn lower_bound(d: f64, r: f64) -> f64 {
+    let v = d - r - SLACK * (d + r);
+    if v.is_nan() {
+        f64::NEG_INFINITY
+    } else {
+        v
+    }
+}
+
+/// The list of clusters one [`knn_dists`] pass built over the live ids
+/// below its id bound: `m` centers zero-padded to the kernel stride, each
+/// bucket's covering radius, and the ids of each bucket.
+///
+/// Every live id below [`ClusterList::id_bound`] at build time is a member
+/// of exactly one bucket, and lies within that bucket's radius of its
+/// center by the kernel's own distance. The ids below the bound that were
+/// not live are kept apart ([`ClusterList::unlisted`]). Ids at or past the
+/// bound were assigned after the build and belong to no bucket. The empty
+/// list (the [`Default`]) holds nothing and has bound 0.
+#[derive(Default)]
+pub struct ClusterList {
+    bound: usize,
+    /// Number of live ids the buckets hold.
+    listed: usize,
+    /// `ids[..listed]` grouped by bucket, ascending within each;
+    /// `ids[listed..bound]` the unlisted ids, ascending; then the `m + 1`
+    /// bucket starts into `ids`.
+    ids: Vec<u32>,
+    /// The `m` padded center rows, then the `m` covering radii.
+    centers: Vec<f64>,
+}
+
+impl ClusterList {
+    /// One past the largest id the list accounts for: ids below it are
+    /// either a bucket's member or [`unlisted`](Self::unlisted).
+    pub fn id_bound(&self) -> usize {
+        self.bound
+    }
+
+    /// Number of buckets `m`.
+    pub fn buckets(&self) -> usize {
+        self.ids.len().saturating_sub(self.bound + 1)
+    }
+
+    /// The `m` center rows, each zero-padded to the kernel stride of the
+    /// index ([`pad_dim`]): the `rows` operand of [`Metric::dist_tile`].
+    pub fn centers(&self) -> &[f64] {
+        &self.centers[..self.centers.len() - self.buckets()]
+    }
+
+    /// Covering radius of bucket `b`: no member is farther from its
+    /// center.
+    pub fn radius(&self, b: usize) -> f64 {
+        self.centers[self.centers.len() - self.buckets() + b]
+    }
+
+    /// The ids of bucket `b`, ascending.
+    pub fn members(&self, b: usize) -> &[u32] {
+        let start = &self.ids[self.bound..];
+        &self.ids[start[b] as usize..start[b + 1] as usize]
+    }
+
+    /// The ids below [`id_bound`](Self::id_bound) that were not live when
+    /// the list was built, ascending.
+    pub fn unlisted(&self) -> &[u32] {
+        &self.ids[self.listed..self.bound]
+    }
+
+    /// A lower bound on the distance from a point at distance `d` from
+    /// bucket `b`'s center to every member of `b`, widened by a relative
+    /// slack of `1e-9` so that rounding in `d` and the radius never makes
+    /// it exceed a member's computed distance. `−∞` when it bounds
+    /// nothing.
+    pub fn lower_bound(&self, b: usize, d: f64) -> f64 {
+        lower_bound(d, self.radius(b))
+    }
+}
+
+impl std::fmt::Debug for ClusterList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ClusterList")
+            .field("id_bound", &self.bound)
+            .field("buckets", &self.buckets())
+            .field("listed", &self.listed)
+            .finish()
+    }
+}
 
 /// Number of centers for `n` live points: about `√n`, which balances the
 /// `n·m` assignment against the rows each query reads per visited bucket.
@@ -176,10 +271,7 @@ impl Pass<'_> {
             stats.count_dists(m as u64);
             let lower = &mut self.lower[j * m..(j + 1) * m];
             for (b, lb) in lower.iter_mut().enumerate() {
-                let (d, r) = (self.center_dists[b], self.radius[b]);
-                let v = d - r - SLACK * (d + r);
-                // `∞ − ∞` bounds nothing.
-                *lb = if v.is_nan() { f64::NEG_INFINITY } else { v };
+                *lb = lower_bound(self.center_dists[b], self.radius[b]);
                 self.group_lower[b] = self.group_lower[b].min(*lb);
             }
             self.best[j * k..(j + 1) * k].fill(f64::INFINITY);
@@ -246,7 +338,8 @@ impl Pass<'_> {
     }
 }
 
-/// The `k` smallest forward distances of every point in `queries`.
+/// The `k` smallest forward distances of every point in `queries`, and
+/// the list of clusters that found them.
 ///
 /// For each query id `q`, `sink(q, dists)` receives the ascending
 /// distances from `index.point(q)` to its `k` nearest live points other
@@ -257,6 +350,10 @@ impl Pass<'_> {
 /// filtered by [`KnnIndex::has_point`]; only [`KnnIndex::point`] and
 /// [`KnnIndex::metric`] are used beyond that, so every substrate shares
 /// this one pass.
+///
+/// The returned [`ClusterList`] is the one the pass built, over the live
+/// ids below `id_bound()`; callers that only want the distances drop it.
+/// With `k = 0` or no live point nothing is built and the list is empty.
 ///
 /// `stats` is charged `n·m` distances for assigning the `n` live points
 /// to `m` centers, `m` per query for its center distances, and one per
@@ -271,19 +368,19 @@ pub fn knn_dists<M, I>(
     k: usize,
     stats: &mut SearchStats,
     mut sink: impl FnMut(PointId, &[f64]),
-) where
+) -> ClusterList
+where
     M: Metric,
     I: KnnIndex<M> + ?Sized,
 {
     let bound = index.id_bound();
-    let live = || (0..bound).filter(|&id| index.has_point(id));
-    let n = live().count();
+    let n = (0..bound).filter(|&id| index.has_point(id)).count();
     if k == 0 || n == 0 {
         let none = vec![f64::INFINITY; k];
         for &q in queries {
             sink(q, &none);
         }
-        return;
+        return ClusterList::default();
     }
     assert!(
         bound < NO_HOME as usize && queries.len() < NO_HOME as usize,
@@ -293,6 +390,7 @@ pub fn knn_dists<M, I>(
     // Working memory is three buffers: the members' padded rows, the ids,
     // and the other coordinates and bounds. Few large buffers leave fewer
     // small freed blocks behind, which the allocator does not coalesce.
+    // The list's parts lead the id and coordinate buffers.
     let mut qpad = vec![0.0; GROUP * stride];
     let mut id_buf = vec![0u32; 2 * bound + m + 1 + m + queries.len()];
     let [ids, start, home, visit, order] =
@@ -302,8 +400,18 @@ pub fn knn_dists<M, I>(
         &mut f_buf,
         [m * stride, m, m, m, GROUP * m, m, GROUP * k, TILE * stride],
     );
-    for (slot, id) in ids.iter_mut().zip(live()) {
-        *slot = id as u32;
+    // Live ids fill `ids[..n]`, the others `ids[n..]`, both ascending.
+    let (mut live, mut dead) = {
+        let (live, dead) = ids.split_at_mut(n);
+        (live.iter_mut(), dead.iter_mut())
+    };
+    for id in 0..bound {
+        let slot = if index.has_point(id) {
+            live.next()
+        } else {
+            dead.next()
+        };
+        *slot.expect("the live count was just taken") = id as u32;
     }
     let mut pass = Pass {
         dim: index.dim(),
@@ -347,5 +455,116 @@ pub fn knn_dists<M, I>(
         for (j, &q) in members[..len].iter().enumerate() {
             sink(q, &pass.best[j * k..(j + 1) * k]);
         }
+    }
+
+    // Exact-size copies, and the pass's buffers are freed as before.
+    // Keeping the buffers instead, even shrunk in place, changed where the
+    // allocator put later large blocks and raised the peak resident set of
+    // a prewarmed n = 2·10⁴ set-up by about 1.7 MiB; the copies add the
+    // ~0.1 MiB of the list.
+    ClusterList {
+        bound,
+        listed: n,
+        ids: id_buf[..bound + m + 1].to_vec(),
+        centers: f_buf[..m * stride + m].to_vec(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{DynamicIndex, LinearScan, VpTree};
+    use rknn_core::{Dataset, Euclidean, Manhattan};
+
+    fn rows(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        // Points on four corners of a square, so buckets hold real spreads.
+        (0..n)
+            .map(|i| {
+                (0..dim)
+                    .map(|j| next() + if (i >> (j % 2)) & 1 == 1 { 8.0 } else { 0.0 })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Checks the list's invariants against the live ids of `index`.
+    fn check_list<M: Metric, I: KnnIndex<M>>(index: &I) {
+        let list = knn_dists(index, &[], 3, &mut SearchStats::new(), |_, _| {});
+        let bound = index.id_bound();
+        assert_eq!(list.id_bound(), bound);
+        let (dim, stride, m) = (index.dim(), pad_dim(index.dim()), list.buckets());
+        assert_eq!(
+            m,
+            center_count((0..bound).filter(|&id| index.has_point(id)).count())
+        );
+        let mut seen = vec![0; bound];
+        let mut dists = vec![0.0; m];
+        let unbounded = vec![f64::INFINITY; m];
+        let mut q = vec![0.0; stride];
+        for b in 0..m {
+            let members = list.members(b);
+            assert!(
+                members.windows(2).all(|w| w[0] < w[1]),
+                "bucket {b} unsorted"
+            );
+            for &x in members {
+                seen[x as usize] += 1;
+                q[..dim].copy_from_slice(index.point(x as usize));
+                index
+                    .metric()
+                    .dist_tile(&q, list.centers(), stride, dim, &unbounded, &mut dists);
+                assert!(
+                    dists[b] <= list.radius(b),
+                    "id {x} lies {} from center {b}, radius {}",
+                    dists[b],
+                    list.radius(b)
+                );
+            }
+        }
+        for &x in list.unlisted() {
+            seen[x as usize] += 1;
+        }
+        assert!(list.unlisted().windows(2).all(|w| w[0] < w[1]));
+        for (id, &times) in seen.iter().enumerate() {
+            assert_eq!(times, 1, "id {id} accounted for {times} times");
+            let listed = list.unlisted().binary_search(&(id as u32)).is_err();
+            assert_eq!(listed, index.has_point(id), "id {id}");
+        }
+    }
+
+    #[test]
+    fn every_live_id_is_listed_once_within_its_radius() {
+        let ds = Dataset::from_rows(&rows(300, 3, 5)).unwrap().into_shared();
+        check_list(&LinearScan::build(ds.clone(), Euclidean));
+        check_list(&LinearScan::build(ds.clone(), Manhattan));
+
+        // Tombstones below the live count and ids past it.
+        let mut vp = VpTree::build(ds, Euclidean);
+        for row in rows(40, 3, 6) {
+            vp.insert(&row).unwrap();
+        }
+        for id in (0..340).step_by(7) {
+            assert!(vp.remove(id));
+        }
+        assert!(vp.id_bound() > vp.num_points());
+        check_list(&vp);
+
+        // Nothing to build: an empty list that holds no id.
+        let idx = LinearScan::build(
+            Dataset::from_rows(&rows(5, 2, 7)).unwrap().into_shared(),
+            Euclidean,
+        );
+        let empty = knn_dists(&idx, &[0], 0, &mut SearchStats::new(), |_, d| {
+            assert!(d.is_empty())
+        });
+        assert_eq!((empty.id_bound(), empty.buckets()), (0, 0));
+        assert!(empty.unlisted().is_empty() && empty.centers().is_empty());
     }
 }

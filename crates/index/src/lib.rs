@@ -30,8 +30,9 @@
 //!
 //! All-points precomputation goes through one batched pass instead of a
 //! cursor per point: [`knn_dists`] answers a whole set of forward
-//! k-nearest-distance queries over a transient list of clusters
-//! ([`clusters`]), on any substrate.
+//! k-nearest-distance queries over a list of clusters ([`clusters`]), on
+//! any substrate, and returns the list ([`ClusterList`]) for callers that
+//! keep it.
 
 #![warn(missing_docs)]
 
@@ -47,7 +48,7 @@ pub mod traversal;
 pub mod vp_tree;
 
 pub use ball_tree::BallTree;
-pub use clusters::knn_dists;
+pub use clusters::{knn_dists, ClusterList};
 pub use cover_tree::CoverTree;
 pub use linear::LinearScan;
 pub use mtree::MTree;

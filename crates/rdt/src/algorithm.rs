@@ -588,10 +588,13 @@ impl RdtAlgorithm {
     /// of the live ids gets its `d_k` computed eagerly, so a fresh
     /// snapshot's first queries don't all pay the cold-cache `d_k` miss
     /// storm. The sample is answered in one batched pass
-    /// ([`DkCache::prewarm`]): `n·√n` distances to build a transient list
-    /// of clusters over the `n` live points, then a few thousand per
-    /// sampled point on clustered data, where one cursor per point costs
-    /// `n` each (`DESIGN.md` §3). `0` (the default) disables prewarming.
+    /// ([`DkCache::prewarm`]): `n·√n` distances to build a list of
+    /// clusters over the `n` live points, then a few thousand per sampled
+    /// point on clustered data, where one cursor per point costs `n` each
+    /// (`DESIGN.md` §3). The cache keeps that list, whatever the sample
+    /// size, and every [`apply_updates`](RknnAlgorithm::apply_updates) on
+    /// this instance or a [`warmed`](Self::warmed) successor uses it to
+    /// skip far buckets. `0` (the default) disables prewarming.
     /// The work is charged to
     /// [`precompute_stats`](RknnAlgorithm::precompute_stats) /
     /// [`precompute_time`](RknnAlgorithm::precompute_time), keeping the
@@ -708,12 +711,13 @@ where
         self.prepare_stats = SearchStats::new();
         self.maint_time = Duration::ZERO;
         self.maint_stats = SearchStats::new();
-        if let Some(cache) = self.cache.as_ref().filter(|_| self.prewarm > 0) {
+        let prewarm = self.prewarm;
+        if let Some(cache) = self.cache.as_mut().filter(|_| prewarm > 0) {
             // Deterministic stride sample of the live ids, so the warm set
             // covers them independently of any RNG state and identically
             // on every host.
             let mut ids: Vec<PointId> = (0..bound).filter(|&id| index.has_point(id)).collect();
-            let sample = self.prewarm.min(ids.len());
+            let sample = prewarm.min(ids.len());
             let step = ids.len().checked_div(sample).unwrap_or(1).max(1);
             let mut pos = 0..;
             ids.retain(|_| {

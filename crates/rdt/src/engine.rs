@@ -37,7 +37,8 @@ use rknn_core::{
     kernel, CancelToken, Cancelled, CursorScratch, FilterCandidate, Metric, Neighbor, PointId,
     QueryScratch, SearchStats,
 };
-use rknn_index::KnnIndex;
+use rknn_index::{ClusterList, KnnIndex};
+use std::sync::Arc;
 
 /// Rows per witness-pass tile block: large enough to amortize the
 /// per-block dispatch and bound transform, small enough to bound the
@@ -151,6 +152,9 @@ pub struct DkCache {
     /// finite — though it may be `+∞` when fewer than `k` other points
     /// exist).
     vals: Vec<std::sync::atomic::AtomicU64>,
+    /// The list of clusters the last [`DkCache::prewarm`] built, shared
+    /// with every warm copy; `None` on a cache that was never prewarmed.
+    clusters: Option<Arc<ClusterList>>,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
 }
@@ -167,6 +171,7 @@ impl DkCache {
         DkCache {
             k,
             vals,
+            clusters: None,
             hits: std::sync::atomic::AtomicU64::new(0),
             misses: std::sync::atomic::AtomicU64::new(0),
         }
@@ -182,6 +187,15 @@ impl DkCache {
     pub fn hit_stats(&self) -> (u64, u64) {
         use std::sync::atomic::Ordering::Relaxed;
         (self.hits.load(Relaxed), self.misses.load(Relaxed))
+    }
+
+    /// The cached threshold of `id`, `None` while its slot is unset or
+    /// past the cache's range. Not a lookup: the hit and miss counters are
+    /// untouched.
+    pub fn get(&self, id: PointId) -> Option<f64> {
+        use std::sync::atomic::Ordering::Relaxed;
+        let bits = self.vals.get(id)?.load(Relaxed);
+        (bits != Self::UNSET).then(|| f64::from_bits(bits))
     }
 
     /// Number of slots currently holding a computed threshold.
@@ -200,7 +214,8 @@ impl DkCache {
     /// slots simply captures "whatever was computed so far"; every captured
     /// bit pattern is a value a fresh computation would also produce. The
     /// copy keeps the slots' capacity, so [`DkCache::grow`] on a successor
-    /// reallocates only when this cache's would have.
+    /// reallocates only when this cache's would have, and shares the list
+    /// of clusters of the last [`DkCache::prewarm`].
     pub fn warm_copy(&self) -> DkCache {
         use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
         let mut vals = Vec::with_capacity(self.vals.capacity());
@@ -208,6 +223,7 @@ impl DkCache {
         DkCache {
             k: self.k,
             vals,
+            clusters: self.clusters.clone(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -251,18 +267,25 @@ impl DkCache {
     /// [`DkCache::dk_or_compute`] would compute; ids beyond the cache's
     /// range are computed but not stored. Not a lookup, so the hit and
     /// miss counters are untouched.
-    pub fn prewarm<M, I>(&self, index: &I, ids: &[PointId], stats: &mut SearchStats)
+    ///
+    /// The cache keeps the pass's list of clusters over the live ids
+    /// (replacing any earlier one) and shares it with its warm copies:
+    /// [`DkCache::invalidate_near`] uses it to skip whole buckets. It stays
+    /// valid for `index` and every successor derived from it by inserts and
+    /// removes, because ids are append-only and coordinates never change.
+    pub fn prewarm<M, I>(&mut self, index: &I, ids: &[PointId], stats: &mut SearchStats)
     where
         M: Metric,
         I: KnnIndex<M> + ?Sized,
     {
-        use std::sync::atomic::Ordering::Relaxed;
-        rknn_index::knn_dists(index, ids, self.k, stats, |id, dists| {
+        let vals = &mut self.vals;
+        let clusters = rknn_index::knn_dists(index, ids, self.k, stats, |id, dists| {
             let dk = dists.last().copied().unwrap_or(f64::INFINITY);
-            if let Some(slot) = self.vals.get(id) {
-                slot.store(dk.to_bits(), Relaxed);
+            if let Some(slot) = vals.get_mut(id) {
+                *slot.get_mut() = dk.to_bits();
             }
         });
+        self.clusters = Some(Arc::new(clusters));
     }
 
     /// Extends the cached id range to `n` slots (new slots unset), so
@@ -291,18 +314,32 @@ impl DkCache {
     /// The batch's union needs no op order: a cached value never changes
     /// until its slot is evicted, and the rule reads only coordinates,
     /// which stay addressable for tombstoned ids. So one pass evicts the
-    /// same slots as one pass per point in any order. It gathers the set
+    /// same slots as one pass per point in any order. It first evicts the
+    /// slots of the batch's own ids without a distance. Then it gathers set
     /// slots into padded tiles of `EVICT_TILE` rows, each bounded by
-    /// `d_k(x).next_up()` (`+∞` stays `+∞`), and streams every updated
-    /// point through [`Metric::dist_tile`] against each tile. A row is
-    /// evicted when some point's distance is `<= d_k(x)`; the metrics are
+    /// `d_k(x).next_up()` (`+∞` stays `+∞`), and streams updated points
+    /// through [`Metric::dist_tile`] against each tile. A row is evicted
+    /// when some point's distance is `<= d_k(x)`; the metrics are
     /// symmetric, so `d(p, x)` carries the bits of `d(x, p)`.
     ///
-    /// Cost (`DESIGN.md` §3), charged to `stats`: one distance per set slot
-    /// and distinct updated point, `n · |points|` on a warm cache. The
-    /// slots of updated ids are evicted without a distance; unset slots
-    /// cost nothing, and whole blocks of them (all of a cold cache) are
-    /// skipped by one branch-free test each.
+    /// With the list of clusters of the last [`DkCache::prewarm`], each
+    /// updated point first takes its distances to the `m` centers. A
+    /// bucket is skipped for a point when the triangle-inequality bound
+    /// `d(p, c) − r` ([`ClusterList::lower_bound`], with its rounding
+    /// slack) exceeds the largest set threshold in the bucket: every
+    /// member then lies farther from `p` than its own `d_k`. Each bucket
+    /// some point still reaches is gathered once and streamed through the
+    /// points that reach it. The slots the list does not hold (ids at or
+    /// past its bound, which were inserted after the prewarm, and ids that
+    /// were not live then) take the tail: every updated point against
+    /// every set slot, where whole blocks of unset slots are skipped by
+    /// one branch-free test each. Without a list the tail is every slot.
+    ///
+    /// Cost (`DESIGN.md` §3), charged to `stats`: with a list, `m`
+    /// distances per distinct updated point; then one distance per set
+    /// slot outside `points` and updated point that reaches its bucket,
+    /// and per set tail slot and distinct updated point (`n · |points|` on
+    /// a warm cache without a list). Unset slots cost nothing.
     pub fn invalidate_near<M, I>(
         &mut self,
         index: &I,
@@ -317,12 +354,23 @@ impl DkCache {
         if points.is_empty() {
             return 0;
         }
-        let dim = index.dim();
+        let none = ClusterList::default();
+        let list = self.clusters.as_deref().unwrap_or(&none);
+        let vals = &mut self.vals[..];
+        let n = vals.len();
+        let (dim, metric) = (index.dim(), index.metric());
         let stride = kernel::pad_dim(dim);
-        // Distinct ids, ascending: the slot walk below meets them in order.
         let mut ids = points.to_vec();
         ids.sort_unstable();
         ids.dedup();
+        // The batch's own slots go without a distance.
+        let mut evicted = 0;
+        for &p in &ids {
+            if let Some(slot) = vals.get_mut(p) {
+                let bits = std::mem::replace(slot.get_mut(), Self::UNSET);
+                evicted += usize::from(bits != Self::UNSET);
+            }
+        }
         let mut tile = EvictTile {
             queries: vec![0.0; ids.len() * stride],
             rows: vec![0.0; EVICT_TILE * stride],
@@ -335,36 +383,68 @@ impl DkCache {
         for (q, &p) in tile.queries.chunks_exact_mut(stride).zip(&ids) {
             q[..dim].copy_from_slice(index.point(p));
         }
-        let (mut evicted, mut next) = (0, 0);
-        let n = self.vals.len();
-        for start in (0..n).step_by(BLOCK) {
-            let block = &mut self.vals[start..(start + BLOCK).min(n)];
-            if block
+        let mut active = Vec::with_capacity(ids.len());
+
+        // The listed slots, bucket by bucket, against the points that
+        // reach the bucket's largest threshold.
+        let m = list.buckets();
+        let mut center_dists = vec![0.0; ids.len() * m];
+        let unbounded = vec![f64::INFINITY; m];
+        for (q, out) in tile
+            .queries
+            .chunks_exact(stride)
+            // An empty list has no center, and so no chunk.
+            .zip(center_dists.chunks_exact_mut(m.max(1)))
+        {
+            metric.dist_tile(q, list.centers(), stride, dim, &unbounded, out);
+            stats.count_dists(m as u64);
+        }
+        for b in 0..m {
+            let members = list.members(b);
+            let reach = members
+                .iter()
+                .filter_map(|&x| vals.get(x as usize))
+                .map(|slot| slot.load(std::sync::atomic::Ordering::Relaxed))
+                .filter(|&bits| bits != Self::UNSET)
+                .fold(f64::NEG_INFINITY, |r, bits| r.max(f64::from_bits(bits)));
+            if reach == f64::NEG_INFINITY {
+                // No set slot.
+                continue;
+            }
+            // The bound is never NaN, and a `+∞` threshold is reached by
+            // every point.
+            active.clear();
+            active.extend(
+                (0..ids.len()).filter(|&j| list.lower_bound(b, center_dists[j * m + b]) <= reach),
+            );
+            if active.is_empty() {
+                continue;
+            }
+            for &x in members {
+                evicted += tile.offer(index, x as usize, vals, &active, stats);
+            }
+            evicted += tile.flush(metric, vals, &active, stats);
+        }
+
+        // The slots the list does not hold, against every point.
+        active.clear();
+        active.extend(0..ids.len());
+        for &x in list.unlisted() {
+            evicted += tile.offer(index, x as usize, vals, &active, stats);
+        }
+        for start in (list.id_bound().min(n)..n).step_by(BLOCK) {
+            let end = (start + BLOCK).min(n);
+            if vals[start..end]
                 .iter_mut()
                 .fold(true, |unset, s| unset & (*s.get_mut() == Self::UNSET))
             {
                 continue;
             }
-            for x in start..start + block.len() {
-                let bits = *self.vals[x].get_mut();
-                if bits == Self::UNSET {
-                    continue;
-                }
-                while ids.get(next).is_some_and(|&p| p < x) {
-                    next += 1;
-                }
-                if ids.get(next) == Some(&x) {
-                    *self.vals[x].get_mut() = Self::UNSET;
-                    evicted += 1;
-                    continue;
-                }
-                tile.push(x, index.point(x), f64::from_bits(bits));
-                if tile.len == EVICT_TILE {
-                    evicted += tile.flush(index.metric(), &mut self.vals, stats);
-                }
+            for x in start..end {
+                evicted += tile.offer(index, x, vals, &active, stats);
             }
         }
-        evicted + tile.flush(index.metric(), &mut self.vals, stats)
+        evicted + tile.flush(metric, vals, &active, stats)
     }
 }
 
@@ -388,31 +468,60 @@ struct EvictTile {
 }
 
 impl EvictTile {
-    /// Appends slot `x` with coordinates `coords` and threshold `dk`.
-    fn push(&mut self, x: usize, coords: &[f64], dk: f64) {
+    /// Gathers slot `x` if it holds a threshold, flushing the tile against
+    /// the `active` queries once it is full; returns how many slots that
+    /// flush evicted.
+    fn offer<M, I>(
+        &mut self,
+        index: &I,
+        x: usize,
+        vals: &mut [std::sync::atomic::AtomicU64],
+        active: &[usize],
+        stats: &mut SearchStats,
+    ) -> usize
+    where
+        M: Metric,
+        I: KnnIndex<M> + ?Sized,
+    {
+        let Some(bits) = vals.get_mut(x).map(|slot| *slot.get_mut()) else {
+            return 0;
+        };
+        if bits == DkCache::UNSET {
+            return 0;
+        }
         let at = self.len * self.stride;
-        self.rows[at..at + self.dim].copy_from_slice(coords);
+        self.rows[at..at + self.dim].copy_from_slice(index.point(x));
         self.slots[self.len] = x;
-        self.cached[self.len] = dk;
+        self.cached[self.len] = f64::from_bits(bits);
         self.len += 1;
+        if self.len < EVICT_TILE {
+            return 0;
+        }
+        self.flush(index.metric(), vals, active, stats)
     }
 
-    /// Evicts every gathered slot within its threshold of some query,
-    /// empties the tile and returns how many slots it evicted.
+    /// Evicts every gathered slot within its threshold of one of the
+    /// `active` queries, empties the tile and returns how many slots it
+    /// evicted.
     fn flush<M: Metric>(
         &mut self,
         metric: &M,
         vals: &mut [std::sync::atomic::AtomicU64],
+        active: &[usize],
         stats: &mut SearchStats,
     ) -> usize {
         let len = std::mem::take(&mut self.len);
+        if len == 0 {
+            return 0;
+        }
         let (rows, cached) = (&self.rows[..len * self.stride], &self.cached[..len]);
         let mut bounds = [0.0; EVICT_TILE];
         for (b, &dk) in bounds.iter_mut().zip(cached) {
             *b = dk.next_up();
         }
         let (mut out, mut hit) = ([0.0; EVICT_TILE], [false; EVICT_TILE]);
-        for q in self.queries.chunks_exact(self.stride) {
+        for &j in active {
+            let q = &self.queries[j * self.stride..(j + 1) * self.stride];
             metric.dist_tile(
                 q,
                 rows,
@@ -860,24 +969,49 @@ mod tests {
         Dataset::from_rows(&rows).unwrap().into_shared()
     }
 
+    /// What one checked eviction pass did.
+    #[derive(Debug, Default, PartialEq)]
+    struct Checked {
+        /// Evicted slots outside the batch.
+        neighbours: usize,
+        /// Pairs of a set slot and an updated point exactly at the slot's
+        /// threshold.
+        ties: usize,
+        /// Those of the ties whose slot and point lie in different buckets
+        /// of the cache's list (0 without a list).
+        ties_across: usize,
+        /// Distances the pass charged.
+        dists: u64,
+    }
+
+    /// The bucket of the cache's list holding `id`, if any.
+    fn bucket_of(cache: &DkCache, id: PointId) -> Option<usize> {
+        let list = cache.clusters.as_deref()?;
+        (0..list.buckets()).find(|&b| list.members(b).contains(&(id as u32)))
+    }
+
     /// Runs one eviction pass over `cache` and checks it against the brute
     /// rule: a set slot `x` is evicted iff `x ∈ points` or
     /// `metric.dist(x, p) <= d_k(x)` for some `p ∈ points`; unset slots
-    /// stay unset, and the pass costs one distance per set slot outside
-    /// `points` and distinct point. Returns `(evicted neighbours, exact
-    /// ties at the threshold)`.
+    /// stay unset. Without a list of clusters the pass costs one distance
+    /// per set slot outside `points` and distinct point; with one it costs
+    /// `m` per distinct point plus at most that.
     fn evict_against_oracle<M: Metric, I: KnnIndex<M>>(
         idx: &I,
         cache: &mut DkCache,
         points: &[PointId],
-    ) -> (usize, usize) {
+    ) -> Checked {
         let before: Vec<u64> = cache.vals.iter_mut().map(|s| *s.get_mut()).collect();
         let mut stats = SearchStats::new();
         let evicted = cache.invalidate_near(idx, points, &mut stats);
         let mut distinct = points.to_vec();
         distinct.sort_unstable();
         distinct.dedup();
-        let (mut want_evicted, mut want_dists, mut neighbours, mut ties) = (0, 0, 0, 0);
+        let (mut want_evicted, mut want_dists) = (0, 0);
+        let mut checked = Checked {
+            dists: stats.dist_computations,
+            ..Checked::default()
+        };
         for (x, &bits) in before.iter().enumerate() {
             let after = *cache.vals[x].get_mut();
             if bits == DkCache::UNSET {
@@ -887,21 +1021,59 @@ mod tests {
             let dk = f64::from_bits(bits);
             let own = distinct.contains(&x);
             want_dists += if own { 0 } else { distinct.len() as u64 };
-            let dists = distinct
-                .iter()
-                .map(|&p| idx.metric().dist(idx.point(x), idx.point(p)));
-            ties += dists.clone().filter(|&d| d == dk).count();
-            if own || dists.clone().any(|d| d <= dk) {
+            let dist = |p: PointId| idx.metric().dist(idx.point(x), idx.point(p));
+            for &p in &distinct {
+                if dist(p) == dk {
+                    checked.ties += 1;
+                    let across =
+                        bucket_of(cache, x).is_some_and(|b| bucket_of(cache, p) != Some(b));
+                    checked.ties_across += usize::from(across);
+                }
+            }
+            if own || distinct.iter().any(|&p| dist(p) <= dk) {
                 want_evicted += 1;
-                neighbours += usize::from(!own);
+                checked.neighbours += usize::from(!own);
                 assert_eq!(after, DkCache::UNSET, "points={points:?} x={x}");
             } else {
                 assert_eq!(after, bits, "points={points:?} x={x}");
             }
         }
         assert_eq!(evicted, want_evicted, "points={points:?}");
-        assert_eq!(stats.dist_computations, want_dists, "points={points:?}");
-        (neighbours, ties)
+        match cache.clusters.as_deref() {
+            None => assert_eq!(checked.dists, want_dists, "points={points:?}"),
+            Some(list) => {
+                let centers = (list.buckets() * distinct.len()) as u64;
+                assert!(
+                    (centers..=centers + want_dists).contains(&checked.dists),
+                    "points={points:?}: {} distances",
+                    checked.dists
+                );
+            }
+        }
+        checked
+    }
+
+    /// A cache of rank `k` over `len` slots holding the thresholds of
+    /// `ids`: filled by `prewarm` with a list of clusters over `idx` when
+    /// `listed`, by one cursor per id without one otherwise.
+    fn warm_cache<M: Metric, I: KnnIndex<M>>(
+        idx: &I,
+        k: usize,
+        len: usize,
+        ids: &[PointId],
+        listed: bool,
+    ) -> DkCache {
+        let mut cache = DkCache::new(k, len);
+        if listed {
+            cache.prewarm(idx, ids, &mut SearchStats::new());
+            assert!(cache.clusters.is_some());
+        } else {
+            let mut cs = CursorScratch::new();
+            for &x in ids {
+                cache.dk_or_compute(idx, x, &mut cs, &mut SearchStats::new());
+            }
+        }
+        cache
     }
 
     #[test]
@@ -918,7 +1090,7 @@ mod tests {
             for x in (0..ds.len()).filter(|x| (x / 8) % 2 == 1 || *x >= 32) {
                 cache.dk_or_compute(&idx, x, &mut cs, &mut SearchStats::new());
             }
-            neighbours_evicted += evict_against_oracle(&idx, &mut cache, points).0;
+            neighbours_evicted += evict_against_oracle(&idx, &mut cache, points).neighbours;
         }
         assert!(neighbours_evicted > 3, "the cases must evict neighbours");
     }
@@ -932,72 +1104,173 @@ mod tests {
         Dataset::from_rows(&rows).unwrap().into_shared()
     }
 
-    fn batched_eviction_matches_the_oracle<M: Metric + Copy>(metric: M) {
+    fn batched_eviction_matches_the_oracle<M: Metric + Copy>(metric: M, listed: bool) {
         use rknn_index::DynamicIndex;
         let ds = half_lattice(7);
         let n = ds.len();
         let mut cs = CursorScratch::new();
-        let warm = |idx: &LinearScan<M>, k: usize, len: usize, cs: &mut CursorScratch| {
-            let cache = DkCache::new(k, len);
-            // Every slot but block 2 (ids 16..24), which stays unset.
-            for x in (0..len).filter(|x| x / 8 != 2) {
-                cache.dk_or_compute(idx, x, cs, &mut SearchStats::new());
-            }
-            cache
+        // Every slot but block 2 (ids 16..24), which stays unset.
+        let warm = |idx: &LinearScan<M>, k: usize, len: usize| {
+            let ids: Vec<PointId> = (0..len).filter(|x| x / 8 != 2).collect();
+            warm_cache(idx, k, len, &ids, listed)
         };
         let mut idx = LinearScan::build(ds.clone(), metric);
-        let name = metric.name();
+        let name = format!("{} (list: {listed})", metric.name());
 
         // Ties exactly at the thresholds, one point and several.
-        let (mut neighbours, mut ties) = (0, 0);
+        let mut sum = Checked::default();
         let batches: [&[PointId]; 3] = [&[24], &[3, 24, 45], &[0, 48, 48, 17]];
         for points in batches {
-            let mut cache = warm(&idx, 4, n, &mut cs);
-            let (e, t) = evict_against_oracle(&idx, &mut cache, points);
-            (neighbours, ties) = (neighbours + e, ties + t);
+            let mut cache = warm(&idx, 4, n);
+            let c = evict_against_oracle(&idx, &mut cache, points);
+            sum.neighbours += c.neighbours;
+            sum.ties += c.ties;
+            sum.ties_across += c.ties_across;
         }
         assert!(
-            neighbours > 3,
+            sum.neighbours > 3,
             "{name}: the lattice batches must evict neighbours"
         );
         assert!(
-            ties > 0,
+            sum.ties > 0,
             "{name}: some point must sit exactly at a threshold"
+        );
+        assert_eq!(
+            sum.ties_across > 0,
+            listed,
+            "{name}: a tie must cross a bucket boundary"
         );
 
         // `+∞` thresholds: fewer than k other points, so any point evicts.
-        let mut cache = warm(&idx, n, n, &mut cs);
+        let mut cache = warm(&idx, n, n);
         assert_eq!(f64::from_bits(*cache.vals[0].get_mut()), f64::INFINITY);
         evict_against_oracle(&idx, &mut cache, &[10, 30]);
         assert_eq!(cache.filled(), 0, "{name}: a +inf threshold always evicts");
 
         // Ids past the cache range are queries without a slot of their own.
-        let mut cache = warm(&idx, 4, n - 6, &mut cs);
-        let (e, _) = evict_against_oracle(&idx, &mut cache, &[n - 1, n - 3, 20]);
-        assert!(e > 0, "{name}: out-of-range points must still evict");
+        let mut cache = warm(&idx, 4, n - 6);
+        let c = evict_against_oracle(&idx, &mut cache, &[n - 1, n - 3, 20]);
+        assert!(
+            c.neighbours > 0,
+            "{name}: out-of-range points must still evict"
+        );
+
+        // Listed ids that get tombstoned: the batch removing them, then a
+        // later batch over the same cache.
+        let mut churned = idx.clone();
+        let mut cache = warm(&churned, 4, n);
+        assert!(churned.remove(24) && churned.remove(3));
+        evict_against_oracle(&churned, &mut cache, &[24, 3]);
+        let c = evict_against_oracle(&churned, &mut cache, &[31, 10]);
+        assert!(c.neighbours > 0, "{name}: tombstoned members must not hide");
+
+        // Ids past the list's bound: inserted after the cache was warmed,
+        // then cached themselves.
+        let mut grown = idx.clone();
+        let mut cache = warm(&grown, 4, n);
+        let new: Vec<PointId> = [[1.25, 1.5], [2.0, 2.25], [0.0, 0.25]]
+            .iter()
+            .map(|row| grown.insert(row).unwrap())
+            .collect();
+        cache.grow(grown.id_bound());
+        for &x in &new[1..] {
+            cache.dk_or_compute(&grown, x, &mut cs, &mut SearchStats::new());
+        }
+        let c = evict_against_oracle(&grown, &mut cache, &[new[0], 10]);
+        assert!(
+            c.neighbours > 2,
+            "{name}: late ids must evict and be evicted"
+        );
+
+        // An id that was not live when the list was built, whose slot is
+        // filled afterwards: the list does not hold it.
+        let mut cache = warm(&churned, 4, n);
+        cache.dk_or_compute(&churned, 24, &mut cs, &mut SearchStats::new());
+        let c = evict_against_oracle(&churned, &mut cache, &[25]);
+        assert!(c.neighbours > 0, "{name}: unlisted slots must be scanned");
 
         // One batch inserts a point and removes it again.
-        let mut cache = warm(&idx, 4, n, &mut cs);
+        let mut cache = warm(&idx, 4, n);
         let id = idx.insert(&[1.25, 1.5]).unwrap();
         assert!(idx.remove(id));
         cache.grow(id + 1);
-        let (e, _) = evict_against_oracle(&idx, &mut cache, &[id, id]);
-        assert!(e > 0, "{name}: the transient point must evict its balls");
+        let c = evict_against_oracle(&idx, &mut cache, &[id, id]);
+        assert!(
+            c.neighbours > 0,
+            "{name}: the transient point must evict its balls"
+        );
 
         // An empty batch evicts nothing and costs nothing.
-        let mut cache = warm(&idx, 4, n, &mut cs);
+        let mut cache = warm(&idx, 4, n);
         let filled = cache.filled();
-        assert_eq!(evict_against_oracle(&idx, &mut cache, &[]), (0, 0));
+        assert_eq!(
+            evict_against_oracle(&idx, &mut cache, &[]),
+            Checked::default()
+        );
         assert_eq!(cache.filled(), filled);
+
+        // Duplicate points: eight copies of each of six locations, so the
+        // list holds zero-radius buckets (and empty ones, from duplicated
+        // centers).
+        let rows: Vec<Vec<f64>> = (0..48)
+            .map(|i| vec![(i % 6) as f64 * 0.5, (i % 3) as f64])
+            .collect();
+        let dup = LinearScan::build(Dataset::from_rows(&rows).unwrap().into_shared(), metric);
+        let mut neighbours = 0;
+        for k in [4, 10] {
+            let all: Vec<PointId> = (0..48).collect();
+            let mut cache = warm_cache(&dup, k, 48, &all, listed);
+            if let Some(list) = cache.clusters.as_deref() {
+                assert!(
+                    (0..list.buckets())
+                        .any(|b| !list.members(b).is_empty() && list.radius(b) == 0.0),
+                    "{name}: duplicates must give a zero-radius bucket"
+                );
+            }
+            neighbours += evict_against_oracle(&dup, &mut cache, &[7, 20]).neighbours;
+        }
+        assert!(neighbours > 7, "{name}: duplicates must evict their copies");
     }
 
     #[test]
     fn batched_eviction_matches_the_oracle_under_every_metric() {
         use rknn_core::{Chebyshev, Manhattan, Minkowski};
-        batched_eviction_matches_the_oracle(Euclidean);
-        batched_eviction_matches_the_oracle(Manhattan);
-        batched_eviction_matches_the_oracle(Chebyshev);
-        batched_eviction_matches_the_oracle(Minkowski::new(3.0));
+        for listed in [false, true] {
+            batched_eviction_matches_the_oracle(Euclidean, listed);
+            batched_eviction_matches_the_oracle(Manhattan, listed);
+            batched_eviction_matches_the_oracle(Chebyshev, listed);
+            batched_eviction_matches_the_oracle(Minkowski::new(3.0), listed);
+        }
+    }
+
+    #[test]
+    fn the_list_of_clusters_skips_far_buckets() {
+        // Eight well-separated blobs; the batch touches two of them.
+        let ds = rknn_data::gaussian_blobs(2000, 8, 8, 0.05, 17).into_shared();
+        let idx = LinearScan::build(ds.clone(), Euclidean);
+        let all: Vec<PointId> = (0..ds.len()).collect();
+        let points: &[PointId] = &[3, 11, 19, 4, 12];
+        let mut runs = [false, true].map(|listed| {
+            let mut cache = warm_cache(&idx, 10, ds.len(), &all, listed);
+            let checked = evict_against_oracle(&idx, &mut cache, points);
+            let left: Vec<Option<u64>> = all
+                .iter()
+                .map(|&x| cache.get(x).map(f64::to_bits))
+                .collect();
+            (checked, left)
+        });
+        let [(plain, plain_left), (listed, listed_left)] = &mut runs;
+        assert_eq!(
+            plain_left, listed_left,
+            "both runs must keep the same slots"
+        );
+        assert!(plain.neighbours > 0);
+        assert!(
+            2 * listed.dists < plain.dists,
+            "list {} vs plain {} distances",
+            listed.dists,
+            plain.dists
+        );
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! snapshot clones the live index, applies the churn ops to the clone, and
 //! carries the predecessor's warm `d_k` cache forward — evicting only the
 //! thresholds the batch can actually change, in one tiled pass over the
-//! cached slots against every updated point
+//! cached slots that skips the buckets of the prewarm's list of clusters
+//! no updated point can reach
 //! ([`rknn_rdt::DkCache::invalidate_near`]'s localized rule). The engine
 //! never sees the intermediate states: readers keep answering against the
 //! old epoch until [`crate::Engine::publish`] swaps in the finished
@@ -92,6 +93,14 @@ pub struct AdvanceReport {
     pub maintenance: SearchStats,
     /// Thresholds still warm in the carried cache after repair (`None`
     /// when the algorithm runs without `d_k` reuse).
+    ///
+    /// The carried cache is a copy of the predecessor's taken at the start
+    /// of the advance. While an engine serves the predecessor, its readers
+    /// keep filling missed slots, so for a successor built beside them
+    /// this count depends on timing. It is reproducible only when nothing
+    /// queries the predecessor during the advance: a fully warm cache, or
+    /// a chain of successors built privately from one another
+    /// (`DESIGN.md` §3).
     pub cache_filled: Option<usize>,
 }
 

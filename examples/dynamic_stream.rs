@@ -21,12 +21,15 @@ use std::time::Instant;
 
 fn main() {
     let ds = rknn::data::gaussian_blobs(800, 4, 6, 0.5, 9).into_shared();
+    let n = ds.len();
     let mut index = CoverTree::build(ds, Euclidean);
     let (k, t, threads) = (10, 50.0, 4);
 
+    // Prewarming every threshold also keeps the prewarm's list of clusters,
+    // which lets each update's `d_k` repair skip the far buckets.
     let start = Instant::now();
-    let mut stream =
-        MaintainedStream::new(RdtAlgorithm::new(RdtParams::new(k, t)), &index, threads);
+    let algo = RdtAlgorithm::new(RdtParams::new(k, t)).with_prewarm(n);
+    let mut stream = MaintainedStream::new(algo, &index, threads);
     let seed_ms = start.elapsed().as_secs_f64() * 1e3;
     println!(
         "seeded all-points RkNN table over {} points in {seed_ms:.1} ms",

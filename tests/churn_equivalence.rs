@@ -11,12 +11,19 @@
 //! exactly: answers must match in members, order, and distance *bits*.
 //! Nothing here assumes exactness — RDT+ at heuristic `t` must agree with
 //! its own rebuilt replay just as exact RDT does.
+//!
+//! Chained snapshot advances are checked the same way: a fully prewarmed
+//! snapshot carries its `d_k` cache, and the list of clusters the prewarm
+//! built, through many churn batches, and after every batch each cached
+//! threshold equals a fresh cursor's and every answer equals a cold
+//! re-prepare's.
 
 use proptest::prelude::*;
 use rknn::core::{Dataset, Euclidean, PointId};
 use rknn::index::{CoverTree, DynamicIndex, KnnIndex, LinearScan, RTree, VpTree};
 use rknn::rdt::algorithm::{run_algorithm_batch, RdtAlgorithm, RknnAlgorithm};
-use rknn::rdt::{MaintainedStream, RdtParams};
+use rknn::rdt::{DkCache, MaintainedStream, RdtParams};
+use rknn::serve::{advance_snapshot, ChurnOp, Snapshot};
 
 /// Tie-heavy half-integer lattice: many coincident distances, the
 /// adversarial input for anything sensitive to `(dist, id)` ordering.
@@ -211,4 +218,96 @@ fn dense_scripted_churn_scenario() {
         Op::Remove(1),
     ];
     run_churn_scenario(14, 2, 4.0, &ops);
+}
+
+/// Takes a fully prewarmed snapshot over `index` through chained 16-op
+/// advances (8 inserts near existing points, some exact duplicates, and 8
+/// removes). After every advance, each set slot of the carried cache
+/// equals a fresh bounded cursor's `d_k`, and the answers of a third of
+/// the live points equal a cold re-prepare's bit for bit. On the clustered
+/// data used here the carried list of clusters must also keep the eviction
+/// well below a pass that scans every cached slot.
+fn check_chained_advances<I>(index: I, steps: usize, label: &str)
+where
+    I: DynamicIndex<Euclidean> + Clone + Sync,
+{
+    let params = RdtParams::new(5, 4.0);
+    let n0 = index.num_points();
+    let mut snap = Snapshot::prepare(0, index, RdtAlgorithm::new(params).with_prewarm(n0));
+    assert_eq!(snap.algo().dk_cache().unwrap().filled(), n0);
+    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+    let mut next = move |below: usize| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) as usize) % below
+    };
+    let mut live: Vec<PointId> = (0..n0).collect();
+    // No slots: every lookup runs a fresh bounded cursor.
+    let fresh = DkCache::new(params.k, 0);
+    let mut scratch = rknn::core::CursorScratch::new();
+    for step in 0..steps {
+        let mut ops = Vec::with_capacity(16);
+        for i in 0..8 {
+            let src = snap.index().point(live[next(live.len())]);
+            let jitter = if i % 4 == 0 { 0.0 } else { 0.01 };
+            let row = src
+                .iter()
+                .map(|c| c + jitter * (next(100) as f64 - 50.0) / 50.0);
+            ops.push(ChurnOp::Insert(row.collect()));
+        }
+        for _ in 0..8 {
+            ops.push(ChurnOp::Remove(live.swap_remove(next(live.len()))));
+        }
+        let (succ, report) = advance_snapshot(&snap, &ops).unwrap();
+        live.extend(&report.inserted);
+        // The carried list keeps skipping buckets: well under the 16
+        // distances per cached slot a pass without it would cost.
+        let dists = report.maintenance.dist_computations;
+        assert!(
+            dists < 8 * n0 as u64,
+            "{label} step {step}: {dists} distances"
+        );
+        let (index, cache) = (succ.index(), succ.algo().dk_cache().unwrap());
+        for id in 0..index.id_bound() {
+            let Some(dk) = cache.get(id) else { continue };
+            assert!(
+                index.has_point(id),
+                "{label} step {step}: dead id {id} cached"
+            );
+            let want = fresh.dk_or_compute(index, id, &mut scratch, &mut Default::default());
+            assert_eq!(
+                dk.to_bits(),
+                want.to_bits(),
+                "{label} step {step}: d_k({id})"
+            );
+        }
+
+        // A third of the live points; their queries also refill evicted
+        // slots the next step carries.
+        let mut queries: Vec<PointId> = live.iter().copied().step_by(3).collect();
+        queries.sort_unstable();
+        let got = run_algorithm_batch(succ.algo(), index, &queries, 2);
+        let mut cold = RdtAlgorithm::new(params);
+        cold.prepare(index);
+        let want = run_algorithm_batch(&cold, index, &queries, 2);
+        for ((a, b), q) in got.answers.iter().zip(&want.answers).zip(&queries) {
+            let bits = |r: &[rknn::core::Neighbor]| -> Vec<(PointId, u64)> {
+                r.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+            };
+            assert_eq!(
+                bits(&a.result),
+                bits(&b.result),
+                "{label} step {step}: q={q}"
+            );
+        }
+        snap = succ;
+    }
+}
+
+#[test]
+fn chained_prewarmed_advances_keep_exact_thresholds_and_answers() {
+    let ds = rknn::data::gaussian_blobs(400, 4, 6, 0.2, 31).into_shared();
+    check_chained_advances(LinearScan::build(ds.clone(), Euclidean), 20, "linear");
+    check_chained_advances(VpTree::build(ds, Euclidean), 20, "vp");
 }
