@@ -169,6 +169,41 @@ pub trait Metric: Send + Sync + Debug {
     }
 }
 
+/// Relative widening of the triangle-inequality bounds
+/// [`triangle_lower`] and [`triangle_upper`]. Computed distances carry
+/// rounding errors far below it, so a bound widened by it holds for the
+/// computed distances, not just the exact ones.
+pub const TRIANGLE_SLACK: f64 = 1e-9;
+
+/// A lower bound on `d(x, z)` from `d(x, y) >= a` and `d(y, z) <= b`:
+/// `a − b`, lowered by [`TRIANGLE_SLACK`]`·(a + b)` so that rounding in the
+/// three computed distances never lifts it above the computed `d(x, z)`.
+/// `−∞` where `∞ − ∞` bounds nothing.
+///
+/// The list of clusters prunes a bucket with it (`a` the distance to the
+/// center, `b` the covering radius), as do the tree substrates' range
+/// walks.
+#[inline]
+pub fn triangle_lower(a: f64, b: f64) -> f64 {
+    let v = a - b - TRIANGLE_SLACK * (a + b);
+    if v.is_nan() {
+        f64::NEG_INFINITY
+    } else {
+        v
+    }
+}
+
+/// An upper bound on `d(x, z)` from `d(x, y) <= a` and `d(y, z) <= b`:
+/// `a + b`, raised by [`TRIANGLE_SLACK`]`·(a + b)` so that the computed
+/// `d(x, z)` never exceeds it. `+∞` when either side is.
+///
+/// RDT's group verification sizes its ball around the query with it (`a`
+/// a candidate's distance from the query, `b` a bound on its `d_k`).
+#[inline]
+pub fn triangle_upper(a: f64, b: f64) -> f64 {
+    (a + b) + TRIANGLE_SLACK * (a + b)
+}
+
 /// Validates tile-call slice lengths shared by every implementation.
 #[inline]
 fn check_tile(rows: &[f64], stride: usize, dim: usize, bounds: &[f64], out: &mut [f64]) {
@@ -921,6 +956,53 @@ mod tests {
             &mut out,
         );
         assert_eq!(out[1], 5.0);
+    }
+
+    /// `n` points `o + t·v` on one line in `R^dim`, each coordinate
+    /// rounded: near-collinear, so the triangle inequality over three of
+    /// them is tight and computed distances can break it by rounding.
+    fn near_collinear(n: usize, dim: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| {
+                let t = 0.37 * i as f64 + 0.011 * (i * i) as f64;
+                (0..dim)
+                    .map(|j| 0.3 + 1.7 * j as f64 + t * (1.0 + 0.13 * j as f64).sqrt())
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn triangle_bounds_hold_where_rounding_breaks_the_inequality() {
+        let pts = near_collinear(24, 5);
+        let n = pts.len();
+        for m in metrics() {
+            let d = |a: usize, b: usize| m.dist(&pts[a], &pts[b]);
+            // Triples `i < j < l` along the line, where `d(i, l)` is the
+            // sum of the other two in exact arithmetic.
+            let (mut over, mut under) = (0, 0);
+            for i in 0..n {
+                for j in i + 1..n {
+                    for l in j + 1..n {
+                        let (a, b, c) = (d(i, j), d(j, l), d(i, l));
+                        over += usize::from(c > a + b);
+                        under += usize::from(c - b > a);
+                        assert!(c <= triangle_upper(a, b), "{} ({i},{j},{l})", m.name());
+                        assert!(triangle_lower(c, b) <= a, "{} ({i},{j},{l})", m.name());
+                    }
+                }
+            }
+            assert!(
+                over > 0 && under > 0,
+                "{}: rounding must break both bounds without the slack ({over}, {under})",
+                m.name()
+            );
+        }
+        assert_eq!(
+            triangle_lower(f64::INFINITY, f64::INFINITY),
+            f64::NEG_INFINITY
+        );
+        assert_eq!(triangle_upper(1.0, f64::INFINITY), f64::INFINITY);
     }
 
     proptest! {

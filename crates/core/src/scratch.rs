@@ -17,7 +17,9 @@
 //!   ([`crate::Metric::dist_tile`]) over contiguous cache-local memory
 //!   instead of chasing ids back into the index;
 //! * a [`TileEvalScratch`] — the padded query, bounds, and output buffers
-//!   one tile evaluation needs.
+//!   one tile evaluation needs;
+//! * the refinement phase's group buffers — the candidates whose `d_k`
+//!   missed the cache, with their running `k` smallest distances.
 
 use crate::bestfirst::BestFirst;
 use crate::kernel;
@@ -302,11 +304,18 @@ pub struct QueryScratch {
     /// The filter set's coordinates, row-aligned with `filter`.
     pub tile: CandidateTile,
     /// Tile-evaluation buffers for the witness pass (padded candidate
-    /// point, per-block bounds and outputs).
+    /// point, per-block bounds and outputs) and for the refinement
+    /// phase's group verification (one gathered tile of ball rows).
     pub wtile: TileEvalScratch,
     /// Ascending indices into `filter` of the members whose witness census
     /// is still open (not lazily accepted, fewer than `k` witnesses).
     pub open: Vec<usize>,
+    /// The refinement phase's `d_k` cache misses: each one's index into
+    /// `filter` and its upper bound on `d_k` from the filter set.
+    pub misses: Vec<(usize, f64)>,
+    /// `k` slots per miss: its `k` smallest distances found so far,
+    /// ascending, `+∞` where none yet.
+    pub nearest: Vec<f64>,
 }
 
 impl QueryScratch {
@@ -318,6 +327,8 @@ impl QueryScratch {
             tile: CandidateTile::new(dim),
             wtile: TileEvalScratch::new(),
             open: Vec::new(),
+            misses: Vec::new(),
+            nearest: Vec::new(),
         }
     }
 }
@@ -409,6 +420,8 @@ mod tests {
             tile,
             wtile,
             open,
+            misses,
+            nearest,
         } = &mut s;
         cursor.entries.push(Neighbor::new(0, 1.0));
         filter.push(FilterCandidate {
@@ -420,10 +433,14 @@ mod tests {
         tile.push(&[0.5, 0.5]);
         wtile.set_query(&[0.5, 0.5]);
         open.push(0);
+        misses.push((0, 1.0));
+        nearest.push(f64::INFINITY);
         assert_eq!(s.cursor.entries.len(), 1);
         assert_eq!(s.filter.len(), 1);
         assert_eq!(s.tile.len(), 1);
         assert_eq!(s.wtile.qpad.len(), 4);
         assert_eq!(s.open, [0]);
+        assert_eq!(s.misses, [(0, 1.0)]);
+        assert_eq!(s.nearest, [f64::INFINITY]);
     }
 }

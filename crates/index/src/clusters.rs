@@ -35,7 +35,7 @@
 
 use crate::traits::KnnIndex;
 use rknn_core::kernel::pad_dim;
-use rknn_core::{Metric, PointId, SearchStats};
+use rknn_core::{triangle_lower, Metric, PointId, SearchStats};
 
 /// Queries answered together: enough to amortize each gathered tile, few
 /// enough that the members' bucket orders still agree.
@@ -44,25 +44,8 @@ const GROUP: usize = 8;
 /// Rows gathered per block of a bucket.
 const TILE: usize = 64;
 
-/// Relative widening of each bucket lower bound, so rounding in the
-/// computed `d(q, c)` and `r_c` can never prune a bucket holding a row
-/// below the running k-th distance.
-const SLACK: f64 = 1e-9;
-
 /// Home bucket of a query that is not a live point.
 const NO_HOME: u32 = u32::MAX;
-
-/// The lower bound `d − r` on the distance from a point at distance `d`
-/// from a center to any member within radius `r` of it, widened by
-/// [`SLACK`]; `−∞` where `∞ − ∞` bounds nothing.
-fn lower_bound(d: f64, r: f64) -> f64 {
-    let v = d - r - SLACK * (d + r);
-    if v.is_nan() {
-        f64::NEG_INFINITY
-    } else {
-        v
-    }
-}
 
 /// The list of clusters one [`knn_dists`] pass built over the live ids
 /// below its id bound: `m` centers zero-padded to the kernel stride, each
@@ -124,12 +107,11 @@ impl ClusterList {
     }
 
     /// A lower bound on the distance from a point at distance `d` from
-    /// bucket `b`'s center to every member of `b`, widened by a relative
-    /// slack of `1e-9` so that rounding in `d` and the radius never makes
-    /// it exceed a member's computed distance. `−∞` when it bounds
-    /// nothing.
+    /// bucket `b`'s center to every member of `b`: the rounding-safe
+    /// [`triangle_lower`] of `d` and the radius, so it never exceeds a
+    /// member's computed distance. `−∞` when it bounds nothing.
     pub fn lower_bound(&self, b: usize, d: f64) -> f64 {
-        lower_bound(d, self.radius(b))
+        triangle_lower(d, self.radius(b))
     }
 }
 
@@ -271,7 +253,7 @@ impl Pass<'_> {
             stats.count_dists(m as u64);
             let lower = &mut self.lower[j * m..(j + 1) * m];
             for (b, lb) in lower.iter_mut().enumerate() {
-                *lb = lower_bound(self.center_dists[b], self.radius[b]);
+                *lb = triangle_lower(self.center_dists[b], self.radius[b]);
                 self.group_lower[b] = self.group_lower[b].min(*lb);
             }
             self.best[j * k..(j + 1) * k].fill(f64::INFINITY);
@@ -475,6 +457,7 @@ mod tests {
     use super::*;
     use crate::{DynamicIndex, LinearScan, VpTree};
     use rknn_core::{Dataset, Euclidean, Manhattan};
+    use std::sync::Arc;
 
     fn rows(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
         let mut state = seed;
@@ -537,6 +520,51 @@ mod tests {
             let listed = list.unlisted().binary_search(&(id as u32)).is_err();
             assert_eq!(listed, index.has_point(id), "id {id}");
         }
+    }
+
+    #[test]
+    fn bucket_bounds_hold_where_rounding_breaks_the_inequality() {
+        // Points on one line, each coordinate rounded: for a point beyond
+        // a bucket's farthest member, `d(p, c) − r` equals `d(p, x)` in
+        // exact arithmetic, and rounding lifts it above the computed value
+        // somewhere. The slack of `lower_bound` must absorb that.
+        let rows: Vec<Vec<f64>> = (0..400)
+            .map(|i| {
+                let t = 0.37 * i as f64 + 0.011 * (i * i) as f64;
+                (0..5)
+                    .map(|j| 0.3 + 1.7 * j as f64 + t * (1.0 + 0.13 * j as f64).sqrt())
+                    .collect()
+            })
+            .collect();
+        let ds = Dataset::from_rows(&rows).unwrap().into_shared();
+        /// Checks the bound for every point and bucket member; returns how
+        /// often the unwidened `d(p, c) − r` exceeds the member's distance.
+        fn broken<M: Metric>(ds: &Arc<Dataset>, metric: M) -> usize {
+            let idx = LinearScan::build(ds.clone(), metric);
+            let list = knn_dists(&idx, &[], 3, &mut SearchStats::new(), |_, _| {});
+            let (dim, stride, m) = (idx.dim(), pad_dim(idx.dim()), list.buckets());
+            let (mut q, mut to_centers) = (vec![0.0; stride], vec![0.0; m]);
+            let unbounded = vec![f64::INFINITY; m];
+            let mut broken = 0;
+            for p in 0..ds.len() {
+                q[..dim].copy_from_slice(ds.point(p));
+                let metric = idx.metric();
+                metric.dist_tile(&q, list.centers(), stride, dim, &unbounded, &mut to_centers);
+                for (b, &dc) in to_centers.iter().enumerate() {
+                    for &x in list.members(b) {
+                        let dx = metric.dist(ds.point(p), ds.point(x as usize));
+                        broken += usize::from(dc - list.radius(b) > dx);
+                        assert!(list.lower_bound(b, dc) <= dx, "p={p} b={b} x={x}");
+                    }
+                }
+            }
+            broken
+        }
+        let (l2, l1) = (broken(&ds, Euclidean), broken(&ds, Manhattan));
+        assert!(
+            l2 > 0 && l1 > 0,
+            "rounding must break the unwidened bound: {l2}, {l1}"
+        );
     }
 
     #[test]

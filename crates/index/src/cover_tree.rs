@@ -27,7 +27,10 @@
 //! an expansion reads front to back. [`DynamicIndex::insert`] appends the
 //! new node at the arena's tail and links it at the end of its parent's
 //! sibling chain, so child order stays insertion order, as before the
-//! renumbering; the next compaction restores the contiguous layout.
+//! renumbering; the next compaction restores the contiguous layout. A
+//! full arena grows by a sixteenth, not by doubling
+//! ([`rknn_core::reserve_sixteenth`]): clones keep its capacity, so the
+//! slack is copied into every snapshot successor.
 //!
 //! An expansion stages every child through
 //! [`ExpandSink::covered_child`], so all child pivots of a node are
@@ -63,7 +66,9 @@
 use crate::pool::{PointPool, RebuildPolicy};
 use crate::traits::{DynamicIndex, KnnIndex, NnCursor};
 use crate::traversal::{self, ExpandSink, TreeSubstrate};
-use rknn_core::{CoreError, CursorScratch, Dataset, Metric, PointId};
+use rknn_core::{
+    triangle_lower, CoreError, CursorScratch, Dataset, Metric, Neighbor, PointId, SearchStats,
+};
 use std::sync::Arc;
 
 /// Configuration for [`CoverTree`].
@@ -258,6 +263,8 @@ impl<M: Metric> CoverTree<M> {
     fn attach(&mut self, id: PointId) -> Result<(), CoreError> {
         let new = link(self.nodes.len())?;
         let point = link(id)?;
+        rknn_core::reserve_sixteenth(&mut self.nodes, 1);
+        rknn_core::reserve_sixteenth(&mut self.sizes, 1);
         let leaf = |level| CtNode {
             max_dist: 0.0,
             point,
@@ -524,6 +531,40 @@ impl<M: Metric> KnnIndex<M> for CoverTree<M> {
     ) -> Box<dyn NnCursor + 'a> {
         traversal::tree_cursor_bounded(self, q, exclude, limit, scratch)
     }
+
+    /// A depth-first walk, sorted once at the end: each visited node
+    /// costs one node visit and one distance for its point, and its
+    /// subtree is skipped when the rounding-safe bound
+    /// [`triangle_lower`]`(d, max_dist)` exceeds `r`. Tombstoned and
+    /// excluded points still route the walk.
+    fn range(
+        &self,
+        q: &[f64],
+        r: f64,
+        exclude: Option<PointId>,
+        stats: &mut SearchStats,
+    ) -> Vec<Neighbor> {
+        // The closed ball `d <= r` is the open ball below next_up(r), as
+        // on the sequential scan.
+        let bound = r.next_up();
+        let mut out = Vec::new();
+        let mut stack: Vec<usize> = self.root.into_iter().collect();
+        while let Some(id) = stack.pop() {
+            stats.count_node();
+            stats.count_dist();
+            let node = &self.nodes[id];
+            let p = node.point();
+            let d = self.metric.dist(q, self.pool.point(p));
+            if d < bound && Some(p) != exclude && self.pool.is_alive(p) {
+                out.push(Neighbor::new(p, d));
+            }
+            if triangle_lower(d, node.max_dist) <= r {
+                stack.extend(self.children(id));
+            }
+        }
+        rknn_core::neighbor::sort_neighbors(&mut out);
+        out
+    }
 }
 
 impl<M: Metric> DynamicIndex<M> for CoverTree<M> {
@@ -703,7 +744,7 @@ mod tests {
     }
 
     #[test]
-    fn range_queries_via_default_impl() {
+    fn range_queries_match_brute_force() {
         let ds = random_dataset(300, 3, 6);
         let tree = CoverTree::build(ds.clone(), Euclidean);
         let bf = BruteForce::new(ds.clone(), Euclidean);

@@ -161,6 +161,14 @@ pub trait KnnIndex<M: Metric>: Send + Sync {
     }
 
     /// All neighbors within the closed ball of radius `r`, ascending.
+    ///
+    /// The default drains a boxed cursor. `LinearScan`, `RTree`,
+    /// `CoverTree` and `VpTree` override it with one direct walk over the
+    /// points the ball may hold, sorted once at the end (the two metric
+    /// trees prune with the rounding-safe
+    /// [`triangle_lower`](rknn_core::triangle_lower)); `BallTree` and
+    /// `MTree` keep the default. RDT verifies all of a query's `d_k` cache
+    /// misses from one call around the query (`DESIGN.md` §2).
     fn range(
         &self,
         q: &[f64],

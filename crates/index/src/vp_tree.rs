@@ -17,7 +17,10 @@
 use crate::pool::{PointPool, RebuildPolicy};
 use crate::traits::{DynamicIndex, KnnIndex, NnCursor};
 use crate::traversal::{self, ExpandSink, TreeSubstrate};
-use rknn_core::{CoreError, CursorScratch, Dataset, Metric, OrderedF64, PointId};
+use rknn_core::{
+    triangle_lower, CoreError, CursorScratch, Dataset, Metric, Neighbor, OrderedF64, PointId,
+    SearchStats,
+};
 use std::sync::Arc;
 
 const LEAF_SIZE: usize = 12;
@@ -365,6 +368,54 @@ impl<M: Metric> KnnIndex<M> for VpTree<M> {
         scratch: &'a mut CursorScratch,
     ) -> Box<dyn NnCursor + 'a> {
         traversal::tree_cursor_bounded(self, q, exclude, limit, scratch)
+    }
+
+    /// A depth-first walk, sorted once at the end: each visited node
+    /// costs one node visit, each vantage point and each live leaf point
+    /// other than `exclude` one distance. A child is skipped when the
+    /// rounding-safe bound on its annulus, the larger of
+    /// [`triangle_lower`]`(d, max)` and [`triangle_lower`]`(min, d)`,
+    /// exceeds `r`. Tombstoned vantage points still route the walk.
+    fn range(
+        &self,
+        q: &[f64],
+        r: f64,
+        exclude: Option<PointId>,
+        stats: &mut SearchStats,
+    ) -> Vec<Neighbor> {
+        // The closed ball `d <= r` is the open ball below next_up(r), as
+        // on the sequential scan.
+        let bound = r.next_up();
+        let emits = |id: PointId| Some(id) != exclude && self.pool.is_alive(id);
+        let mut out = Vec::new();
+        let mut stack: Vec<usize> = self.root.into_iter().collect();
+        while let Some(node) = stack.pop() {
+            stats.count_node();
+            match &self.nodes[node] {
+                VpNode::Leaf(pts) => {
+                    for &p in pts.iter().filter(|&&p| emits(p)) {
+                        stats.count_dist();
+                        if let Some(d) = self.metric.dist_lt(q, self.pool.point(p), bound) {
+                            out.push(Neighbor::new(p, d));
+                        }
+                    }
+                }
+                VpNode::Inner { vp, near, far } => {
+                    stats.count_dist();
+                    let d = self.metric.dist(q, self.pool.point(*vp));
+                    if d < bound && emits(*vp) {
+                        out.push(Neighbor::new(*vp, d));
+                    }
+                    for &(child, lo, hi) in [near, far].into_iter().flatten() {
+                        if triangle_lower(d, hi).max(triangle_lower(lo, d)) <= r {
+                            stack.push(child);
+                        }
+                    }
+                }
+            }
+        }
+        rknn_core::neighbor::sort_neighbors(&mut out);
+        out
     }
 }
 

@@ -30,7 +30,8 @@ pub struct RdtQueryStats {
     pub lazy_accepts: usize,
     /// Candidates rejected by Assertion 1 (`W ≥ k`) without verification.
     pub lazy_rejects: usize,
-    /// Candidates verified by an explicit forward kNN query.
+    /// Candidates verified explicitly against their `d_k` (a cache hit or
+    /// one of the query's group-verified misses).
     pub verified: usize,
     /// How many verifications accepted the candidate.
     pub verified_accepted: usize,
@@ -53,7 +54,8 @@ pub struct RdtQueryStats {
     pub omega: f64,
     /// Why the filter phase stopped.
     pub termination: Termination,
-    /// Index work (cursor expansion + verification kNN queries).
+    /// Index work: the filter cursor's expansion plus the verification of
+    /// the `d_k` cache misses (`DESIGN.md` §3).
     pub search: SearchStats,
 }
 

@@ -11,9 +11,12 @@
 //!    stops when `d(q,v) > ω`, when `s ≥ min(n, ⌊2^t·k⌋)`, or when the
 //!    index is exhausted.
 //! 2. **Refinement phase** (lines 25–32): every unresolved candidate with
-//!    fewer than `k` witnesses is verified by a forward kNN query
-//!    (`d_k(v) ≥ d(q,v)`); candidates with `W ≥ k` are lazily rejected
-//!    (Assertion 1) at zero additional cost.
+//!    fewer than `k` witnesses is verified (`d_k(v) ≥ d(q,v)`); candidates
+//!    with `W ≥ k` are lazily rejected (Assertion 1) at zero additional
+//!    cost. The listing runs one forward kNN query per candidate; the
+//!    engine answers all of a query's uncached `d_k` together from one
+//!    `range` call around the query, with the same values bit for bit
+//!    (`DESIGN.md` §2).
 //!
 //! [`run_query`] is the one entry point; the two phases are its private
 //! steps, meeting at the filter set the first leaves in the caller's
@@ -34,8 +37,8 @@
 use crate::answer::{RdtQueryStats, RknnAnswer, Termination};
 use crate::params::RdtParams;
 use rknn_core::{
-    kernel, CancelToken, Cancelled, CursorScratch, FilterCandidate, Metric, Neighbor, PointId,
-    QueryScratch, SearchStats,
+    kernel, triangle_upper, CancelToken, Cancelled, CursorScratch, FilterCandidate, Metric,
+    Neighbor, PointId, QueryScratch, SearchStats,
 };
 use rknn_index::{ClusterList, KnnIndex};
 use std::sync::Arc;
@@ -51,7 +54,9 @@ const WITNESS_TILE: usize = 32;
 /// Runs through [`KnnIndex::cursor_bounded`] with the caller's scratch, so
 /// every substrate — tree or scan — answers the forward query
 /// allocation-amortized and threshold-pruned instead of through the boxed
-/// default `knn` path.
+/// default `knn` path. This is the single-point path of
+/// [`DkCache::dk_or_compute`]; a query's refinement verifies its misses
+/// together instead ([`verify_misses`]).
 fn dk_via_cursor<M, I>(
     index: &I,
     id: PointId,
@@ -233,6 +238,10 @@ impl DkCache {
     /// the caller's scratch on a cache miss (`stats` absorbs the miss's
     /// index work). Ids beyond the cache's pre-sized range (points inserted
     /// after cache construction) are computed but not cached.
+    ///
+    /// The single-point lookup: the engine's refinement looks up all of a
+    /// query's candidates first and computes their misses together, with
+    /// the same values and the same hit and miss counts.
     pub fn dk_or_compute<M, I>(
         &self,
         index: &I,
@@ -244,21 +253,32 @@ impl DkCache {
         M: Metric,
         I: KnnIndex<M> + ?Sized,
     {
-        use std::sync::atomic::Ordering::Relaxed;
-        if let Some(slot) = self.vals.get(id) {
-            let bits = slot.load(Relaxed);
-            if bits != Self::UNSET {
-                self.hits.fetch_add(1, Relaxed);
-                return f64::from_bits(bits);
-            }
+        if let Some(dk) = self.lookup(id) {
+            return dk;
         }
         let dk = dk_via_cursor(index, id, self.k, scratch, stats);
+        self.store_miss(id, dk);
+        dk
+    }
+
+    /// The cached threshold of `id`, counted as a hit; `None` (not yet
+    /// counted) when its slot is unset or past the cache's range.
+    fn lookup(&self, id: PointId) -> Option<f64> {
+        use std::sync::atomic::Ordering::Relaxed;
+        let dk = self.get(id)?;
+        self.hits.fetch_add(1, Relaxed);
+        Some(dk)
+    }
+
+    /// Stores the threshold a [`DkCache::lookup`] missed (ids past the
+    /// cache's range are not stored) and counts the miss.
+    fn store_miss(&self, id: PointId, dk: f64) {
+        use std::sync::atomic::Ordering::Relaxed;
         debug_assert!(dk.to_bits() != Self::UNSET);
         if let Some(slot) = self.vals.get(id) {
             slot.store(dk.to_bits(), Relaxed);
         }
         self.misses.fetch_add(1, Relaxed);
-        dk
     }
 
     /// Computes and stores `d_k` for every id in `ids` with one batched
@@ -289,11 +309,15 @@ impl DkCache {
     }
 
     /// Extends the cached id range to `n` slots (new slots unset), so
-    /// points inserted after construction get cached thresholds too.
-    /// `&mut self`: maintenance runs between batches, never concurrently
-    /// with queries.
+    /// points inserted after construction get cached thresholds too. A
+    /// full slot buffer grows by a sixteenth
+    /// ([`rknn_core::reserve_sixteenth`]), since warm copies keep its
+    /// capacity. `&mut self`: maintenance runs between batches, never
+    /// concurrently with queries.
     pub fn grow(&mut self, n: usize) {
         if n > self.vals.len() {
+            let more = n - self.vals.len();
+            rknn_core::reserve_sixteenth(&mut self.vals, more);
             self.vals
                 .resize_with(n, || std::sync::atomic::AtomicU64::new(Self::UNSET));
         }
@@ -565,17 +589,17 @@ impl EvictTile {
 /// computed.
 ///
 /// With a `dk_cache`, queries whose refinement phase re-verifies an
-/// already-known point skip the forward kNN query and reuse the exact
-/// threshold value, so their `verified` counter is unchanged but their
-/// index work shrinks. Without one (`None`), every verification runs its
-/// own bounded forward kNN.
+/// already-known point reuse the exact threshold value, so their
+/// `verified` counter is unchanged but their index work shrinks. The
+/// other verifications (all of them without a cache) are computed
+/// together by one group pass (`DESIGN.md` §2).
 ///
 /// `cancel` is checked at block granularity: once per `WITNESS_TILE` (32)
-/// retrievals during the filter phase and before each forward-kNN
-/// verification during refinement — the two places where a query spends
-/// unbounded time. A query whose token never trips
-/// ([`CancelToken::never`]) always returns `Ok`, and a live token that
-/// does not trip changes nothing (results, counters, terminations); a
+/// retrievals during the filter phase and once before the refinement's
+/// group pass — the two places where a query spends unbounded time. A
+/// query whose token never trips ([`CancelToken::never`]) always returns
+/// `Ok`, and a live token that does not trip changes nothing (results,
+/// counters, terminations); a
 /// tripped token returns [`Cancelled`] within one block of work and leaves
 /// only the caller's reusable scratch behind (cleared on the next query).
 /// This is the serving engine's deadline/cancellation hook: a wedged or
@@ -600,7 +624,7 @@ impl EvictTile {
 ///
 /// The witness pass, like the traversal feeding it, evaluates every pair
 /// through the one metric instance, so cursor distances, witness
-/// comparisons and the verification kNN agree bitwise.
+/// comparisons and the verification's `d_k` agree bitwise.
 ///
 /// # Panics
 ///
@@ -628,7 +652,7 @@ where
     let stats = filter(
         index, q, exclude, params, variant, schedule, scratch, cancel,
     )?;
-    refine(index, params.k, stats, scratch, dk_cache, cancel)
+    refine(index, q, params.k, stats, scratch, dk_cache, cancel)
 }
 
 /// The filter phase (lines 2–24): the expanding search, the witness pass
@@ -667,6 +691,7 @@ where
         tile,
         wtile,
         open,
+        ..
     } = scratch;
     filter.clear();
     open.clear();
@@ -904,9 +929,13 @@ where
 /// in `scratch.filter`: lazy accepts are reported, candidates with `k`
 /// witnesses are lazily rejected (Assertion 1), and every other candidate
 /// is verified against `d_k`, through `dk_cache` when one is supplied.
-/// Completes the filter-phase `stats` and assembles the answer.
+/// The candidates whose `d_k` is not cached (all of them without a cache)
+/// are verified together by [`verify_misses`], and their thresholds are
+/// then cached. Completes the filter-phase `stats` and assembles the
+/// answer.
 fn refine<M, I>(
     index: &I,
+    q: &[f64],
     k: usize,
     mut stats: RdtQueryStats,
     scratch: &mut QueryScratch,
@@ -918,8 +947,14 @@ where
     I: KnnIndex<M> + ?Sized,
 {
     let mut result: Vec<Neighbor> = Vec::new();
-    let mut verify_stats = SearchStats::new();
-    for cand in &scratch.filter {
+    let decide = |cand: &FilterCandidate, dk: f64, st: &mut RdtQueryStats, out: &mut Vec<_>| {
+        if dk >= cand.dist {
+            st.verified_accepted += 1;
+            out.push(Neighbor::new(cand.id, cand.dist));
+        }
+    };
+    scratch.misses.clear();
+    for (i, cand) in scratch.filter.iter().enumerate() {
         if cand.accepted {
             result.push(Neighbor::new(cand.id, cand.dist));
             continue;
@@ -928,27 +963,135 @@ where
             stats.lazy_rejects += 1; // Assertion 1: cannot be a reverse neighbor.
             continue;
         }
-        // Each verification is one bounded forward-kNN query — the
-        // refinement-phase block — so the checkpoint sits in front of it.
+        stats.verified += 1;
+        match dk_cache.and_then(|cache| cache.lookup(cand.id)) {
+            Some(dk) => decide(cand, dk, &mut stats, &mut result),
+            None => scratch.misses.push((i, f64::INFINITY)),
+        }
+    }
+    if !scratch.misses.is_empty() {
+        // The group pass is the refinement phase's one block of index
+        // work, so the checkpoint sits in front of it.
         if cancel.is_cancelled() {
             return Err(Cancelled);
         }
-        stats.verified += 1;
-        // The filter-phase cursor has released the cursor scratch, so the
-        // verification queries reuse the same buffers on any substrate.
-        let cursor = &mut scratch.cursor;
-        let dk = match dk_cache {
-            Some(cache) => cache.dk_or_compute(index, cand.id, cursor, &mut verify_stats),
-            None => dk_via_cursor(index, cand.id, k, cursor, &mut verify_stats),
-        };
-        if dk >= cand.dist {
-            stats.verified_accepted += 1;
-            result.push(Neighbor::new(cand.id, cand.dist));
+        verify_misses(index, q, k, scratch, &mut stats.search);
+        for (j, &(i, _)) in scratch.misses.iter().enumerate() {
+            let cand = &scratch.filter[i];
+            let dk = scratch.nearest[j * k + k - 1];
+            if let Some(cache) = dk_cache {
+                cache.store_miss(cand.id, dk);
+            }
+            decide(cand, dk, &mut stats, &mut result);
         }
     }
-    stats.search.absorb(&verify_stats);
     rknn_core::neighbor::sort_neighbors(&mut result);
     Ok(RknnAnswer { result, stats })
+}
+
+/// Rows per gathered tile of the group verification ([`verify_misses`]).
+const VERIFY_TILE: usize = 64;
+
+/// Inserts `d` into the ascending list `best`, dropping its largest
+/// entry; `d` must be below that entry.
+fn insert_nearest(best: &mut [f64], d: f64) {
+    let last = best.len() - 1;
+    let at = best.partition_point(|&x| x <= d);
+    best.copy_within(at..last, at + 1);
+    best[at] = d;
+}
+
+/// Computes `d_k` of every candidate in `scratch.misses` together, from
+/// one [`KnnIndex::range`] call around the query `q` instead of one
+/// forward kNN query per candidate. Miss `j` ends with its `k` smallest
+/// distances to other live points in `scratch.nearest[j·k..(j + 1)·k]`,
+/// `+∞` past their number, so its `d_k` is the last of them.
+///
+/// 1. **Bound.** Each miss `p` streams the filter set's padded tile
+///    through [`Metric::dist_tile`]; the k-th smallest distance to another
+///    row is `u_p ≥ d_k(p)` (`+∞` with fewer than `k` other rows).
+/// 2. **Ball.** Every `x` with `d(p, x) ≤ d_k(p)` has
+///    `d(q, x) ≤ d(q, p) + u_p`, so the closed ball of radius
+///    `R = max_p` [`triangle_upper`]`(d(q, p), u_p)` holds every miss's
+///    `k` nearest points; the rounding slack keeps it so for computed
+///    distances. One `range(q, R)` fetches it.
+/// 3. **Evaluate.** The ball's rows are gathered into padded tiles of
+///    `VERIFY_TILE` and every miss streams each tile at its running k-th
+///    distance, closed at `u_p` from the start, skipping its own id.
+///
+/// All distances come from the one metric's kernel, so each `d_k` is bit
+/// for bit the value of a bounded cursor from the miss. `stats` is
+/// charged one distance per miss and filter row, `range`'s own work, and
+/// one distance per miss and ball row (`DESIGN.md` §3).
+fn verify_misses<M, I>(
+    index: &I,
+    q: &[f64],
+    k: usize,
+    scratch: &mut QueryScratch,
+    stats: &mut SearchStats,
+) where
+    M: Metric,
+    I: KnnIndex<M> + ?Sized,
+{
+    let QueryScratch {
+        filter,
+        tile,
+        wtile,
+        misses,
+        nearest,
+        ..
+    } = scratch;
+    let metric = index.metric();
+    let (stride, dim) = (tile.stride(), tile.dim());
+    let filter_rows = tile.padded();
+    let (mut bounds, mut out) = ([0.0; VERIFY_TILE], [0.0; VERIFY_TILE]);
+    nearest.clear();
+    nearest.resize(misses.len() * k, f64::INFINITY);
+
+    // 1. Each miss's bound from the filter set, and the ball's radius.
+    let mut radius = 0.0f64;
+    for (miss, best) in misses.iter_mut().zip(nearest.chunks_exact_mut(k)) {
+        let i = miss.0;
+        let p = &filter_rows[i * stride..(i + 1) * stride];
+        for (b, rows) in filter_rows.chunks(VERIFY_TILE * stride).enumerate() {
+            let len = rows.len() / stride;
+            bounds[..len].fill(best[k - 1]);
+            metric.dist_tile(p, rows, stride, dim, &bounds[..len], &mut out[..len]);
+            stats.count_dists(len as u64);
+            for (x, &d) in out[..len].iter().enumerate() {
+                if d < best[k - 1] && b * VERIFY_TILE + x != i {
+                    insert_nearest(best, d);
+                }
+            }
+        }
+        miss.1 = best[k - 1];
+        radius = radius.max(triangle_upper(filter[i].dist, miss.1));
+        best.fill(f64::INFINITY);
+    }
+
+    // 2–3. One range call, its rows streamed through every miss.
+    let ball = index.range(q, radius, None, stats);
+    wtile.ensure_rows(dim, VERIFY_TILE);
+    for block in ball.chunks(VERIFY_TILE) {
+        for (r, x) in block.iter().enumerate() {
+            wtile.fill_row(r, index.point(x.id));
+        }
+        let (rows, len) = (&wtile.rows[..block.len() * stride], block.len());
+        for (&(i, bound), best) in misses.iter().zip(nearest.chunks_exact_mut(k)) {
+            let p = &filter_rows[i * stride..(i + 1) * stride];
+            // `u_p` closes the ball from the start: a distance of at most
+            // `u_p` is admitted below its `next_up`.
+            bounds[..len].fill(best[k - 1].min(bound.next_up()));
+            metric.dist_tile(p, rows, stride, dim, &bounds[..len], &mut out[..len]);
+            stats.count_dists(len as u64);
+            let own = filter[i].id;
+            for (x, &d) in block.iter().zip(&out[..len]) {
+                if d < best[k - 1] && x.id != own {
+                    insert_nearest(best, d);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1720,8 +1863,11 @@ mod tests {
         }
         let mut search = cursor.stats();
         drop(cursor);
+        // Each `d_k` comes from a bounded cursor, whose work is not
+        // charged; the charges are the group verification's.
         let mut result = Vec::new();
         let (mut lazy_rejects, mut verified, mut verified_accepted) = (0usize, 0usize, 0usize);
+        let mut misses = Vec::new();
         for cand in &filter {
             if cand.accepted {
                 result.push(Neighbor::new(cand.id, cand.dist));
@@ -1729,15 +1875,46 @@ mod tests {
                 lazy_rejects += 1;
             } else {
                 verified += 1;
+                let uncharged = &mut SearchStats::new();
                 let dk = match dk_cache {
-                    Some(c) => c.dk_or_compute(index, cand.id, &mut cursor_scratch, &mut search),
-                    None => dk_via_cursor(index, cand.id, k, &mut cursor_scratch, &mut search),
+                    Some(c) => {
+                        if c.get(cand.id).is_none() {
+                            misses.push(*cand);
+                        }
+                        c.dk_or_compute(index, cand.id, &mut cursor_scratch, uncharged)
+                    }
+                    None => {
+                        misses.push(*cand);
+                        dk_via_cursor(index, cand.id, k, &mut cursor_scratch, uncharged)
+                    }
                 };
                 if dk >= cand.dist {
                     verified_accepted += 1;
                     result.push(Neighbor::new(cand.id, cand.dist));
                 }
             }
+        }
+        if !misses.is_empty() {
+            // One distance per miss and filter row, the range call at the
+            // radius of the misses' filter-set bounds, one distance per
+            // miss and ball row.
+            let group = misses.len() as u64;
+            search.count_dists(group * filter.len() as u64);
+            let radius = misses
+                .iter()
+                .map(|p| {
+                    let mut others: Vec<f64> = filter
+                        .iter()
+                        .filter(|x| x.id != p.id)
+                        .map(|x| metric.dist(index.point(p.id), index.point(x.id)))
+                        .collect();
+                    others.sort_by(f64::total_cmp);
+                    let bound = others.get(k - 1).copied().unwrap_or(f64::INFINITY);
+                    triangle_upper(p.dist, bound)
+                })
+                .fold(0.0, f64::max);
+            let ball = index.range(q, radius, None, &mut search);
+            search.count_dists(group * ball.len() as u64);
         }
         rknn_core::neighbor::sort_neighbors(&mut result);
         RknnAnswer {
@@ -1837,6 +2014,14 @@ mod tests {
                             want.stats.omega.to_bits(),
                             "{ctx}"
                         );
+                        // The group's thresholds are the cursors' bit for bit.
+                        if let (Some(c1), Some(c2)) = (c1, c2) {
+                            for id in 0..ds.len() {
+                                let bits = |c: &DkCache| c.get(id).map(f64::to_bits);
+                                assert_eq!(bits(c1), bits(c2), "{ctx} id={id}");
+                            }
+                            assert_eq!(c1.hit_stats(), c2.hit_stats(), "{ctx}");
+                        }
                         widest_filter = widest_filter.max(got.stats.filter_set_size);
                     }
                 }
@@ -1846,6 +2031,69 @@ mod tests {
             widest_filter > 4 * WITNESS_TILE,
             "filter sets must cross several tile blocks: {widest_filter}"
         );
+    }
+
+    #[test]
+    fn the_group_radius_absorbs_rounding_on_near_collinear_points() {
+        // A query `q` and two points `p`, `x` on one line, `p` between
+        // them, each coordinate rounded: the computed `d(q, x)` exceeds
+        // `d(q, p) + d(p, x)`. With `x` the only other filter member, `p`'s
+        // bound is `u_p = d(p, x)`, so a ball of radius `d(q, p) + u_p`
+        // would leave `x` out and give `p` no neighbor at all.
+        let line = |t: f64| vec![0.3 + 0.7 * t, 1.1 + 1.3 * t, -0.2 + 0.9 * t];
+        let metric = Euclidean;
+        let (q, p, x) = (1..10_000)
+            .map(|i| {
+                let t = 1.0 + 0.0137 * i as f64;
+                (line(0.0), line(t), line(t + 0.61))
+            })
+            .find(|(q, p, x)| metric.dist(q, x) > metric.dist(q, p) + metric.dist(p, x))
+            .expect("rounding breaks the triangle inequality on some triple");
+        let idx = LinearScan::build(
+            Dataset::from_rows(&[p.clone(), x.clone()])
+                .unwrap()
+                .into_shared(),
+            metric,
+        );
+        // The filter set as the filter phase would leave it: `p` open, `x`
+        // decided, so `p` is the one miss.
+        let mut scratch = QueryScratch::new(3);
+        for (id, row, witnesses) in [(0, &p, 0), (1, &x, 1)] {
+            scratch.filter.push(FilterCandidate {
+                id,
+                dist: metric.dist(&q, row),
+                witnesses,
+                accepted: false,
+            });
+            scratch.tile.push(row);
+        }
+        let stats = RdtQueryStats {
+            retrieved: 2,
+            filter_set_size: 2,
+            excluded: 0,
+            lazy_accepts: 0,
+            lazy_rejects: 0,
+            verified: 0,
+            verified_accepted: 0,
+            witness_pairs: 0,
+            witness_dist_comps: 0,
+            omega: f64::INFINITY,
+            termination: Termination::Exhausted,
+            search: SearchStats::new(),
+        };
+        let cache = DkCache::new(1, 2);
+        let never = CancelToken::never();
+        let ans = refine(&idx, &q, 1, stats, &mut scratch, Some(&cache), &never).unwrap();
+        let want = dk_via_cursor(
+            &idx,
+            0,
+            1,
+            &mut CursorScratch::new(),
+            &mut SearchStats::new(),
+        );
+        assert_eq!(want, metric.dist(&p, &x));
+        assert_eq!(cache.get(0).map(f64::to_bits), Some(want.to_bits()));
+        assert_eq!((ans.stats.verified, ans.stats.lazy_rejects), (1, 1));
     }
 
     #[test]

@@ -44,6 +44,17 @@
 //!   the live count — on duplicate points, exact ties at the k-th
 //!   distance, query subsets, one and two points, churned scans and VP
 //!   trees, and all four metrics.
+//! * the **range walks** of the cover tree and the VP tree equal the
+//!   linear scan's `range` — ids, distance bits and order — under all four
+//!   metrics, with and without `exclude`, at radius 0, `+∞` and ties at
+//!   the radius, on duplicate points, before and after churn (tombstones,
+//!   ids past the base).
+//! * RDT's **group verification** gives every `d_k` cache miss the
+//!   bounded cursor's threshold bit for bit on all six substrates (the
+//!   ball tree and M-tree through the default `range`): Plain, Plus and
+//!   NoWitness, both schedules, an external query, ties at `d_k`, `k`
+//!   above the live count, with and without a cache and with one cache
+//!   shared by two threads.
 //!
 //! All assertions run on whatever kernel backend dispatch selects; CI
 //! reruns this suite with `RKNN_KERNEL=scalar` (and `RKNN_KERNEL=avx2` on
@@ -52,13 +63,14 @@
 
 use proptest::prelude::*;
 use rknn_core::{
-    Chebyshev, CursorScratch, Dataset, Euclidean, Manhattan, Metric, Minkowski, Neighbor,
-    SearchStats,
+    CancelToken, Chebyshev, CursorScratch, Dataset, Euclidean, Manhattan, Metric, Minkowski,
+    Neighbor, QueryScratch, SearchStats,
 };
 use rknn_index::{
     knn_dists, BallTree, CoverTree, DynamicIndex, KnnIndex, LinearScan, MTree, RTree, VpTree,
 };
-use rknn_rdt::{RdtAlgorithm, RdtParams};
+use rknn_rdt::engine::run_query;
+use rknn_rdt::{DkCache, RdtAlgorithm, RdtParams, RdtVariant, TSchedule};
 use std::sync::Arc;
 
 /// Builds a dataset on the half-integer grid `{0, 0.5, …, 4}` from raw
@@ -268,6 +280,209 @@ fn flattened_cover_tree_matches_the_scan() {
                     let (a, b) = (rdt.answer(&tree, q), rdt.answer(&linear, q));
                     assert_eq!(keys(&a.result), keys(&b.result), "{ctx} t={t} q={q}");
                 }
+            }
+        }
+    }
+}
+
+/// `n` rows of `dim` coordinates on the half-integer grid `{0, 0.5, …, 4}`
+/// from a seeded SplitMix64 stream: duplicates and tied distances abound.
+fn lattice_rows(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
+    let mut state = seed;
+    let mut level = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % 9) as f64 * 0.5
+    };
+    (0..n)
+        .map(|_| (0..dim).map(|_| level()).collect())
+        .collect()
+}
+
+/// `CoverTree::range` and `VpTree::range` against `LinearScan::range`
+/// under `metric`: ids, distance bits and order, for queries at live
+/// points (with and without `exclude`) and an external one, at radius 0,
+/// `+∞` and radii equal to a computed distance (a tie at `r`); then again
+/// after `inserted` rows join (ids past the base) and every fifth id is
+/// tombstoned.
+fn check_range_under<M: Metric + Clone + 'static>(
+    metric: M,
+    rows: &[Vec<f64>],
+    inserted: &[Vec<f64>],
+) {
+    let ds = Dataset::from_rows(rows).unwrap().into_shared();
+    let mut scan = LinearScan::build(ds.clone(), metric.clone());
+    let mut cover = CoverTree::build(ds.clone(), metric.clone());
+    let mut vp = VpTree::build(ds, metric.clone());
+    for churned in [false, true] {
+        if churned {
+            for row in inserted {
+                let id = scan.insert(row).unwrap();
+                assert_eq!(cover.insert(row).unwrap(), id);
+                assert_eq!(vp.insert(row).unwrap(), id);
+            }
+            for id in (0..scan.id_bound()).step_by(5) {
+                assert!(scan.remove(id) && cover.remove(id) && vp.remove(id));
+            }
+        }
+        let live: Vec<usize> = (0..scan.id_bound())
+            .filter(|&id| scan.has_point(id))
+            .collect();
+        let mut queries: Vec<(Vec<f64>, Option<usize>)> = live
+            .iter()
+            .step_by(9)
+            .flat_map(|&id| {
+                [
+                    (scan.point(id).to_vec(), Some(id)),
+                    (scan.point(id).to_vec(), None),
+                ]
+            })
+            .collect();
+        queries.push((vec![1.25; scan.dim()], None));
+        for (q, exclude) in &queries {
+            let mut radii = vec![0.0, f64::INFINITY];
+            radii.extend(
+                live.iter()
+                    .step_by(11)
+                    .map(|&id| metric.dist(q, scan.point(id))),
+            );
+            for &r in &radii {
+                let want = keys(&scan.range(q, r, *exclude, &mut SearchStats::new()));
+                for tree in [&cover as &dyn KnnIndex<M>, &vp] {
+                    let got = keys(&tree.range(q, r, *exclude, &mut SearchStats::new()));
+                    let ctx = format!("{} {}", tree.name(), metric.name());
+                    assert_eq!(
+                        got, want,
+                        "{ctx} churned={churned} r={r} exclude={exclude:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn tree_range_walks_equal_the_scan() {
+    let rows = lattice_rows(160, 3, 1);
+    // Some inserted rows duplicate stored ones.
+    let mut inserted = lattice_rows(30, 3, 2);
+    inserted.extend(rows.iter().step_by(20).cloned());
+    check_range_under(Euclidean, &rows, &inserted);
+    check_range_under(Manhattan, &rows, &inserted);
+    check_range_under(Chebyshev, &rows, &inserted);
+    check_range_under(Minkowski::new(3.0), &rows, &inserted);
+}
+
+/// Runs RDT queries on `idx` through `run_query` with a fresh `d_k` cache
+/// each, and checks that every threshold the group verification stored
+/// equals the bounded cursor's (`DkCache::dk_or_compute`, the single-point
+/// oracle) bit for bit. A fresh cache misses every verification, so each
+/// cached answer must equal the uncached one, counters included. Then the
+/// same queries run on two threads sharing one cache. Returns the largest
+/// number of misses one query verified together.
+fn check_group_dk(idx: &dyn KnnIndex<Euclidean>, k: usize) -> u64 {
+    let n = idx.id_bound();
+    let oracle = DkCache::new(k, n);
+    let mut cs = CursorScratch::new();
+    let want: Vec<u64> = (0..n)
+        .map(|id| {
+            oracle
+                .dk_or_compute(idx, id, &mut cs, &mut SearchStats::new())
+                .to_bits()
+        })
+        .collect();
+    let check_slots = |cache: &DkCache, ctx: &str| {
+        for (id, &bits) in want.iter().enumerate() {
+            if let Some(dk) = cache.get(id) {
+                assert_eq!(dk.to_bits(), bits, "{} {ctx} id={id}", idx.name());
+            }
+        }
+    };
+    let external = vec![1.3; idx.dim()];
+    let mut queries: Vec<(&[f64], Option<usize>)> = (0..n)
+        .step_by(5)
+        .map(|id| (idx.point(id), Some(id)))
+        .collect();
+    queries.push((&external, None));
+    let runs = [
+        (RdtVariant::Plain, TSchedule::Fixed),
+        (RdtVariant::Plus, TSchedule::Fixed),
+        (RdtVariant::NoWitness, TSchedule::Fixed),
+        (RdtVariant::Plain, TSchedule::Adaptive { safety: 1.0 }),
+        (RdtVariant::Plus, TSchedule::Adaptive { safety: 2.0 }),
+    ];
+    let never = CancelToken::never();
+    let mut scratch = QueryScratch::new(idx.dim());
+    let mut widest = 0;
+    for t in [2.0, 6.0] {
+        let params = RdtParams::new(k, t);
+        for (variant, schedule) in runs {
+            let query =
+                |q: &[f64], exclude, cache: Option<&DkCache>, scratch: &mut QueryScratch| {
+                    run_query(
+                        idx, q, exclude, params, variant, schedule, scratch, cache, &never,
+                    )
+                    .unwrap()
+                };
+            let ctx = format!("k={k} t={t} {variant:?} {schedule:?}");
+            let mut uncached = Vec::new();
+            for &(q, exclude) in &queries {
+                let cache = DkCache::new(k, n);
+                let got = query(q, exclude, Some(&cache), &mut scratch);
+                let plain = query(q, exclude, None, &mut scratch);
+                assert_eq!(keys(&got.result), keys(&plain.result), "{ctx} {exclude:?}");
+                assert_eq!(got.stats, plain.stats, "{ctx} {exclude:?}");
+                assert_eq!(cache.hit_stats(), (0, got.stats.verified as u64), "{ctx}");
+                check_slots(&cache, &ctx);
+                widest = widest.max(got.stats.verified as u64);
+                uncached.push(plain);
+            }
+            // One cache shared by two threads, each taking every other query.
+            let shared = DkCache::new(k, n);
+            std::thread::scope(|s| {
+                for half in 0..2 {
+                    let (shared, queries, uncached, ctx) = (&shared, &queries, &uncached, &ctx);
+                    s.spawn(move || {
+                        let mut scratch = QueryScratch::new(idx.dim());
+                        for (&(q, exclude), want) in
+                            queries.iter().zip(uncached).skip(half).step_by(2)
+                        {
+                            let got = query(q, exclude, Some(shared), &mut scratch);
+                            assert_eq!(keys(&got.result), keys(&want.result), "{ctx} shared");
+                        }
+                    });
+                }
+            });
+            check_slots(&shared, &format!("{ctx} shared"));
+        }
+    }
+    widest
+}
+
+#[test]
+fn group_verification_gives_every_miss_the_cursor_dk() {
+    // The lattice ties distances at the k-th neighbor; the six-point set
+    // has fewer than `k = 8` other points, so every bound `u_p`, and the
+    // ball's radius, is `+∞`.
+    let lattice = Dataset::from_rows(&lattice_rows(150, 3, 3))
+        .unwrap()
+        .into_shared();
+    let tiny = Dataset::from_rows(&lattice_rows(6, 2, 4))
+        .unwrap()
+        .into_shared();
+    for (ds, ks) in [(&lattice, &[1, 3][..]), (&tiny, &[8][..])] {
+        let mut all = substrates(ds);
+        all.push(Box::new(LinearScan::build(ds.clone(), Euclidean)));
+        for idx in &all {
+            for &k in ks {
+                let widest = check_group_dk(&**idx, k);
+                assert!(
+                    widest > 1,
+                    "{} k={k}: no query verified a group",
+                    idx.name()
+                );
             }
         }
     }
