@@ -62,8 +62,8 @@ pub use float::OrderedF64;
 pub use heap::KnnHeap;
 pub use kernel::KernelTier;
 pub use metric::{
-    triangle_lower, triangle_upper, Chebyshev, Euclidean, FullPrecision, Manhattan, Metric,
-    Minkowski,
+    finite_up_to, triangle_lower, triangle_upper, Chebyshev, Euclidean, FullPrecision, Manhattan,
+    Metric, Minkowski,
 };
 pub use neighbor::{Neighbor, PointId};
 pub use scratch::{CandidateTile, CursorScratch, FilterCandidate, QueryScratch, TreeScratch};

@@ -204,6 +204,20 @@ pub fn triangle_upper(a: f64, b: f64) -> f64 {
     (a + b) + TRIANGLE_SLACK * (a + b)
 }
 
+/// Whether `metric` computes every distance of at most `r` without
+/// overflowing to `+∞`, probed as the distance from `0` to `2r` on one
+/// axis. [`triangle_upper`] bounds a computed distance only where it stays
+/// finite: Euclidean distances overflow from about 1.3e154 on, and
+/// `Minkowski(p)` from the `p`-th root of `f64::MAX` on. For the Minkowski
+/// family, whose sum of `|Δ|^p` at `2r` is `2^p` times that at `r`, a
+/// finite probe leaves room for the accumulation's rounding. `false` for
+/// an infinite or NaN `r`.
+#[inline]
+pub fn finite_up_to<M: Metric + ?Sized>(metric: &M, r: f64) -> bool {
+    let probe = 2.0 * r;
+    probe < f64::INFINITY && metric.dist(&[0.0], &[probe]).is_finite()
+}
+
 /// Validates tile-call slice lengths shared by every implementation.
 #[inline]
 fn check_tile(rows: &[f64], stride: usize, dim: usize, bounds: &[f64], out: &mut [f64]) {
@@ -1003,6 +1017,36 @@ mod tests {
             f64::NEG_INFINITY
         );
         assert_eq!(triangle_upper(1.0, f64::INFINITY), f64::INFINITY);
+    }
+
+    #[test]
+    fn finite_up_to_keeps_every_distance_within_the_radius_finite() {
+        for m in metrics() {
+            let mut overflowed = false;
+            for e in (0..=308).step_by(4) {
+                let r = 10f64.powi(e);
+                if !finite_up_to(&*m, r) {
+                    overflowed = true;
+                    continue;
+                }
+                assert!(!overflowed, "{}: the probe flips back at 1e{e}", m.name());
+                for dim in [1usize, 2, 5, 32] {
+                    // Two points at distance `r`, every coordinate `±c`.
+                    let unit = m.dist(&vec![-0.5; dim], &vec![0.5; dim]);
+                    let c = 0.5 * r / unit;
+                    let d = m.dist(&vec![-c; dim], &vec![c; dim]);
+                    assert!(d.is_finite(), "{} dim={dim} r=1e{e}", m.name());
+                }
+            }
+            assert!(overflowed, "{}: 2e308 is past f64::MAX", m.name());
+        }
+        assert!(finite_up_to(&Euclidean, 6e153) && !finite_up_to(&Euclidean, 1e154));
+        let high = Minkowski::new(50.0);
+        assert!(finite_up_to(&high, 1e3) && !finite_up_to(&high, 1e6));
+        assert!(high.dist(&[0.0], &[1e7]).is_infinite());
+        for r in [f64::INFINITY, f64::NAN] {
+            assert!(!finite_up_to(&Chebyshev, r));
+        }
     }
 
     proptest! {

@@ -37,8 +37,8 @@
 use crate::answer::{RdtQueryStats, RknnAnswer, Termination};
 use crate::params::RdtParams;
 use rknn_core::{
-    kernel, triangle_upper, CancelToken, Cancelled, CursorScratch, FilterCandidate, Metric,
-    Neighbor, PointId, QueryScratch, SearchStats,
+    finite_up_to, kernel, triangle_upper, CancelToken, Cancelled, CursorScratch, FilterCandidate,
+    Metric, Neighbor, PointId, QueryScratch, SearchStats,
 };
 use rknn_index::{ClusterList, KnnIndex};
 use std::sync::Arc;
@@ -930,9 +930,9 @@ where
 /// witnesses are lazily rejected (Assertion 1), and every other candidate
 /// is verified against `d_k`, through `dk_cache` when one is supplied.
 /// The candidates whose `d_k` is not cached (all of them without a cache)
-/// are verified together by [`verify_misses`], and their thresholds are
-/// then cached. Completes the filter-phase `stats` and assembles the
-/// answer.
+/// are verified together by [`verify_misses`] (one whose ball could
+/// overflow by its own cursor), and their thresholds are then cached.
+/// Completes the filter-phase `stats` and assembles the answer.
 fn refine<M, I>(
     index: &I,
     q: &[f64],
@@ -1003,9 +1003,9 @@ fn insert_nearest(best: &mut [f64], d: f64) {
 
 /// Computes `d_k` of every candidate in `scratch.misses` together, from
 /// one [`KnnIndex::range`] call around the query `q` instead of one
-/// forward kNN query per candidate. Miss `j` ends with its `k` smallest
-/// distances to other live points in `scratch.nearest[j·k..(j + 1)·k]`,
-/// `+∞` past their number, so its `d_k` is the last of them.
+/// forward kNN query per candidate. Miss `j` ends with its `d_k` in
+/// `scratch.nearest[j·k + k − 1]`, and the misses are reordered: those
+/// the ball answered come first.
 ///
 /// 1. **Bound.** Each miss `p` streams the filter set's padded tile
 ///    through [`Metric::dist_tile`]; the k-th smallest distance to another
@@ -1014,15 +1014,21 @@ fn insert_nearest(best: &mut [f64], d: f64) {
 ///    `d(q, x) ≤ d(q, p) + u_p`, so the closed ball of radius
 ///    `R = max_p` [`triangle_upper`]`(d(q, p), u_p)` holds every miss's
 ///    `k` nearest points; the rounding slack keeps it so for computed
-///    distances. One `range(q, R)` fetches it.
+///    distances. A computed `d(q, x)` that overflows to `+∞` is outside
+///    every ball, so a miss whose own radius fails [`finite_up_to`]
+///    (among them every `u_p = +∞`) is left out of the ball and verified
+///    by its own bounded cursor. One `range(q, R)` fetches the ball of
+///    the others.
 /// 3. **Evaluate.** The ball's rows are gathered into padded tiles of
-///    `VERIFY_TILE` and every miss streams each tile at its running k-th
-///    distance, closed at `u_p` from the start, skipping its own id.
+///    `VERIFY_TILE` and every miss in it streams each tile at its running
+///    k-th distance, closed at `u_p` from the start, skipping its own id;
+///    its `k` smallest distances end in `scratch.nearest[j·k..(j + 1)·k]`.
 ///
 /// All distances come from the one metric's kernel, so each `d_k` is bit
 /// for bit the value of a bounded cursor from the miss. `stats` is
-/// charged one distance per miss and filter row, `range`'s own work, and
-/// one distance per miss and ball row (`DESIGN.md` §3).
+/// charged one distance per miss and filter row, `range`'s own work, one
+/// distance per ball miss and ball row, and the cursors' work
+/// (`DESIGN.md` §3).
 fn verify_misses<M, I>(
     index: &I,
     q: &[f64],
@@ -1034,6 +1040,7 @@ fn verify_misses<M, I>(
     I: KnnIndex<M> + ?Sized,
 {
     let QueryScratch {
+        cursor,
         filter,
         tile,
         wtile,
@@ -1048,7 +1055,8 @@ fn verify_misses<M, I>(
     nearest.clear();
     nearest.resize(misses.len() * k, f64::INFINITY);
 
-    // 1. Each miss's bound from the filter set, and the ball's radius.
+    // 1. Each miss's bound from the filter set, and the ball's radius; a
+    //    miss the ball cannot answer keeps `+∞`.
     let mut radius = 0.0f64;
     for (miss, best) in misses.iter_mut().zip(nearest.chunks_exact_mut(k)) {
         let i = miss.0;
@@ -1064,12 +1072,27 @@ fn verify_misses<M, I>(
                 }
             }
         }
-        miss.1 = best[k - 1];
-        radius = radius.max(triangle_upper(filter[i].dist, miss.1));
+        let r = triangle_upper(filter[i].dist, best[k - 1]);
+        miss.1 = if finite_up_to(metric, r) {
+            radius = radius.max(r);
+            best[k - 1]
+        } else {
+            f64::INFINITY
+        };
         best.fill(f64::INFINITY);
     }
+    misses.sort_unstable_by_key(|&(_, bound)| bound == f64::INFINITY);
+    let in_ball = misses.partition_point(|&(_, bound)| bound < f64::INFINITY);
+    let (ball_misses, own_cursor) = misses.split_at(in_ball);
+    let (ball_nearest, cursor_nearest) = nearest.split_at_mut(in_ball * k);
+    for (&(i, _), best) in own_cursor.iter().zip(cursor_nearest.chunks_exact_mut(k)) {
+        best[k - 1] = dk_via_cursor(index, filter[i].id, k, cursor, stats);
+    }
+    if ball_misses.is_empty() {
+        return;
+    }
 
-    // 2–3. One range call, its rows streamed through every miss.
+    // 2–3. One range call, its rows streamed through every ball miss.
     let ball = index.range(q, radius, None, stats);
     wtile.ensure_rows(dim, VERIFY_TILE);
     for block in ball.chunks(VERIFY_TILE) {
@@ -1077,7 +1100,7 @@ fn verify_misses<M, I>(
             wtile.fill_row(r, index.point(x.id));
         }
         let (rows, len) = (&wtile.rows[..block.len() * stride], block.len());
-        for (&(i, bound), best) in misses.iter().zip(nearest.chunks_exact_mut(k)) {
+        for (&(i, bound), best) in ball_misses.iter().zip(ball_nearest.chunks_exact_mut(k)) {
             let p = &filter_rows[i * stride..(i + 1) * stride];
             // `u_p` closes the ball from the start: a distance of at most
             // `u_p` is admitted below its `next_up`.
@@ -1894,27 +1917,31 @@ mod tests {
                 }
             }
         }
-        if !misses.is_empty() {
-            // One distance per miss and filter row, the range call at the
-            // radius of the misses' filter-set bounds, one distance per
-            // miss and ball row.
-            let group = misses.len() as u64;
-            search.count_dists(group * filter.len() as u64);
-            let radius = misses
+        // One distance per miss and filter row. A miss whose radius may
+        // overflow is charged its own cursor; the others share the range
+        // call at the largest radius, with one distance per such miss and
+        // ball row.
+        search.count_dists(misses.len() as u64 * filter.len() as u64);
+        let (mut radius, mut in_ball) = (0.0f64, 0u64);
+        for p in &misses {
+            let mut others: Vec<f64> = filter
                 .iter()
-                .map(|p| {
-                    let mut others: Vec<f64> = filter
-                        .iter()
-                        .filter(|x| x.id != p.id)
-                        .map(|x| metric.dist(index.point(p.id), index.point(x.id)))
-                        .collect();
-                    others.sort_by(f64::total_cmp);
-                    let bound = others.get(k - 1).copied().unwrap_or(f64::INFINITY);
-                    triangle_upper(p.dist, bound)
-                })
-                .fold(0.0, f64::max);
+                .filter(|x| x.id != p.id)
+                .map(|x| metric.dist(index.point(p.id), index.point(x.id)))
+                .collect();
+            others.sort_by(f64::total_cmp);
+            let bound = others.get(k - 1).copied().unwrap_or(f64::INFINITY);
+            let r = triangle_upper(p.dist, bound);
+            if finite_up_to(metric, r) {
+                radius = radius.max(r);
+                in_ball += 1;
+            } else {
+                dk_via_cursor(index, p.id, k, &mut cursor_scratch, &mut search);
+            }
+        }
+        if in_ball > 0 {
             let ball = index.range(q, radius, None, &mut search);
-            search.count_dists(group * ball.len() as u64);
+            search.count_dists(in_ball * ball.len() as u64);
         }
         rknn_core::neighbor::sort_neighbors(&mut result);
         RknnAnswer {

@@ -542,6 +542,55 @@ fn overflowing_distances_stay_in_every_stream() {
     }
 }
 
+#[test]
+fn group_verification_survives_overflowing_distances() {
+    // Squared coordinates near 1e308: `p = (1e154, 0)`'s nearest neighbor
+    // `x = (1.5e154, 0)` is finite from `p`, but its computed distance from
+    // the query point 0 overflows to `+∞`, so a ball around the query
+    // leaves it out at any radius. With the fifth point, `p`'s bound from
+    // the filter set, and so the ball's radius, is finite.
+    let line = vec![
+        vec![0.0, 0.0],
+        vec![-5e153, 0.0],
+        vec![1e154, 0.0],
+        vec![1.5e154, 0.0],
+    ];
+    let mut off_line = line.clone();
+    off_line.push(vec![1e154, 6e153]);
+    for rows in [&line, &off_line] {
+        let ds = Dataset::from_rows(rows).unwrap().into_shared();
+        let mut all = substrates(&ds);
+        all.push(Box::new(LinearScan::build(ds.clone(), Euclidean)));
+        for idx in &all {
+            for k in 1..=3 {
+                check_group_dk(&**idx, k);
+            }
+        }
+    }
+    // On the four points, k = 1 and t = 1 retrieve two of them around
+    // point 0 and leave `p` the one miss: its `d_1` is 5e153 < d(q, p), so
+    // it is no reverse neighbor of the query.
+    let ds = Dataset::from_rows(&line).unwrap().into_shared();
+    let mut all = substrates(&ds);
+    all.push(Box::new(LinearScan::build(ds.clone(), Euclidean)));
+    for idx in &all {
+        let ans = run_query(
+            &**idx,
+            idx.point(0),
+            Some(0),
+            RdtParams::new(1, 1.0),
+            RdtVariant::Plain,
+            TSchedule::Fixed,
+            &mut QueryScratch::new(2),
+            None,
+            &CancelToken::never(),
+        )
+        .unwrap();
+        assert_eq!(ans.stats.verified, 1, "{}", idx.name());
+        assert!(!ans.ids().contains(&2), "{}: {:?}", idx.name(), ans.ids());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
