@@ -54,7 +54,8 @@
 //!   ball tree and M-tree through the default `range`): Plain, Plus and
 //!   NoWitness, both schedules, an external query, ties at `d_k`, `k`
 //!   above the live count, with and without a cache and with one cache
-//!   shared by two threads.
+//!   shared by two threads, and on points whose computed distances from
+//!   the query overflow to `+∞` (those misses take their own cursor).
 //!
 //! All assertions run on whatever kernel backend dispatch selects; CI
 //! reruns this suite with `RKNN_KERNEL=scalar` (and `RKNN_KERNEL=avx2` on
