@@ -60,12 +60,16 @@
 //! Both rules only trade pruning for batching: every point of a flattened
 //! subtree is still evaluated exactly against the frontier, so streams
 //! stay exact (points at equal distances may surface in another order
-//! than a staged expansion would give them). `DESIGN.md` §3 gives the
-//! counting rule.
+//! than a staged expansion would give them). The depth-first
+//! [`KnnIndex::range`] walk applies the same rule: a kept node that
+//! flattens hands the points below it to gathered tiles evaluated at the
+//! ball's bound instead of pushing its children. `DESIGN.md` §3 gives the
+//! counting rules.
 
 use crate::pool::{PointPool, RebuildPolicy};
 use crate::traits::{DynamicIndex, KnnIndex, NnCursor};
 use crate::traversal::{self, ExpandSink, TreeSubstrate};
+use rknn_core::scratch::TileEvalScratch;
 use rknn_core::{
     triangle_lower, CoreError, CursorScratch, Dataset, Metric, Neighbor, PointId, SearchStats,
 };
@@ -108,6 +112,9 @@ const FLAT_FAN_OUT: usize = 32;
 
 /// The most nodes below a high-fan-out node that expands flat.
 const FLAT_BELOW: u32 = 4096;
+
+/// Rows per gathered tile of the range walk's flattened subtrees.
+const RANGE_TILE: usize = 64;
 
 /// Checked conversion of an arena index or point id to its `u32` field:
 /// values it cannot hold, `NIL` included, are a capacity error.
@@ -420,26 +427,62 @@ impl<M: Metric> CoverTree<M> {
             || (size - 1 <= FLAT_BELOW && self.children(id).nth(FLAT_FAN_OUT - 1).is_some())
     }
 
-    /// Queues the point of every node below `id` as a candidate point.
+    /// Calls `visit` with the point of every node below `id`, tombstones
+    /// included.
     ///
     /// The walk allocates nothing: it recurses only into a child that has
     /// both children and a later sibling, and a last child's subtree
     /// continues the loop, so a chain of single children (duplicate
     /// points) walks without recursion.
-    fn flatten(&self, id: usize, sink: &mut ExpandSink<'_, M, Self>) {
+    fn flatten(&self, id: usize, visit: &mut impl FnMut(PointId)) {
         let mut c = self.nodes[id].first_child;
         while c != NIL {
             let child = &self.nodes[c as usize];
-            sink.point(child.point());
+            visit(child.point());
             if child.next_sibling == NIL {
                 c = child.first_child;
             } else {
                 if child.first_child != NIL {
-                    self.flatten(c as usize, sink);
+                    self.flatten(c as usize, visit);
                 }
                 c = child.next_sibling;
             }
         }
+    }
+
+    /// Evaluates the points gathered in `tile.ids` against the padded query
+    /// in `tile.qpad`, one distance each, appends those within distance
+    /// `r` to `out`, and empties the batch.
+    fn range_tile(
+        &self,
+        tile: &mut TileEvalScratch,
+        r: f64,
+        out: &mut Vec<Neighbor>,
+        stats: &mut SearchStats,
+    ) {
+        let len = tile.ids.len();
+        let (dim, stride) = (self.pool.dim(), tile.qpad.len());
+        for i in 0..len {
+            let p = tile.ids[i];
+            tile.fill_row(i, self.pool.point(p));
+        }
+        self.metric.dist_tile(
+            &tile.qpad,
+            &tile.rows[..len * stride],
+            stride,
+            dim,
+            &tile.bounds[..len],
+            &mut tile.out[..len],
+        );
+        stats.count_dists(len as u64);
+        out.extend(
+            tile.ids
+                .iter()
+                .zip(&tile.out[..len])
+                .filter(|(_, &d)| d <= r)
+                .map(|(&p, &d)| Neighbor::new(p, d)),
+        );
+        tile.ids.clear();
     }
 }
 
@@ -470,7 +513,7 @@ impl<M: Metric> TreeSubstrate<M> for CoverTree<M> {
         // the node was queued by its parent (or the seed).
         sink.point_at(self.nodes[id].point(), d_pivot);
         if self.flattens(id) {
-            self.flatten(id, sink);
+            self.flatten(id, &mut |p| sink.point(p));
             return;
         }
         for c in self.children(id) {
@@ -532,11 +575,14 @@ impl<M: Metric> KnnIndex<M> for CoverTree<M> {
         traversal::tree_cursor_bounded(self, q, exclude, limit, scratch)
     }
 
-    /// A depth-first walk, sorted once at the end: each visited node
-    /// costs one node visit and one distance for its point, and its
-    /// subtree is skipped when the rounding-safe bound
-    /// [`triangle_lower`]`(d, max_dist)` exceeds `r`. Tombstoned and
-    /// excluded points still route the walk.
+    /// A depth-first walk: each popped node costs one node visit and one
+    /// distance for its point, and its subtree is skipped when the
+    /// rounding-safe bound [`triangle_lower`]`(d, max_dist)` exceeds `r`.
+    /// A kept node that expands flat (module docs) is not descended into:
+    /// every live point below it other than `exclude` is gathered into
+    /// padded tiles of 64 rows evaluated by [`Metric::dist_tile`] at the
+    /// closed ball's bound, one distance per row. Tombstoned and excluded
+    /// points still route the walk.
     fn range(
         &self,
         q: &[f64],
@@ -544,25 +590,45 @@ impl<M: Metric> KnnIndex<M> for CoverTree<M> {
         exclude: Option<PointId>,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        // The closed ball `d <= r` is the open ball below next_up(r), as
-        // on the sequential scan.
-        let bound = r.next_up();
         let mut out = Vec::new();
-        let mut stack: Vec<usize> = self.root.into_iter().collect();
+        let Some(root) = self.root else {
+            return out;
+        };
+        let emits = |p: PointId| Some(p) != exclude && self.pool.is_alive(p);
+        // The tile admits `d < r.next_up()`, which is `d <= r` unless
+        // `r.next_up()` is `+∞`: there it admits every distance, and
+        // `range_tile` drops those past `r`.
+        let mut tile = TileEvalScratch::new();
+        tile.set_query(q);
+        tile.ensure_rows(self.pool.dim(), RANGE_TILE);
+        tile.bounds.fill(r.next_up());
+        let mut stack = vec![root];
         while let Some(id) = stack.pop() {
             stats.count_node();
             stats.count_dist();
             let node = &self.nodes[id];
             let p = node.point();
             let d = self.metric.dist(q, self.pool.point(p));
-            if d < bound && Some(p) != exclude && self.pool.is_alive(p) {
+            if d <= r && emits(p) {
                 out.push(Neighbor::new(p, d));
             }
-            if triangle_lower(d, node.max_dist) <= r {
+            if triangle_lower(d, node.max_dist) > r {
+                continue;
+            }
+            if self.flattens(id) {
+                self.flatten(id, &mut |p| {
+                    if emits(p) {
+                        tile.ids.push(p);
+                        if tile.ids.len() == RANGE_TILE {
+                            self.range_tile(&mut tile, r, &mut out, stats);
+                        }
+                    }
+                });
+            } else {
                 stack.extend(self.children(id));
             }
         }
-        rknn_core::neighbor::sort_neighbors(&mut out);
+        self.range_tile(&mut tile, r, &mut out, stats);
         out
     }
 }
@@ -851,6 +917,54 @@ mod tests {
         // The root's pivot is evaluated even when it is a tombstone.
         let root_dead = usize::from(tree.nodes[0].point().is_multiple_of(3));
         assert_eq!(stats.dist_computations as usize, stream.len() + root_dead);
+    }
+
+    #[test]
+    fn a_flattened_root_answers_range_from_tiles() {
+        let ds = basis_clusters(40, 3, 14);
+        let mut tree = CoverTree::build(ds.clone(), Euclidean);
+        let mut scan = crate::LinearScan::build(ds.clone(), Euclidean);
+        assert_eq!(tree.flat_by_fan_out(), 1, "the root flattens by fan-out");
+        for id in (0..ds.len()).step_by(7) {
+            assert!(tree.remove(id) && scan.remove(id));
+        }
+        let root = tree.nodes[0].point();
+        let sorted = |mut ball: Vec<Neighbor>| {
+            rknn_core::neighbor::sort_neighbors(&mut ball);
+            ball.iter()
+                .map(|n| (n.id, n.dist.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for (q, exclude) in [(1, Some(1)), (41, None), (118, Some(118))] {
+            // The 120 points fill two tiles; the live ones other than the
+            // root and `exclude` each cost one distance.
+            let below = (0..ds.len())
+                .filter(|&id| id != root && Some(id) != exclude && tree.pool.is_alive(id))
+                .count();
+            for r in [0.0, 0.5, 14.2, f64::INFINITY] {
+                let mut st = SearchStats::new();
+                let got = tree.range(ds.point(q), r, exclude, &mut st);
+                let want = scan.range(ds.point(q), r, exclude, &mut SearchStats::new());
+                assert_eq!(sorted(got), sorted(want), "q={q} r={r}");
+                assert_eq!(st.nodes_visited, 1, "only the root is popped");
+                assert!((st.nodes_visited as usize) < tree.node_count());
+                assert_eq!(st.dist_computations as usize, 1 + below, "q={q} r={r}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_tiled_range_keeps_overflowing_distances_only_at_infinity() {
+        // Coordinates at ±1e200 overflow the squared distance to `+∞`.
+        let mut rows: Vec<Vec<f64>> = (0..10).map(|i| vec![f64::from(i), 0.0]).collect();
+        rows.push(vec![1e200, -1e200]);
+        let ds = Dataset::from_rows(&rows).unwrap().into_shared();
+        let tree = CoverTree::build(ds, Euclidean);
+        assert_eq!(tree.sizes[0], 11, "the root flattens");
+        assert_ne!(tree.nodes[0].point(), 10, "the far point is read in a tile");
+        let (q, mut st) = ([0.25, 0.0], SearchStats::new());
+        assert_eq!(tree.range(&q, f64::INFINITY, None, &mut st).len(), 11);
+        assert_eq!(tree.range(&q, f64::MAX, None, &mut st).len(), 10);
     }
 
     #[test]

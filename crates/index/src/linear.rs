@@ -472,14 +472,12 @@ impl<M: Metric> KnnIndex<M> for LinearScan<M> {
         exclude: Option<PointId>,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        // The closed ball `d <= r` equals the open ball below next_up(r).
-        let bound = r.next_up();
         let mut out = Vec::new();
         if self.tile_eligible(q) {
-            // Tile fast path. The tile has `dist_under` semantics: at an
-            // infinite bound it admits distances overflowing to +∞, which
-            // the strict `dist_lt` contract of `range` must still reject —
-            // hence the finiteness re-check at commit.
+            // Tile fast path. The tile admits `d < r.next_up()`, which is
+            // `d <= r` unless `r.next_up()` is `+∞`: there it admits every
+            // distance, so the commit applies the ball's own comparison
+            // (NaN, pruned, fails it).
             let mut qpad = Vec::new();
             pad_query(q, self.pool.stride(), &mut qpad);
             scan_tiles(
@@ -487,16 +485,15 @@ impl<M: Metric> KnnIndex<M> for LinearScan<M> {
                 &self.pool,
                 &qpad,
                 &mut (&mut out, &mut *stats),
-                |_| bound,
+                |_| r.next_up(),
                 |st, id, d| {
                     if Some(id) == exclude {
                         return;
                     }
                     st.1.count_dist();
-                    if d.is_nan() || (bound == f64::INFINITY && !d.is_finite()) {
-                        return;
+                    if d <= r {
+                        st.0.push(Neighbor::new(id, d));
                     }
-                    st.0.push(Neighbor::new(id, d));
                 },
             );
         } else {
@@ -505,12 +502,11 @@ impl<M: Metric> KnnIndex<M> for LinearScan<M> {
                     continue;
                 }
                 stats.count_dist();
-                if let Some(d) = self.metric.dist_lt(q, p, bound) {
+                if let Some(d) = self.metric.dist_le(q, p, r) {
                     out.push(Neighbor::new(id, d));
                 }
             }
         }
-        rknn_core::neighbor::sort_neighbors(&mut out);
         out
     }
 
@@ -522,10 +518,10 @@ impl<M: Metric> KnnIndex<M> for LinearScan<M> {
         exclude: Option<PointId>,
         stats: &mut SearchStats,
     ) -> usize {
-        let bound = if strict { r } else { r.next_up() };
+        let inside = |d: f64| if strict { d < r } else { d <= r };
         let mut count = 0;
         if self.tile_eligible(q) {
-            // Same strict-vs-`dist_under` commit re-check as `range`.
+            // Same commit comparison as `range`.
             let mut qpad = Vec::new();
             pad_query(q, self.pool.stride(), &mut qpad);
             scan_tiles(
@@ -533,16 +529,15 @@ impl<M: Metric> KnnIndex<M> for LinearScan<M> {
                 &self.pool,
                 &qpad,
                 &mut (&mut count, &mut *stats),
-                |_| bound,
+                |_| if strict { r } else { r.next_up() },
                 |st, id, d| {
                     if Some(id) == exclude {
                         return;
                     }
                     st.1.count_dist();
-                    if d.is_nan() || (bound == f64::INFINITY && !d.is_finite()) {
-                        return;
+                    if inside(d) {
+                        *st.0 += 1;
                     }
-                    *st.0 += 1;
                 },
             );
         } else {
@@ -551,9 +546,12 @@ impl<M: Metric> KnnIndex<M> for LinearScan<M> {
                     continue;
                 }
                 stats.count_dist();
-                if self.metric.dist_lt(q, p, bound).is_some() {
-                    count += 1;
-                }
+                let admitted = if strict {
+                    self.metric.dist_lt(q, p, r)
+                } else {
+                    self.metric.dist_le(q, p, r)
+                };
+                count += usize::from(admitted.is_some());
             }
         }
         count

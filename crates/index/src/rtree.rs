@@ -754,7 +754,6 @@ impl<M: Metric> KnnIndex<M> for RTree<M> {
                 RNodeKind::Inner(children) => stack.extend_from_slice(children),
             }
         }
-        rknn_core::neighbor::sort_neighbors(&mut out);
         out
     }
 

@@ -160,15 +160,20 @@ pub trait KnnIndex<M: Metric>: Send + Sync {
         out
     }
 
-    /// All neighbors within the closed ball of radius `r`, ascending.
+    /// Every live point other than `exclude` whose computed distance from
+    /// `q` is at most `r`, in no particular order. At `r = +∞` that is
+    /// every such point, distances that overflow to `+∞` included.
     ///
     /// The default drains a boxed cursor. `LinearScan`, `RTree`,
     /// `CoverTree` and `VpTree` override it with one direct walk over the
-    /// points the ball may hold, sorted once at the end (the two metric
-    /// trees prune with the rounding-safe
-    /// [`triangle_lower`](rknn_core::triangle_lower)); `BallTree` and
-    /// `MTree` keep the default. RDT verifies all of a query's `d_k` cache
-    /// misses from one call around the query (`DESIGN.md` §2).
+    /// points the ball may hold (the two metric trees prune with the
+    /// rounding-safe [`triangle_lower`](rknn_core::triangle_lower), and the
+    /// cover tree evaluates the subtrees it flattens in gathered tiles);
+    /// `BallTree` and `MTree` keep the default. No override sorts: RDT's
+    /// group verification, which verifies all of a query's `d_k` cache
+    /// misses from one call around the query (`DESIGN.md` §2), keeps each
+    /// miss's `k` smallest distance values, which do not depend on the
+    /// order.
     fn range(
         &self,
         q: &[f64],
@@ -188,8 +193,12 @@ pub trait KnnIndex<M: Metric>: Send + Sync {
         out
     }
 
-    /// Number of points within radius `r` of `q` (`strict` selects the open
-    /// ball `d < r`). This is the "count range query" primitive of SFT.
+    /// Number of live points other than `exclude` whose computed distance
+    /// from `q` is at most `r` (below `r` when `strict`): the size of
+    /// [`KnnIndex::range`]'s ball, or of the open ball. At `r = +∞` the
+    /// closed count includes distances that overflow to `+∞` and the
+    /// strict one leaves them out. This is the "count range query"
+    /// primitive of SFT.
     fn range_count(
         &self,
         q: &[f64],

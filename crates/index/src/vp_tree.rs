@@ -370,12 +370,12 @@ impl<M: Metric> KnnIndex<M> for VpTree<M> {
         traversal::tree_cursor_bounded(self, q, exclude, limit, scratch)
     }
 
-    /// A depth-first walk, sorted once at the end: each visited node
-    /// costs one node visit, each vantage point and each live leaf point
-    /// other than `exclude` one distance. A child is skipped when the
-    /// rounding-safe bound on its annulus, the larger of
-    /// [`triangle_lower`]`(d, max)` and [`triangle_lower`]`(min, d)`,
-    /// exceeds `r`. Tombstoned vantage points still route the walk.
+    /// A depth-first walk: each visited node costs one node visit, each
+    /// vantage point and each live leaf point other than `exclude` one
+    /// distance. A child is skipped when the rounding-safe bound on its
+    /// annulus, the larger of [`triangle_lower`]`(d, max)` and
+    /// [`triangle_lower`]`(min, d)`, exceeds `r`. Tombstoned vantage points
+    /// still route the walk.
     fn range(
         &self,
         q: &[f64],
@@ -383,9 +383,6 @@ impl<M: Metric> KnnIndex<M> for VpTree<M> {
         exclude: Option<PointId>,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        // The closed ball `d <= r` is the open ball below next_up(r), as
-        // on the sequential scan.
-        let bound = r.next_up();
         let emits = |id: PointId| Some(id) != exclude && self.pool.is_alive(id);
         let mut out = Vec::new();
         let mut stack: Vec<usize> = self.root.into_iter().collect();
@@ -395,7 +392,7 @@ impl<M: Metric> KnnIndex<M> for VpTree<M> {
                 VpNode::Leaf(pts) => {
                     for &p in pts.iter().filter(|&&p| emits(p)) {
                         stats.count_dist();
-                        if let Some(d) = self.metric.dist_lt(q, self.pool.point(p), bound) {
+                        if let Some(d) = self.metric.dist_le(q, self.pool.point(p), r) {
                             out.push(Neighbor::new(p, d));
                         }
                     }
@@ -403,7 +400,7 @@ impl<M: Metric> KnnIndex<M> for VpTree<M> {
                 VpNode::Inner { vp, near, far } => {
                     stats.count_dist();
                     let d = self.metric.dist(q, self.pool.point(*vp));
-                    if d < bound && emits(*vp) {
+                    if d <= r && emits(*vp) {
                         out.push(Neighbor::new(*vp, d));
                     }
                     for &(child, lo, hi) in [near, far].into_iter().flatten() {
@@ -414,7 +411,6 @@ impl<M: Metric> KnnIndex<M> for VpTree<M> {
                 }
             }
         }
-        rknn_core::neighbor::sort_neighbors(&mut out);
         out
     }
 }

@@ -1018,17 +1018,18 @@ fn insert_nearest(best: &mut [f64], d: f64) {
 ///    every ball, so a miss whose own radius fails [`finite_up_to`]
 ///    (among them every `u_p = +∞`) is left out of the ball and verified
 ///    by its own bounded cursor. One `range(q, R)` fetches the ball of
-///    the others.
+///    the others, in no particular order.
 /// 3. **Evaluate.** The ball's rows are gathered into padded tiles of
 ///    `VERIFY_TILE` and every miss in it streams each tile at its running
 ///    k-th distance, closed at `u_p` from the start, skipping its own id;
 ///    its `k` smallest distances end in `scratch.nearest[j·k..(j + 1)·k]`.
 ///
-/// All distances come from the one metric's kernel, so each `d_k` is bit
-/// for bit the value of a bounded cursor from the miss. `stats` is
-/// charged one distance per miss and filter row, `range`'s own work, one
-/// distance per ball miss and ball row, and the cursors' work
-/// (`DESIGN.md` §3).
+/// All distances come from the one metric's kernel, and a miss keeps the
+/// multiset of its `k` smallest values whatever order the ball's rows
+/// arrive in, so each `d_k` is bit for bit the value of a bounded cursor
+/// from the miss. `stats` is charged one distance per miss and filter row,
+/// `range`'s own work, one distance per ball miss and ball row, and the
+/// cursors' work (`DESIGN.md` §3).
 fn verify_misses<M, I>(
     index: &I,
     q: &[f64],

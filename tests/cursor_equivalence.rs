@@ -44,11 +44,13 @@
 //!   the live count — on duplicate points, exact ties at the k-th
 //!   distance, query subsets, one and two points, churned scans and VP
 //!   trees, and all four metrics.
-//! * the **range walks** of the cover tree and the VP tree equal the
-//!   linear scan's `range` — ids, distance bits and order — under all four
-//!   metrics, with and without `exclude`, at radius 0, `+∞` and ties at
-//!   the radius, on duplicate points, before and after churn (tombstones,
-//!   ids past the base).
+//! * every tree substrate's **`range`** returns the linear scan's ball —
+//!   ids and distance bits, compared sorted, since a ball comes back in no
+//!   particular order — under all four metrics, with and without
+//!   `exclude`, at radius 0, `+∞` and ties at the radius, on duplicate
+//!   points, and (the dynamic cover tree, VP tree and R-tree) after churn
+//!   (tombstones, ids past the base). At `r = +∞` every substrate's ball
+//!   and closed count keep points whose distance overflows to `+∞`.
 //! * RDT's **group verification** gives every `d_k` cache miss the
 //!   bounded cursor's threshold bit for bit on all six substrates (the
 //!   ball tree and M-tree through the default `range`): Plain, Plus and
@@ -56,6 +58,10 @@
 //!   above the live count, with and without a cache and with one cache
 //!   shared by two threads, and on points whose computed distances from
 //!   the query overflow to `+∞` (those misses take their own cursor).
+//! * the group verification does not depend on the order of the ball:
+//!   through a wrapper that reverses every `range` result, the scan, cover
+//!   tree and VP tree store the same `d_k` bits and give the same answers
+//!   and counters as without it.
 //!
 //! All assertions run on whatever kernel backend dispatch selects; CI
 //! reruns this suite with `RKNN_KERNEL=scalar` (and `RKNN_KERNEL=avx2` on
@@ -68,7 +74,8 @@ use rknn_core::{
     Neighbor, QueryScratch, SearchStats,
 };
 use rknn_index::{
-    knn_dists, BallTree, CoverTree, DynamicIndex, KnnIndex, LinearScan, MTree, RTree, VpTree,
+    knn_dists, BallTree, CoverTree, DynamicIndex, KnnIndex, LinearScan, MTree, NnCursor, RTree,
+    VpTree,
 };
 use rknn_rdt::engine::run_query;
 use rknn_rdt::{DkCache, RdtAlgorithm, RdtParams, RdtVariant, TSchedule};
@@ -97,7 +104,7 @@ fn substrates(ds: &Arc<Dataset>) -> Vec<Box<dyn KnnIndex<Euclidean>>> {
     ]
 }
 
-fn drain(cur: &mut dyn rknn_index::NnCursor, cap: usize) -> Vec<Neighbor> {
+fn drain(cur: &mut dyn NnCursor, cap: usize) -> Vec<Neighbor> {
     let mut out = Vec::new();
     while out.len() < cap {
         match cur.next() {
@@ -302,12 +309,20 @@ fn lattice_rows(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// `CoverTree::range` and `VpTree::range` against `LinearScan::range`
-/// under `metric`: ids, distance bits and order, for queries at live
-/// points (with and without `exclude`) and an external one, at radius 0,
-/// `+∞` and radii equal to a computed distance (a tie at `r`); then again
-/// after `inserted` rows join (ids past the base) and every fifth id is
-/// tombstoned.
+/// A ball's ids and distance bits sorted by `(dist, id)`: `range` returns
+/// the ball in no particular order.
+fn ball_keys(mut ball: Vec<Neighbor>) -> Vec<(usize, u64)> {
+    rknn_core::neighbor::sort_neighbors(&mut ball);
+    keys(&ball)
+}
+
+/// Every tree substrate's `range` against `LinearScan::range` under
+/// `metric`: the same ids and distance bits once both are sorted, for
+/// queries at live points (with and without `exclude`) and an external
+/// one, at radius 0, `+∞` and radii equal to a computed distance (a tie at
+/// `r`); then the dynamic substrates again after `inserted` rows join (ids
+/// past the base) and every fifth id is tombstoned. The ball tree and
+/// M-tree are static and take the first pass only.
 fn check_range_under<M: Metric + Clone + 'static>(
     metric: M,
     rows: &[Vec<f64>],
@@ -315,18 +330,34 @@ fn check_range_under<M: Metric + Clone + 'static>(
 ) {
     let ds = Dataset::from_rows(rows).unwrap().into_shared();
     let mut scan = LinearScan::build(ds.clone(), metric.clone());
-    let mut cover = CoverTree::build(ds.clone(), metric.clone());
-    let mut vp = VpTree::build(ds, metric.clone());
+    let mut dynamic: Vec<Box<dyn DynamicIndex<M>>> = vec![
+        Box::new(CoverTree::build(ds.clone(), metric.clone())),
+        Box::new(VpTree::build(ds.clone(), metric.clone())),
+        Box::new(RTree::build(ds.clone(), metric.clone())),
+    ];
+    let fixed: Vec<Box<dyn KnnIndex<M>>> = vec![
+        Box::new(BallTree::build(ds.clone(), metric.clone())),
+        Box::new(MTree::build(ds, metric.clone())),
+    ];
     for churned in [false, true] {
         if churned {
             for row in inserted {
                 let id = scan.insert(row).unwrap();
-                assert_eq!(cover.insert(row).unwrap(), id);
-                assert_eq!(vp.insert(row).unwrap(), id);
+                for tree in &mut dynamic {
+                    assert_eq!(tree.insert(row).unwrap(), id, "{}", tree.name());
+                }
             }
             for id in (0..scan.id_bound()).step_by(5) {
-                assert!(scan.remove(id) && cover.remove(id) && vp.remove(id));
+                assert!(scan.remove(id));
+                for tree in &mut dynamic {
+                    assert!(tree.remove(id), "{}", tree.name());
+                }
             }
+        }
+        let mut trees: Vec<&dyn KnnIndex<M>> =
+            dynamic.iter().map(|t| &**t as &dyn KnnIndex<M>).collect();
+        if !churned {
+            trees.extend(fixed.iter().map(|t| &**t));
         }
         let live: Vec<usize> = (0..scan.id_bound())
             .filter(|&id| scan.has_point(id))
@@ -350,9 +381,9 @@ fn check_range_under<M: Metric + Clone + 'static>(
                     .map(|&id| metric.dist(q, scan.point(id))),
             );
             for &r in &radii {
-                let want = keys(&scan.range(q, r, *exclude, &mut SearchStats::new()));
-                for tree in [&cover as &dyn KnnIndex<M>, &vp] {
-                    let got = keys(&tree.range(q, r, *exclude, &mut SearchStats::new()));
+                let want = ball_keys(scan.range(q, r, *exclude, &mut SearchStats::new()));
+                for tree in &trees {
+                    let got = ball_keys(tree.range(q, r, *exclude, &mut SearchStats::new()));
                     let ctx = format!("{} {}", tree.name(), metric.name());
                     assert_eq!(
                         got, want,
@@ -489,6 +520,163 @@ fn group_verification_gives_every_miss_the_cursor_dk() {
     }
 }
 
+/// Delegates every entry to the wrapped index, but returns each `range`
+/// ball reversed.
+struct ReversedBall<'a>(&'a dyn KnnIndex<Euclidean>);
+
+impl KnnIndex<Euclidean> for ReversedBall<'_> {
+    fn num_points(&self) -> usize {
+        self.0.num_points()
+    }
+
+    fn has_point(&self, id: usize) -> bool {
+        self.0.has_point(id)
+    }
+
+    fn id_bound(&self) -> usize {
+        self.0.id_bound()
+    }
+
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+
+    fn point(&self, id: usize) -> &[f64] {
+        self.0.point(id)
+    }
+
+    fn metric(&self) -> &Euclidean {
+        self.0.metric()
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn base_rows(&self) -> Option<&Dataset> {
+        self.0.base_rows()
+    }
+
+    fn cursor<'a>(&'a self, q: &'a [f64], exclude: Option<usize>) -> Box<dyn NnCursor + 'a> {
+        self.0.cursor(q, exclude)
+    }
+
+    fn cursor_with<'a>(
+        &'a self,
+        q: &'a [f64],
+        exclude: Option<usize>,
+        scratch: &'a mut CursorScratch,
+    ) -> Box<dyn NnCursor + 'a> {
+        self.0.cursor_with(q, exclude, scratch)
+    }
+
+    fn cursor_bounded<'a>(
+        &'a self,
+        q: &'a [f64],
+        exclude: Option<usize>,
+        limit: usize,
+        scratch: &'a mut CursorScratch,
+    ) -> Box<dyn NnCursor + 'a> {
+        self.0.cursor_bounded(q, exclude, limit, scratch)
+    }
+
+    fn knn(
+        &self,
+        q: &[f64],
+        k: usize,
+        exclude: Option<usize>,
+        stats: &mut SearchStats,
+    ) -> Vec<Neighbor> {
+        self.0.knn(q, k, exclude, stats)
+    }
+
+    fn range(
+        &self,
+        q: &[f64],
+        r: f64,
+        exclude: Option<usize>,
+        stats: &mut SearchStats,
+    ) -> Vec<Neighbor> {
+        let mut ball = self.0.range(q, r, exclude, stats);
+        ball.reverse();
+        ball
+    }
+
+    fn range_count(
+        &self,
+        q: &[f64],
+        r: f64,
+        strict: bool,
+        exclude: Option<usize>,
+        stats: &mut SearchStats,
+    ) -> usize {
+        self.0.range_count(q, r, strict, exclude, stats)
+    }
+}
+
+#[test]
+fn group_verification_ignores_the_ball_order() {
+    // 150 lattice rows: balls span several 64-row tiles, and the cover
+    // tree's walk flattens subtrees into its own tiles.
+    let ds = Dataset::from_rows(&lattice_rows(150, 3, 5))
+        .unwrap()
+        .into_shared();
+    let scan = LinearScan::build(ds.clone(), Euclidean);
+    let cover = CoverTree::build(ds.clone(), Euclidean);
+    let vp = VpTree::build(ds.clone(), Euclidean);
+    let never = CancelToken::never();
+    let n = ds.len();
+    let external = vec![1.3; 3];
+    let mut queries: Vec<(&[f64], Option<usize>)> = (0..n)
+        .step_by(4)
+        .map(|id| (ds.point(id), Some(id)))
+        .collect();
+    queries.push((&external, None));
+    for idx in [&scan as &dyn KnnIndex<Euclidean>, &cover, &vp] {
+        let reversed = ReversedBall(idx);
+        let mut scratch = QueryScratch::new(3);
+        let mut grouped = 0;
+        for k in [1, 3] {
+            for t in [2.0, 6.0] {
+                for variant in [RdtVariant::Plain, RdtVariant::Plus, RdtVariant::NoWitness] {
+                    for &(q, exclude) in &queries {
+                        let ctx = format!("{} k={k} t={t} {variant:?} {exclude:?}", idx.name());
+                        let run = |index: &dyn KnnIndex<Euclidean>, cache, scratch: &mut _| {
+                            let params = RdtParams::new(k, t);
+                            run_query(
+                                index,
+                                q,
+                                exclude,
+                                params,
+                                variant,
+                                TSchedule::Fixed,
+                                scratch,
+                                cache,
+                                &never,
+                            )
+                            .unwrap()
+                        };
+                        let (in_order, out_of_order) = (DkCache::new(k, n), DkCache::new(k, n));
+                        let want = run(idx, Some(&in_order), &mut scratch);
+                        let got = run(&reversed, Some(&out_of_order), &mut scratch);
+                        assert_eq!(keys(&got.result), keys(&want.result), "{ctx}");
+                        assert_eq!(got.stats, want.stats, "{ctx}");
+                        for id in 0..n {
+                            let bits = |c: &DkCache| c.get(id).map(f64::to_bits);
+                            assert_eq!(bits(&out_of_order), bits(&in_order), "{ctx} id={id}");
+                        }
+                        let uncached = run(&reversed, None, &mut scratch);
+                        assert_eq!(keys(&uncached.result), keys(&want.result), "{ctx}");
+                        assert_eq!(uncached.stats, want.stats, "{ctx}");
+                        grouped = grouped.max(want.stats.verified);
+                    }
+                }
+            }
+        }
+        assert!(grouped > 1, "{}: no query verified a group", idx.name());
+    }
+}
+
 #[test]
 fn batched_knn_dists_cover_one_and_two_points() {
     for rows in [vec![vec![1.0, 2.0]], vec![vec![1.0, 2.0], vec![1.0, 2.0]]] {
@@ -518,9 +706,12 @@ fn overflowing_distances_stay_in_every_stream() {
     .into_shared();
     let q = [0.25, 0.0];
     let linear = LinearScan::build(ds.clone(), Euclidean);
+    let mut per_point = linear.clone();
+    per_point.set_tile_enabled(false);
     let mut scratch = CursorScratch::new();
     let mut all: Vec<Box<dyn KnnIndex<Euclidean>>> = substrates(&ds);
     all.push(Box::new(linear));
+    all.push(Box::new(per_point));
     for idx in &all {
         let boxed = drain(&mut *idx.cursor(&q, None), usize::MAX);
         let scratched = drain(&mut *idx.cursor_with(&q, None, &mut scratch), usize::MAX);
@@ -540,6 +731,27 @@ fn overflowing_distances_stay_in_every_stream() {
             "{}: knn",
             idx.name()
         );
+        // The closed ball at `+∞` holds every point; the open ball below
+        // `+∞` leaves the overflowing one out.
+        let inf = f64::INFINITY;
+        let ball = idx.range(&q, inf, None, &mut stats);
+        assert_eq!(ball.len(), 4, "{}: range(q, +∞)", idx.name());
+        assert!(ball.iter().any(|n| n.dist.is_infinite()), "{}", idx.name());
+        let closed = idx.range_count(&q, inf, false, None, &mut stats);
+        let open = idx.range_count(&q, inf, true, None, &mut stats);
+        assert_eq!((closed, open), (4, 3), "{}: range_count", idx.name());
+        // At the largest finite radius the overflowing point is outside
+        // both balls.
+        let max = f64::MAX;
+        assert_eq!(
+            idx.range(&q, max, None, &mut stats).len(),
+            3,
+            "{}",
+            idx.name()
+        );
+        let closed = idx.range_count(&q, max, false, None, &mut stats);
+        let open = idx.range_count(&q, max, true, None, &mut stats);
+        assert_eq!((closed, open), (3, 3), "{}: range_count", idx.name());
     }
 }
 
