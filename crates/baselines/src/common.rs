@@ -10,8 +10,9 @@ use rknn_index::KnnIndex;
 ///
 /// The forward query runs through [`KnnIndex::cursor_bounded`] with the
 /// caller's scratch, so every substrate answers it allocation-amortized and
-/// threshold-pruned ([`Metric::dist_lt`] early abandonment in the bounded
-/// selection heaps and tree emission frontiers) instead of through the
+/// threshold-pruned ([`Metric::dist_lt`] early abandonment against the
+/// threshold of the scan's and the trees' bounded selection) instead of
+/// through the
 /// allocating boxed `knn` path. The stream is nondecreasing, so the drain
 /// stops at the first entry at distance `≥ d_xq` (verdict: member) or at the
 /// `k`-th entry strictly below it (verdict: non-member) — often well before

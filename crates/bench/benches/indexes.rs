@@ -1,8 +1,9 @@
 //! Microbenchmarks of the forward-NN substrates: kNN queries and
-//! incremental cursor drains across all five index structures.
+//! incremental cursor drains across all five index structures, and
+//! bounded cursor drains, the tree traversal core's hot loop.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rknn_core::{Euclidean, SearchStats};
+use rknn_core::{CursorScratch, Euclidean, SearchStats};
 use rknn_index::{BallTree, CoverTree, KnnIndex, LinearScan, MTree, RTree, VpTree};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -99,5 +100,39 @@ fn bench_indexes(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_indexes);
+/// `cursor_bounded` drains of exactly `limit` entries on the tree
+/// substrates the benchmark workloads run (cover tree: batch-cold; VP
+/// tree: churn), cycling over 16 dataset points as queries on one reused
+/// scratch, on a blobs shape at d = 32. Limit 10 is a plain k = 10 drain;
+/// 2,560 is the rank cap `⌊2^t·k⌋` of an RDT filter cursor at k = 10,
+/// t = 8.
+fn bench_bounded_drains(c: &mut Criterion) {
+    let ds = Arc::new(rknn_data::gaussian_blobs(20_000, 32, 10, 0.4, 11));
+    let cover = CoverTree::build(ds.clone(), Euclidean);
+    let vp = VpTree::build(ds.clone(), Euclidean);
+    let trees: [(&str, &dyn KnnIndex<Euclidean>); 2] = [("cover_tree", &cover), ("vp_tree", &vp)];
+    let queries: Vec<usize> = (0..16).map(|i| i * 1237 % ds.len()).collect();
+    let mut scratch = CursorScratch::new();
+    let mut g = c.benchmark_group("bounded_drain_blobs_n20000_d32");
+    g.sample_size(20);
+    g.measurement_time(Duration::from_secs(2));
+    for limit in [10usize, 2560] {
+        for (name, tree) in trees {
+            let mut next = 0;
+            g.bench_function(format!("{name}_limit{limit}"), |b| {
+                b.iter(|| {
+                    let q = queries[next % queries.len()];
+                    next += 1;
+                    let mut cur = tree.cursor_bounded(ds.point(q), Some(q), limit, &mut scratch);
+                    for _ in 0..limit {
+                        black_box(cur.next());
+                    }
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_indexes, bench_bounded_drains);
 criterion_main!(benches);

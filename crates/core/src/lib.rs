@@ -28,7 +28,10 @@
 //!   core) that let batch drivers execute queries back to back without
 //!   per-query allocation;
 //! * [`bestfirst`] — the best-first priority queue of points and
-//!   expandable nodes that incremental tree traversals are built on.
+//!   expandable nodes that incremental tree traversals are built on;
+//! * [`BoundedSelection`] ([`select`]) — the lazily cut `(dist, id)`
+//!   selection whose threshold prunes every bounded cursor, the
+//!   sequential scan's and the tree traversal core's alike.
 //!
 //! # Conventions
 //!
@@ -52,6 +55,7 @@ pub mod metric;
 pub mod neighbor;
 pub mod rank;
 pub mod scratch;
+pub mod select;
 pub mod stats;
 
 pub use brute::BruteForce;
@@ -67,6 +71,7 @@ pub use metric::{
 };
 pub use neighbor::{Neighbor, PointId};
 pub use scratch::{CandidateTile, CursorScratch, FilterCandidate, QueryScratch, TreeScratch};
+pub use select::BoundedSelection;
 pub use stats::SearchStats;
 
 /// A copy of `v` with the same capacity as `v`, not just its length.

@@ -23,9 +23,9 @@
 
 use crate::bestfirst::BestFirst;
 use crate::kernel;
-use crate::neighbor::{MaxByDist, Neighbor};
+use crate::neighbor::Neighbor;
+use crate::select::BoundedSelection;
 use crate::PointId;
-use std::collections::BinaryHeap;
 
 /// Working buffers for one-query-to-many-rows tile evaluation
 /// ([`crate::Metric::dist_tile`]): the zero-padded query, optional gathered
@@ -126,20 +126,20 @@ impl CursorScratch {
 /// Reusable working memory for one best-first tree traversal.
 ///
 /// The generic tree cursor (`rknn_index::traversal::TreeCursor`) owns no
-/// containers of its own: the traversal queue, the bounded-mode emission
-/// frontier, the leaf-point tile batch and the staged child pivots all
-/// live here, so a batch worker
-/// that opens thousands of cursors allocates them once and reuses their
-/// capacity for every query. All are cleared (allocation kept) each time a
-/// cursor is opened on the scratch.
+/// containers of its own: the traversal queue, the bounded-mode selection
+/// of queued points, the leaf-point tile batch and the staged child
+/// pivots all live here, so a batch worker that opens thousands of
+/// cursors allocates them once and reuses their capacity for every query.
+/// All are cleared (allocation kept) each time a cursor is opened on the
+/// scratch.
 #[derive(Debug, Clone, Default)]
 pub struct TreeScratch {
     /// The best-first queue of points and expandable nodes.
     pub queue: BestFirst,
-    /// Bounded-mode emission frontier: a max-heap of the `limit` smallest
-    /// `(distance, id)` keys pushed so far, whose top is the pruning
-    /// threshold. Empty and unused for unbounded cursors.
-    pub frontier: BinaryHeap<MaxByDist>,
+    /// Bounded mode: every point the queue admitted, selected lazily down
+    /// to the `limit` smallest `(distance, id)` keys. Its threshold is the
+    /// pruning bound. Empty and unused for unbounded cursors.
+    pub select: BoundedSelection,
     /// Gather-tile buffers for batched candidate-point and child-pivot
     /// evaluation.
     pub tiles: TileEvalScratch,
@@ -154,10 +154,12 @@ impl TreeScratch {
         TreeScratch::default()
     }
 
-    /// Clears the heaps and any pending tile batch, keeping allocations.
-    pub fn reset(&mut self) {
+    /// Clears the queue, the selection and any pending tile batch, keeping
+    /// allocations, and starts a selection of the `limit` smallest points
+    /// (`usize::MAX` for a traversal that is not bounded).
+    pub fn reset(&mut self, limit: usize) {
         self.queue.clear();
-        self.frontier.clear();
+        self.select.reset(limit);
         self.tiles.ids.clear();
         self.children.clear();
     }

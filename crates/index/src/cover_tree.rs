@@ -34,7 +34,7 @@
 //!
 //! An expansion stages every child through
 //! [`ExpandSink::covered_child`], so all child pivots of a node are
-//! evaluated by one batched kernel call at one frontier snapshot, with the
+//! evaluated by one batched kernel call at one threshold snapshot, with the
 //! decisions, distance bits and counters of one
 //! [`ExpandSink::pivot`] call per child.
 //!
@@ -47,7 +47,7 @@
 //! straight into the points of their whole subtree instead of staging
 //! their children: every descendant's point goes through
 //! [`ExpandSink::point`], so the points are evaluated in gathered tiles of
-//! 64 at the frontier bound, and no descendant is visited or queued as a
+//! 64 at the pruning threshold, and no descendant is visited or queued as a
 //! node. A node flattens when either rule holds:
 //!
 //! * its subtree holds at most 64 nodes, one tile of points;
@@ -58,7 +58,7 @@
 //!   and heap pushes.
 //!
 //! Both rules only trade pruning for batching: every point of a flattened
-//! subtree is still evaluated exactly against the frontier, so streams
+//! subtree is still evaluated exactly against the threshold, so streams
 //! stay exact (points at equal distances may surface in another order
 //! than a staged expansion would give them). The depth-first
 //! [`KnnIndex::range`] walk applies the same rule: a kept node that

@@ -24,7 +24,8 @@
 use crate::pool::PointPool;
 use crate::traits::{DynamicIndex, KnnIndex, NnCursor};
 use rknn_core::{
-    CoreError, CursorScratch, Dataset, KnnHeap, Metric, Neighbor, PointId, SearchStats,
+    BoundedSelection, CoreError, CursorScratch, Dataset, KnnHeap, Metric, Neighbor, PointId,
+    SearchStats,
 };
 use std::sync::Arc;
 
@@ -205,10 +206,17 @@ impl<M: Metric> LinearScan<M> {
     }
 
     /// Fills `scratch.entries` with the `limit` nearest candidates only,
-    /// through [`BoundedSelection`], whose threshold prunes each
+    /// through a [`BoundedSelection`], whose threshold prunes each
     /// candidate's distance accumulation. Yields exactly the prefix the
     /// full sorted table would: ties at the boundary keep the lowest ids,
-    /// matching the `(dist, id)` sort order.
+    /// matching the `(dist, id)` sort order. `limit` is below the live
+    /// count.
+    ///
+    /// Candidates come in ascending id order, so every kept id is below
+    /// the one on offer and the selection's strict `(dist, id)` test is
+    /// `d < threshold.dist`: the threshold's distance is the scan's
+    /// `dist_under` bound (`+∞`, admitting everything, before the first
+    /// cut).
     fn fill_bounded(
         &self,
         q: &[f64],
@@ -217,7 +225,11 @@ impl<M: Metric> LinearScan<M> {
         scratch: &mut CursorScratch,
     ) -> SearchStats {
         let mut stats = SearchStats::new();
-        let mut sel = BoundedSelection::new(limit, &mut scratch.entries);
+        let mut buf = std::mem::take(&mut scratch.entries);
+        buf.clear();
+        buf.reserve(2 * limit);
+        let mut sel = BoundedSelection::with_buffer(limit, buf);
+        let bound = |sel: &BoundedSelection| sel.threshold().map_or(f64::INFINITY, |t| t.dist);
         if self.tile_eligible(q) {
             // Tile fast path: blocks pruned at a snapshot of the selection
             // threshold, rows committed against the live one (see
@@ -228,14 +240,14 @@ impl<M: Metric> LinearScan<M> {
                 &self.pool,
                 &scratch.tiles.qpad,
                 &mut (&mut sel, &mut stats),
-                |st| st.0.thr,
+                |st| bound(st.0),
                 |st, id, d| {
                     if Some(id) == exclude {
                         return;
                     }
                     st.1.count_dist();
-                    if !d.is_nan() && st.0.admits(d) {
-                        st.0.push(Neighbor::new(id, d), st.1);
+                    if !d.is_nan() && st.0.offer(Neighbor::new(id, d)) {
+                        st.1.count_push();
                     }
                 },
             );
@@ -245,85 +257,15 @@ impl<M: Metric> LinearScan<M> {
                     continue;
                 }
                 stats.count_dist();
-                if let Some(d) = self.metric.dist_under(q, p, sel.thr) {
-                    sel.push(Neighbor::new(id, d), &mut stats);
+                if let Some(d) = self.metric.dist_under(q, p, bound(&sel)) {
+                    if sel.offer(Neighbor::new(id, d)) {
+                        stats.count_push();
+                    }
                 }
             }
         }
-        sel.finish();
+        scratch.entries = sel.into_sorted();
         stats
-    }
-}
-
-/// Bounded `(dist, id)` selection in one flat buffer, for candidates
-/// offered in ascending id order.
-///
-/// Candidates below the threshold `thr` are appended. Once the buffer
-/// holds `2·limit` of them it is cut back to the `limit` smallest by one
-/// `select_nth_unstable_by`, and `thr` becomes the `limit`-th distance; one
-/// select and sort at the end leave the sorted prefix. While no cut has
-/// happened `thr` is `+∞`, which (with `dist_under` semantics) admits
-/// every distance, including ones that overflow to `+∞`.
-///
-/// A rejected candidate at distance `thr` loses nothing: the `limit`-th
-/// kept entry has the same distance and, offered earlier, a lower id, so
-/// the `(dist, id)` order ranks it first.
-struct BoundedSelection<'a> {
-    entries: &'a mut Vec<Neighbor>,
-    limit: usize,
-    /// The admission threshold: `+∞` until the first cut, the `limit`-th
-    /// distance after it, and `−∞` (admitting nothing) when `limit` is 0.
-    thr: f64,
-}
-
-impl<'a> BoundedSelection<'a> {
-    fn new(limit: usize, entries: &'a mut Vec<Neighbor>) -> Self {
-        entries.clear();
-        entries.reserve(2 * limit);
-        let thr = if limit == 0 {
-            f64::NEG_INFINITY
-        } else {
-            f64::INFINITY
-        };
-        BoundedSelection {
-            entries,
-            limit,
-            thr,
-        }
-    }
-
-    /// Whether a distance passes the current threshold.
-    #[inline]
-    fn admits(&self, d: f64) -> bool {
-        self.thr == f64::INFINITY || d < self.thr
-    }
-
-    /// Appends an admitted candidate (counted as a push), cutting back at
-    /// `2·limit`.
-    #[inline]
-    fn push(&mut self, n: Neighbor, stats: &mut SearchStats) {
-        self.entries.push(n);
-        stats.count_push();
-        if self.entries.len() >= 2 * self.limit {
-            self.cut();
-        }
-    }
-
-    /// Keeps the `limit` smallest entries; the last of them sets `thr`.
-    fn cut(&mut self) {
-        let nth = self.limit - 1;
-        self.entries
-            .select_nth_unstable_by(nth, Neighbor::cmp_by_dist);
-        self.entries.truncate(self.limit);
-        self.thr = self.entries[nth].dist;
-    }
-
-    /// Leaves the `limit` smallest entries sorted ascending.
-    fn finish(mut self) {
-        if self.entries.len() > self.limit {
-            self.cut();
-        }
-        self.entries.sort_unstable_by(Neighbor::cmp_by_dist);
     }
 }
 

@@ -37,8 +37,10 @@ pub trait NnCursor {
 ///   [`KnnIndex::cursor`].
 /// * [`KnnIndex::cursor_bounded`] — additionally promises the substrate the
 ///   caller drains at most `limit` entries, unlocking threshold pruning
-///   (bounded selection heaps on the sequential scan, emission-frontier
-///   pruning in the shared tree traversal core). Use whenever a drain bound
+///   against one [`rknn_core::BoundedSelection`] of the `limit` nearest:
+///   the sequential scan selects its table with it, and the shared tree
+///   traversal core offers it every queued point and prunes points and
+///   subtrees at its threshold. Use whenever a drain bound
 ///   is known up front — RDT's filter phase under a fixed scale parameter,
 ///   or a plain k-nearest drain. The first `limit` entries are identical to
 ///   the unbounded stream; entries past the bound may be missing.
@@ -121,11 +123,14 @@ pub trait KnnIndex<M: Metric>: Send + Sync {
     /// index holds fewer) in exact nondecreasing order, and *may* yield
     /// more — the default implementation delegates to
     /// [`KnnIndex::cursor_with`] and yields everything. Substrates can use
-    /// the bound to prune: the sequential scan selects only the
-    /// `limit`-nearest with a bounded heap, abandoning each candidate's
-    /// distance accumulation against the heap threshold
-    /// ([`Metric::dist_lt`]). RDT's filter phase under a fixed scale
-    /// parameter never drains past its rank cap `⌊2^t·k⌋`, which is
+    /// the bound to prune: the sequential scan and the tree substrates
+    /// keep a [`rknn_core::BoundedSelection`] of the `limit` nearest and
+    /// abandon each candidate's distance accumulation against its
+    /// threshold ([`Metric::dist_lt`]); the trees also drop subtrees whose
+    /// lower bound exceeds it. A `limit` at or above the live count prunes
+    /// nothing, and `usize::MAX` is a valid bound: an implementation must
+    /// not double it without saturating. RDT's filter phase under a fixed
+    /// scale parameter never drains past its rank cap `⌊2^t·k⌋`, which is
     /// exactly this bound.
     fn cursor_bounded<'a>(
         &'a self,

@@ -11,14 +11,16 @@
 //!
 //! * every metric evaluation, node visit and heap push is counted in one
 //!   place ([`SearchStats`] accounting is uniform by construction);
-//! * the traversal queue and the bounded-mode frontier live in a caller-owned
-//!   [`TreeScratch`] ([`rknn_core::CursorScratch`]`::tree`), so batch drivers
-//!   amortize both heaps across queries on **any** substrate;
+//! * the traversal queue and the bounded-mode selection live in a
+//!   caller-owned [`TreeScratch`] ([`rknn_core::CursorScratch`]`::tree`), so
+//!   batch drivers amortize their buffers across queries on **any**
+//!   substrate;
 //! * bounded cursors ([`crate::KnnIndex::cursor_bounded`]) prune on every
-//!   substrate: candidate distances are evaluated through
-//!   [`Metric::dist_lt`] against the current *emission frontier* — the
-//!   max-heap of the `limit` smallest `(distance, id)` keys queued so far —
-//!   and subtrees whose lower bound exceeds the frontier threshold are
+//!   substrate: each queued point is also offered to a
+//!   [`rknn_core::BoundedSelection`] of the `limit` smallest `(distance,
+//!   id)` keys — the type the sequential scan selects with — candidate
+//!   distances are evaluated through [`Metric::dist_lt`] against its
+//!   threshold, and subtrees whose lower bound exceeds the threshold are
 //!   dropped without being pushed;
 //! * candidate points emitted by an expansion are batched (their padded
 //!   coordinates gathered into the scratch tile) and evaluated by one
@@ -40,34 +42,42 @@
 //!
 //! # Bounded-mode soundness
 //!
-//! With a drain bound of `limit`, the frontier holds the `limit` smallest
-//! `(distance, id)` keys among all points pushed so far (emitted or still
-//! queued). Once full, its maximum `τ` is a certificate: at least `limit`
-//! points with key `≤ τ` are already guaranteed to be emitted before any
-//! entry whose key exceeds `τ`, because queued points are never removed and
-//! the queue pops in key order. A candidate point with key `> τ`, or a
-//! subtree whose distance lower bound is `> τ.dist`, therefore cannot
-//! contribute to the first `limit` emissions and may be discarded. `τ` only
-//! tightens over time, so a discard can never be invalidated later; the
-//! first `limit` emissions are *identical* to the unbounded stream's prefix
-//! (pruning removes only entries the unbounded traversal would pop after
-//! `limit` points have already been emitted).
+//! With a drain bound of `limit`, every point the queue admits is also
+//! appended to the selection, which is cut back to its `limit` smallest
+//! `(distance, id)` keys whenever it holds `2·limit`. The `limit`-th key
+//! after the last cut is the threshold `τ`; there is none before the first
+//! cut. `τ` is a certificate: each of the `limit` kept entries was queued,
+//! so it is still queued or already emitted, and its key is `≤ τ`. Queued
+//! points are never removed and the queue pops in key order, so at least
+//! `limit` points with key `≤ τ` are emitted before any entry whose key
+//! exceeds `τ`. A candidate point with key `≥ τ` (strictly: it ranks at or
+//! behind `limit` kept keys), or a subtree whose distance lower bound is
+//! `> τ.dist`, therefore cannot contribute to the first `limit` emissions
+//! and may be discarded. `τ` only tightens, at cuts, so a discard can never
+//! be invalidated later; the first `limit` emissions are *identical* to the
+//! unbounded stream's prefix (pruning removes only entries the unbounded
+//! traversal would pop after `limit` points have already been emitted).
+//! Between cuts `τ` is looser than the `limit`-th smallest key queued so
+//! far, so a bounded cursor queues more than the tightest bound would; it
+//! evaluates the same distances and visits the same nodes before its
+//! `limit`-th emission either way, and it pays one append per queued point
+//! instead of a heap push and pop. A `limit` at or above the live count
+//! prunes nothing, so [`tree_cursor_bounded`] opens an unbounded
+//! traversal for it.
 //!
-//! Distance evaluations against the frontier go through
+//! Distance evaluations against the threshold go through
 //! [`Metric::dist_lt`] with bound `τ.dist.next_up()` (candidate points) or
 //! `(τ.dist + reach).next_up()` (pivots whose children subtract up to
 //! `reach` from the distance), so an accumulation abandons as soon as the
 //! point — and every subtree bound derived from it — is provably beyond the
-//! frontier. A completed evaluation carries the identical floating-point
+//! threshold. A completed evaluation carries the identical floating-point
 //! value `dist` would produce, so emitted streams are bit-identical across
 //! the bounded, scratch and boxed entry points.
 
-use crate::traits::NnCursor;
+use crate::traits::{KnnIndex, NnCursor};
 use rknn_core::bestfirst::Popped;
-use rknn_core::neighbor::MaxByDist;
 use rknn_core::{CursorScratch, Metric, Neighbor, PointId, SearchStats, TreeScratch};
 use std::borrow::BorrowMut;
-use std::cmp::Ordering;
 use std::marker::PhantomData;
 
 /// A hierarchical index expressed as nodes that expand into candidate
@@ -108,8 +118,9 @@ pub struct ExpandSink<'c, M: Metric, S: TreeSubstrate<M>> {
     tree: &'c S,
     q: &'c [f64],
     exclude: Option<PointId>,
-    /// `None` = unbounded stream; `Some(l)` = the caller drains at most `l`.
-    limit: Option<usize>,
+    /// Whether the caller drains at most the `limit` the scratch's
+    /// selection was reset with; queued points are offered to it only then.
+    bounded: bool,
     scratch: &'c mut TreeScratch,
     stats: &'c mut SearchStats,
     _metric: PhantomData<M>,
@@ -131,19 +142,14 @@ impl<'c, M: Metric, S: TreeSubstrate<M>> ExpandSink<'c, M, S> {
         self.q
     }
 
-    /// The current frontier threshold: the largest of the `limit` smallest
-    /// point keys queued so far, once `limit` points exist. `None` while
-    /// unbounded or not yet full (no pruning possible).
+    /// The current pruning threshold, the bounded selection's. `None`
+    /// while unbounded or before the selection's first cut (no pruning
+    /// possible).
     fn tau(&self) -> Option<Neighbor> {
-        let l = self.limit?;
-        if self.scratch.frontier.len() >= l {
-            self.scratch.frontier.peek().map(|m| m.0)
-        } else {
-            None
-        }
+        self.scratch.select.threshold()
     }
 
-    /// The `dist_under` bound derived from the frontier: just beyond `τ`
+    /// The `dist_under` bound derived from the threshold: just beyond `τ`
     /// (so exact ties on distance survive to the strict `(dist, id)` check
     /// in `push_point`), or +∞ when unbounded — which must still admit
     /// distances that overflow to +∞, or the completeness contract breaks
@@ -155,16 +161,16 @@ impl<'c, M: Metric, S: TreeSubstrate<M>> ExpandSink<'c, M, S> {
         }
     }
 
-    /// Queues a candidate point for evaluation against the frontier.
+    /// Queues a candidate point for evaluation against the threshold.
     /// Excluded and tombstoned points are skipped before any evaluation
     /// (and are not counted).
     ///
     /// Consecutive candidate points of one expansion are batched and
     /// evaluated by a single gather-tile kernel call
     /// (`ExpandSink::flush_points`); any interleaving sink operation that
-    /// observes the frontier or the queue (pivots, children, known-distance
+    /// observes the threshold or the queue (pivots, children, known-distance
     /// points, the end of the expansion) flushes first, so the queue and
-    /// frontier evolve exactly as in per-point evaluation.
+    /// the selection evolve exactly as in per-point evaluation.
     pub fn point(&mut self, id: PointId) {
         self.flush_children();
         if Some(id) == self.exclude || !self.tree.is_emittable(id) {
@@ -178,11 +184,11 @@ impl<'c, M: Metric, S: TreeSubstrate<M>> ExpandSink<'c, M, S> {
 
     /// Evaluates and queues the pending candidate points.
     ///
-    /// The batch is evaluated at a *snapshot* of the frontier bound; the
-    /// frontier only tightens while the batch commits, so a point the
+    /// The batch is evaluated at a *snapshot* of the threshold; the
+    /// threshold only tightens while the batch commits, so a point the
     /// snapshot prunes (`d > τ_snapshot ≥ τ_commit`) would also be pruned
     /// by per-point evaluation, and an admitted point carries the
-    /// bit-identical distance into the same strict `(dist, id)` frontier
+    /// bit-identical distance into the same strict `(dist, id)` threshold
     /// check `push_point` always applies. Decisions, queue contents,
     /// emitted streams and counters are therefore identical to the
     /// per-point path — the snapshot only trades a little extra coordinate
@@ -251,29 +257,20 @@ impl<'c, M: Metric, S: TreeSubstrate<M>> ExpandSink<'c, M, S> {
     }
 
     fn push_point(&mut self, n: Neighbor) {
-        if let Some(t) = self.tau() {
-            // Strict (dist, id) comparison: a key at or beyond the frontier
-            // threshold cannot be among the first `limit` emissions.
-            if n.cmp_by_dist(&t) != Ordering::Less {
-                return;
-            }
+        // The selection's strict (dist, id) test: a key at or beyond the
+        // threshold cannot be among the first `limit` emissions.
+        if self.bounded && !self.scratch.select.offer(n) {
+            return;
         }
         self.scratch.queue.push_point(n);
         self.stats.count_push();
-        if let Some(l) = self.limit {
-            self.scratch.frontier.push(MaxByDist(n));
-            self.stats.count_push();
-            if self.scratch.frontier.len() > l {
-                self.scratch.frontier.pop();
-            }
-        }
     }
 
     /// Evaluates the exact query–pivot distance `d(q, pivot)`, counted as
     /// one distance computation, abandoning (and returning `None`) only
     /// when `d > τ.dist + reach` — i.e. when the pivot itself *and* every
     /// child bound of the form `d − outer` with `outer ≤ reach` are provably
-    /// beyond the frontier. `reach` must be at least the largest covering
+    /// beyond the threshold. `reach` must be at least the largest covering
     /// radius the caller will subtract from the returned distance.
     pub fn pivot(&mut self, pivot: PointId, reach: f64) -> Option<f64> {
         self.flush();
@@ -297,12 +294,12 @@ impl<'c, M: Metric, S: TreeSubstrate<M>> ExpandSink<'c, M, S> {
         self.scratch.children.push((node, pivot, radius));
     }
 
-    /// Evaluates the pivots of every staged child at one frontier snapshot
+    /// Evaluates the pivots of every staged child at one threshold snapshot
     /// and returns how many there are: `tiles.out[i]` holds the distance
     /// `pivot(pivot_i, radius_i)` would return, or NaN where it would
     /// return `None`.
     ///
-    /// Queuing a child never moves the frontier, so per-child `pivot`
+    /// Queuing a child never moves the threshold, so per-child `pivot`
     /// calls interleaved with the children's pushes would all see this
     /// same snapshot: bounds, decisions, distance bits and counters are
     /// identical to the per-pivot path. Fewer than [`MIN_POINT_TILE`]
@@ -368,7 +365,7 @@ impl<'c, M: Metric, S: TreeSubstrate<M>> ExpandSink<'c, M, S> {
 
     /// Queues a child subtree with distance lower bound `lower` and payload
     /// `d_pivot` (handed back verbatim to [`TreeSubstrate::expand`]).
-    /// Subtrees provably beyond the frontier are dropped.
+    /// Subtrees provably beyond the threshold are dropped.
     pub fn child(&mut self, node: usize, lower: f64, d_pivot: f64) {
         self.flush();
         self.push_child(node, lower, d_pivot);
@@ -386,7 +383,7 @@ impl<'c, M: Metric, S: TreeSubstrate<M>> ExpandSink<'c, M, S> {
 }
 
 /// The `dist_under` bound of a pivot whose children subtract up to `reach`
-/// from its distance, against frontier threshold `tau`.
+/// from its distance, against threshold `tau`.
 fn pivot_bound(tau: Option<Neighbor>, reach: f64) -> f64 {
     match tau {
         Some(t) => (t.dist + reach).next_up(),
@@ -404,7 +401,7 @@ pub struct TreeCursor<'a, M: Metric, S: TreeSubstrate<M>, T: BorrowMut<TreeScrat
     tree: &'a S,
     q: &'a [f64],
     exclude: Option<PointId>,
-    limit: Option<usize>,
+    bounded: bool,
     scratch: T,
     stats: SearchStats,
     _metric: PhantomData<M>,
@@ -414,7 +411,7 @@ impl<'a, M: Metric, S: TreeSubstrate<M>, T: BorrowMut<TreeScratch>> TreeCursor<'
     /// Opens a cursor over `tree` from `q`, resetting (but not
     /// reallocating) `scratch` and seeding the traversal. `limit` of
     /// `Some(l)` promises the caller drains at most `l` entries and enables
-    /// frontier pruning.
+    /// threshold pruning.
     pub fn new(
         tree: &'a S,
         q: &'a [f64],
@@ -422,12 +419,12 @@ impl<'a, M: Metric, S: TreeSubstrate<M>, T: BorrowMut<TreeScratch>> TreeCursor<'
         limit: Option<usize>,
         mut scratch: T,
     ) -> Self {
-        scratch.borrow_mut().reset();
+        scratch.borrow_mut().reset(limit.unwrap_or(usize::MAX));
         let mut cursor = TreeCursor {
             tree,
             q,
             exclude,
-            limit,
+            bounded: limit.is_some(),
             scratch,
             stats: SearchStats::new(),
             _metric: PhantomData,
@@ -438,7 +435,7 @@ impl<'a, M: Metric, S: TreeSubstrate<M>, T: BorrowMut<TreeScratch>> TreeCursor<'
                 tree: cursor.tree,
                 q: cursor.q,
                 exclude: cursor.exclude,
-                limit: cursor.limit,
+                bounded: cursor.bounded,
                 scratch: cursor.scratch.borrow_mut(),
                 stats: &mut cursor.stats,
                 _metric: PhantomData,
@@ -463,7 +460,7 @@ impl<'a, M: Metric, S: TreeSubstrate<M>, T: BorrowMut<TreeScratch>> NnCursor
                         tree: self.tree,
                         q: self.q,
                         exclude: self.exclude,
-                        limit: self.limit,
+                        bounded: self.bounded,
                         scratch: self.scratch.borrow_mut(),
                         stats: &mut self.stats,
                         _metric: PhantomData,
@@ -509,8 +506,10 @@ where
     Box::new(TreeCursor::new(tree, q, exclude, None, &mut scratch.tree))
 }
 
-/// Frontier-pruned cursor over caller-owned scratch — the
+/// Threshold-pruned cursor over caller-owned scratch — the
 /// [`crate::KnnIndex::cursor_bounded`] implementation for tree substrates.
+/// A nonzero `limit` at or above the live count prunes nothing, so it opens
+/// the unbounded traversal and keeps no selection.
 pub fn tree_cursor_bounded<'a, M, S>(
     tree: &'a S,
     q: &'a [f64],
@@ -520,15 +519,10 @@ pub fn tree_cursor_bounded<'a, M, S>(
 ) -> Box<dyn NnCursor + 'a>
 where
     M: Metric + 'a,
-    S: TreeSubstrate<M>,
+    S: TreeSubstrate<M> + KnnIndex<M>,
 {
-    Box::new(TreeCursor::new(
-        tree,
-        q,
-        exclude,
-        Some(limit),
-        &mut scratch.tree,
-    ))
+    let limit = (limit == 0 || limit < tree.num_points()).then_some(limit);
+    Box::new(TreeCursor::new(tree, q, exclude, limit, &mut scratch.tree))
 }
 
 #[cfg(test)]
@@ -672,8 +666,8 @@ mod tests {
         let tree = CoverTree::build(ds.clone(), Euclidean);
         let q = ds.point(3).to_vec();
         type Tree = CoverTree<Euclidean>;
-        /// A sink whose frontier has seen the same 30 points on both sides:
-        /// enough to fill a bounded frontier, so τ is set and pivots can be
+        /// A sink that has seen the same 30 points on both sides: enough
+        /// for a bounded selection to cut, so τ is set and pivots can be
         /// pruned.
         fn open<'c>(
             tree: &'c Tree,
@@ -682,11 +676,12 @@ mod tests {
             scratch: &'c mut TreeScratch,
             stats: &'c mut SearchStats,
         ) -> ExpandSink<'c, Euclidean, Tree> {
+            scratch.reset(limit.unwrap_or(usize::MAX));
             let mut sink = ExpandSink {
                 tree,
                 q,
                 exclude: None,
-                limit,
+                bounded: limit.is_some(),
                 scratch,
                 stats,
                 _metric: PhantomData,

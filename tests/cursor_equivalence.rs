@@ -21,8 +21,8 @@
 //!   identical sequence to the boxed entry point (`cursor`), query after
 //!   query on one reused buffer;
 //! * the **bounded entry point** (`cursor_bounded`) yields exactly the
-//!   unbounded stream's prefix — frontier pruning may only discard entries
-//!   past the drain bound;
+//!   unbounded stream's prefix — pruning at the bounded selection's
+//!   threshold may only discard entries past the drain bound;
 //! * the sequential scan's **SIMD tile fast path** (contiguous padded
 //!   dataset streamed through `Metric::dist_tile`) is byte-identical —
 //!   streams, direct traversals, and work counters — to its per-point

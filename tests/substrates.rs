@@ -98,3 +98,60 @@ fn stats_reflect_substrate_efficiency() {
         b.stats.search.dist_computations
     );
 }
+
+#[test]
+fn bounded_drains_save_only_pushes() {
+    // A bounded cursor prunes only entries it would queue after its
+    // `limit`-th emission: drained to that length it evaluates the same
+    // distances and visits the same nodes as the unbounded cursor, and
+    // queues no more entries. `usize::MAX` (no bound at all) must neither
+    // panic nor reserve `2·limit` selection slots.
+    let grid: Vec<Vec<f64>> = (0..400)
+        .map(|i| (0..3).map(|j| ((i * 7 + j * 3) % 9) as f64 * 0.5).collect())
+        .collect();
+    let sets = [
+        ("grid", rknn::core::Dataset::from_rows(&grid).unwrap()),
+        ("blobs", rknn::data::gaussian_blobs(1500, 8, 6, 0.3, 305)),
+        ("sequoia", rknn::data::sequoia_like(1500, 306)),
+    ];
+    let mut scratch = rknn::core::CursorScratch::new();
+    let mut pruned = 0u64;
+    for (set, ds) in sets {
+        let ds = ds.into_shared();
+        let trees: Vec<Box<dyn KnnIndex<Euclidean>>> = vec![
+            Box::new(CoverTree::build(ds.clone(), Euclidean)),
+            Box::new(VpTree::build(ds.clone(), Euclidean)),
+            Box::new(BallTree::build(ds.clone(), Euclidean)),
+            Box::new(MTree::build(ds.clone(), Euclidean)),
+            Box::new(RTree::build(ds.clone(), Euclidean)),
+        ];
+        for tree in &trees {
+            for q in [0usize, ds.len() / 2, ds.len() - 1] {
+                let at = ds.point(q).to_vec();
+                for limit in [1usize, 10, 64, 300, usize::MAX] {
+                    let len = limit.min(ds.len() - 1);
+                    let mut drain = |bounded: bool| {
+                        let mut cur = if bounded {
+                            tree.cursor_bounded(&at, Some(q), limit, &mut scratch)
+                        } else {
+                            tree.cursor_with(&at, Some(q), &mut scratch)
+                        };
+                        let ids: Vec<(usize, u64)> = (0..len)
+                            .map(|_| cur.next().map(|n| (n.id, n.dist.to_bits())).unwrap())
+                            .collect();
+                        (ids, cur.stats())
+                    };
+                    let (want, full) = drain(false);
+                    let (got, cut) = drain(true);
+                    let what = format!("{set} {} q={q} limit={limit}", tree.name());
+                    assert_eq!(got, want, "{what}: stream");
+                    assert_eq!(cut.dist_computations, full.dist_computations, "{what}");
+                    assert_eq!(cut.nodes_visited, full.nodes_visited, "{what}");
+                    assert!(cut.heap_pushes <= full.heap_pushes, "{what}");
+                    pruned += full.heap_pushes - cut.heap_pushes;
+                }
+            }
+        }
+    }
+    assert!(pruned > 0, "no bound discarded a single push");
+}
