@@ -46,7 +46,8 @@ impl NaiveRknn {
     /// Exact reverse-kNN of dataset point `q` against caller-owned working
     /// memory.
     ///
-    /// For every point `x ≠ q`, verifies the `d_k(x) ≥ d(x, q)` test
+    /// For every live point `x ≠ q` (tombstoned ids skipped, ids churned in
+    /// past the live count included), verifies the `d_k(x) ≥ d(x, q)` test
     /// (equivalently: fewer than `k` points strictly closer to `x` than `q`
     /// is, ties included) through [`verify_rknn`] — a bounded,
     /// threshold-pruned forward cursor over `scratch` rather than the
@@ -65,7 +66,7 @@ impl NaiveRknn {
         let qp = index.point(q).to_vec();
         let metric = index.metric();
         let mut out = Vec::new();
-        for x in 0..index.num_points() {
+        for x in (0..index.id_bound()).filter(|&x| index.has_point(x)) {
             if x == q {
                 continue;
             }

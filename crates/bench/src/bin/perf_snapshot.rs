@@ -121,24 +121,32 @@ struct AlgoEntry {
 }
 
 impl AlgoEntry {
-    fn to_json(&self) -> String {
+    /// The row as JSON. On a one-CPU host the batch run is sequential too,
+    /// so `batch_speedup` is recorded as skipped instead of as a ratio of
+    /// two sequential timings.
+    fn to_json(&self, parallelism: usize) -> String {
         let boxed = self
             .boxed_dist_comps
             .map(|b| format!(", \"boxed_dist_comps\": {b}"))
             .unwrap_or_default();
+        let speedup = if self.batch_ms > 0.0 {
+            self.seq_ms / self.batch_ms
+        } else {
+            1.0
+        };
         format!(
             "    {{ \"algorithm\": \"{name}\", \"precompute_ms\": {pre:.2}, \
-             \"seq_ms\": {seq:.2}, \"batch_ms\": {batch:.2}, \"batch_speedup\": {spd:.2}, \
+             \"seq_ms\": {seq:.2}, \"batch_ms\": {batch:.2}, {spd}, \
              \"dist_comps\": {dist}, \"result_members\": {members}{boxed} }}",
             name = self.name,
             pre = self.precompute_ms,
             seq = self.seq_ms,
             batch = self.batch_ms,
-            spd = if self.batch_ms > 0.0 {
-                self.seq_ms / self.batch_ms
-            } else {
-                1.0
-            },
+            spd = rknn_bench::opt_json(
+                "batch_speedup",
+                (parallelism > 1).then_some(speedup),
+                "one CPU available"
+            ),
             dist = self.dist_comps,
             members = self.result_members,
         )
@@ -552,7 +560,11 @@ fn main() {
         )
         .0,
     );
-    let algorithm_json: Vec<String> = algo_entries.iter().map(AlgoEntry::to_json).collect();
+    let parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let algorithm_json: Vec<String> = algo_entries
+        .iter()
+        .map(|entry| entry.to_json(parallelism))
+        .collect();
 
     // 6. Dynamic maintenance: a mixed insert/delete workload through the
     //    maintained all-points stream on a dynamic cover tree, priced per
@@ -619,7 +631,6 @@ fn main() {
         (churn.inserts + churn.deletes) as f64,
         churn_mean_ms * (churn.inserts + churn.deletes) as f64 / 1e3,
     );
-    let parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
     let dynamic_json = format!(
         "  \"dynamic\": {{ \"n\": {cn}, \"dim\": {dim}, \"k\": {k}, \"t\": 50, \
          \"substrate\": \"cover-tree\", \"inserts\": {ins}, \"deletes\": {del}, \
@@ -653,10 +664,8 @@ fn main() {
 
     // 7. Raw kernel throughput: the scalar reference against the
     //    dispatched SIMD backend at d ∈ {8, 32, 128}, plus the dispatched
-    //    tile path. Recorded with the backend name and the host's
-    //    parallelism so `batch_speedup ≈ 1` on a 1-CPU box (and
-    //    `speedup ≈ 1` when dispatch resolves to scalar) are readable from
-    //    the snapshot alone.
+    //    tile path. Recorded with the backend name so `speedup ≈ 1` when
+    //    dispatch resolves to scalar is readable from the snapshot alone.
     let backend = kernel::selected().backend();
     let kernel_entries: Vec<KernelEntry> = [8usize, 32, 128]
         .iter()
@@ -874,8 +883,9 @@ fn main() {
     let speedup_batch = scalar_ms / batch_ms;
     let speedup_fast_seq = scalar_ms / fast_seq_ms;
     let json = format!(
-        "{{\n  \"bench\": \"batch_all_points_rknn\",\n  \"substrate\": \"linear-scan\",\n  \"dataset\": \"gaussian_blobs\",\n  \"n\": {n},\n  \"dim\": {dim},\n  \"k\": {k},\n  \"t\": {t},\n  \"threads\": {threads},\n  \"available_parallelism\": {parallelism},\n  \"kernel_backend\": \"{backend_name}\",\n  \"kernel_backends_available\": [{available}],\n  \"storage\": {{ \"f64_bytes\": {b64} }},\n  \"reps\": {{ \"batch\": {reps}, \"substrates\": 1, \"algorithms\": {reps}, \"kernels\": {reps}, \"dynamic\": {creps}, \"scaling\": 1 }},\n  \"scalar_sequential_ms\": {scalar_ms:.2},\n  \"fast_sequential_ms\": {fast_seq_ms:.2},\n  \"batch_ms\": {batch_ms:.2},\n  \"speedup_fast_sequential\": {speedup_fast_seq:.2},\n  \"speedup_batch\": {speedup_batch:.2},\n  \"identical_results\": true,\n  \"total_dist_comps\": {dist},\n  \"witness_pairs\": {wp},\n  \"witness_dist_comps\": {wd},\n  \"retrieved\": {retr},\n  \"result_members\": {members},\n{dynamics},\n{streaming},\n{scaling},\n  \"kernels\": [\n{kerns}\n  ],\n  \"substrates\": [\n{subs}\n  ],\n  \"algorithms\": {{\n  \"forward_index\": \"cover-tree\",\n  \"queries\": {aqn},\n  \"entries\": [\n{algos}\n  ] }}\n}}\n",
+        "{{\n  \"bench\": \"batch_all_points_rknn\",\n  \"substrate\": \"linear-scan\",\n  \"dataset\": \"gaussian_blobs\",\n  \"n\": {n},\n  \"dim\": {dim},\n  \"k\": {k},\n  \"t\": {t},\n  \"threads\": {threads},\n  \"threads_effective\": {teff},\n  \"available_parallelism\": {parallelism},\n  \"kernel_backend\": \"{backend_name}\",\n  \"kernel_backends_available\": [{available}],\n  \"storage\": {{ \"f64_bytes\": {b64} }},\n  \"reps\": {{ \"batch\": {reps}, \"substrates\": 1, \"algorithms\": {reps}, \"kernels\": {reps}, \"dynamic\": {creps}, \"scaling\": 1 }},\n  \"scalar_sequential_ms\": {scalar_ms:.2},\n  \"fast_sequential_ms\": {fast_seq_ms:.2},\n  \"batch_ms\": {batch_ms:.2},\n  \"speedup_fast_sequential\": {speedup_fast_seq:.2},\n  \"speedup_batch\": {speedup_batch:.2},\n  \"identical_results\": true,\n  \"total_dist_comps\": {dist},\n  \"witness_pairs\": {wp},\n  \"witness_dist_comps\": {wd},\n  \"retrieved\": {retr},\n  \"result_members\": {members},\n{dynamics},\n{streaming},\n{scaling},\n  \"kernels\": [\n{kerns}\n  ],\n  \"substrates\": [\n{subs}\n  ],\n  \"algorithms\": {{\n  \"forward_index\": \"cover-tree\",\n  \"queries\": {aqn},\n  \"entries\": [\n{algos}\n  ] }}\n}}\n",
         backend_name = backend.name(),
+        teff = threads.min(parallelism),
         available = available.join(", "),
         creps = churn_reps,
         b64 = ds.storage_bytes(),

@@ -420,8 +420,8 @@ where
     }
 }
 
-/// Runs [`run_algorithm_batch`] over **every** point of the index — the
-/// paper's all-points experimental workload.
+/// Runs [`run_algorithm_batch`] over **every** live point of the index,
+/// in ascending id order — the paper's all-points experimental workload.
 pub fn run_algorithm_all_points<M, I, A>(
     algo: &A,
     index: &I,
@@ -432,7 +432,9 @@ where
     I: KnnIndex<M> + Sync + ?Sized,
     A: RknnAlgorithm<M, I> + ?Sized,
 {
-    let queries: Vec<PointId> = (0..index.num_points()).collect();
+    let queries: Vec<PointId> = (0..index.id_bound())
+        .filter(|&id| index.has_point(id))
+        .collect();
     run_algorithm_batch(algo, index, &queries, threads)
 }
 

@@ -31,11 +31,6 @@
 //!   sequence numbers, for chaos tests that reproduce exactly.
 //! * [`PoisonLog`] — inputs blamed for worker panics, with the quarantine
 //!   that keeps a repeat offender away from the algorithm.
-//! * [`harness`] — open-loop load generation (arrivals on a fixed
-//!   schedule, independent of completions, the methodology that exposes
-//!   coordinated omission) and closed-loop saturation runs, summarized as
-//!   p50/p90/p99/p999 latency and QPS, with typed-error outcomes counted
-//!   honestly.
 //!
 //! The executor dispatches any [`rknn_rdt::algorithm::RknnAlgorithm`]
 //! unchanged, so RDT, RDT+ and all five baselines serve through the same
@@ -45,7 +40,6 @@
 pub mod advance;
 pub mod engine;
 pub mod fault;
-pub mod harness;
 pub mod poison;
 pub mod retry;
 
@@ -55,9 +49,5 @@ pub use engine::{
     Snapshot, Ticket,
 };
 pub use fault::{Fault, FaultCounts, FaultPlan};
-pub use harness::{
-    latency_summary, run_closed_loop, run_open_loop, ClosedLoopReport, LatencySummary,
-    OpenLoopConfig, OpenLoopReport,
-};
 pub use poison::{PoisonKey, PoisonLog, PoisonPill};
 pub use retry::RetryPolicy;

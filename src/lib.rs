@@ -19,8 +19,8 @@
 //! * [`eval`] — the experiment harness regenerating every paper table and
 //!   figure;
 //! * [`serve`] — the long-lived concurrent serving engine: epoch-swapped
-//!   immutable snapshots, a sharded work-stealing query executor with
-//!   bounded queues, and an open-loop latency harness.
+//!   immutable snapshots and a sharded work-stealing query executor with
+//!   bounded queues.
 //!
 //! ## Quick start
 //!

@@ -1,8 +1,9 @@
 //! Churn equivalence: interleaved inserts, deletes, compactions and
 //! queries on a tie-heavy lattice, checked **byte-identical** to a
 //! rebuild-from-scratch reference at every step — for every
-//! [`DynamicIndex`] substrate, for both RDT variants through the unified
-//! driver, and for the maintained all-points stream.
+//! [`DynamicIndex`] substrate, for both RDT variants and the naive
+//! baseline through the unified all-points driver, and for the maintained
+//! all-points stream.
 //!
 //! The reference is a fresh `LinearScan` over the live points only, with
 //! ids renumbered to live ranks. The remap is monotone (ascending old ids
@@ -19,9 +20,12 @@
 //! re-prepare's.
 
 use proptest::prelude::*;
+use rknn::baselines::NaiveRknn;
 use rknn::core::{Dataset, Euclidean, PointId};
 use rknn::index::{CoverTree, DynamicIndex, KnnIndex, LinearScan, RTree, VpTree};
-use rknn::rdt::algorithm::{run_algorithm_batch, RdtAlgorithm, RknnAlgorithm};
+use rknn::rdt::algorithm::{
+    run_algorithm_all_points, run_algorithm_batch, AlgorithmAnswer, RdtAlgorithm, RknnAlgorithm,
+};
 use rknn::rdt::{DkCache, MaintainedStream, RdtParams};
 use rknn::serve::{advance_snapshot, ChurnOp, Snapshot};
 
@@ -57,24 +61,27 @@ fn arb_ops(steps: usize) -> impl Strategy<Value = Vec<Op>> {
 
 /// Answers for `queries` (old ids, ascending) from a rebuilt-from-scratch
 /// `LinearScan` over the live points only, remapped back to old ids.
-fn rebuilt_reference(
-    algo_template: &RdtAlgorithm,
+fn rebuilt_reference<A>(
+    make: impl Fn() -> A,
     live_sorted: &[PointId],
     coords: &[Vec<f64>],
-) -> Vec<Vec<(PointId, u64)>> {
+) -> Vec<Vec<(PointId, u64)>>
+where
+    A: RknnAlgorithm<Euclidean, LinearScan<Euclidean>>,
+{
     let rows: Vec<Vec<f64>> = live_sorted.iter().map(|&id| coords[id].clone()).collect();
     let ds = Dataset::from_rows(&rows)
         .expect("live set is non-empty")
         .into_shared();
     let fresh = LinearScan::build(ds, Euclidean);
-    let mut algo = algo_template.fresh();
+    let mut algo = make();
     algo.prepare(&fresh);
     let ranks: Vec<PointId> = (0..live_sorted.len()).collect();
     run_algorithm_batch(&algo, &fresh, &ranks, 2)
         .answers
-        .into_iter()
+        .iter()
         .map(|ans| {
-            ans.result
+            ans.neighbors()
                 .iter()
                 .map(|n| (live_sorted[n.id], n.dist.to_bits()))
                 .collect()
@@ -82,21 +89,30 @@ fn rebuilt_reference(
         .collect()
 }
 
-/// Runs the same batch on a churned substrate (old ids) and asserts byte
-/// identity against the rebuilt reference.
-fn assert_matches_reference<I: KnnIndex<Euclidean> + Sync>(
-    algo_template: &RdtAlgorithm,
+/// Runs the all-points batch on a churned substrate (old ids) and asserts
+/// that it queries exactly the live points and matches the rebuilt
+/// reference byte for byte.
+fn assert_matches_reference<A, I>(
+    make: impl Fn() -> A,
     index: &I,
     live_sorted: &[PointId],
     want: &[Vec<(PointId, u64)>],
     label: &str,
-) {
-    let mut algo = algo_template.fresh();
+) where
+    I: KnnIndex<Euclidean> + Sync,
+    A: RknnAlgorithm<Euclidean, I>,
+{
+    let mut algo = make();
     algo.prepare(index);
-    let out = run_algorithm_batch(&algo, index, live_sorted, 2);
+    let out = run_algorithm_all_points(&algo, index, 2);
+    assert_eq!(
+        out.answers.len(),
+        live_sorted.len(),
+        "{label}: all-points batch must query exactly the live points"
+    );
     for ((q, ans), want) in live_sorted.iter().zip(&out.answers).zip(want) {
         let got: Vec<(PointId, u64)> = ans
-            .result
+            .neighbors()
             .iter()
             .map(|n| (n.id, n.dist.to_bits()))
             .collect();
@@ -156,11 +172,22 @@ fn run_churn_scenario(n0: usize, k: usize, t_plus: f64, ops: &[Op]) {
         live_sorted.sort_unstable();
 
         // Exact RDT: every substrate byte-identical to the rebuild.
-        let want = rebuilt_reference(&exact, &live_sorted, &coords);
-        assert_matches_reference(&exact, &linear, &live_sorted, &want, "linear/rdt");
-        assert_matches_reference(&exact, &cover, &live_sorted, &want, "cover/rdt");
-        assert_matches_reference(&exact, &vp, &live_sorted, &want, "vp/rdt");
-        assert_matches_reference(&exact, &rtree, &live_sorted, &want, "rtree/rdt");
+        let rdt = || exact.fresh();
+        let want = rebuilt_reference(rdt, &live_sorted, &coords);
+        assert_matches_reference(rdt, &linear, &live_sorted, &want, "linear/rdt");
+        assert_matches_reference(rdt, &cover, &live_sorted, &want, "cover/rdt");
+        assert_matches_reference(rdt, &vp, &live_sorted, &want, "vp/rdt");
+        assert_matches_reference(rdt, &rtree, &live_sorted, &want, "rtree/rdt");
+
+        // The naive baseline keeps no per-index state, so
+        // `advance_snapshot` serves it over churned snapshots unchanged: it
+        // must visit exactly the live ids.
+        let naive = || NaiveRknn::new(k);
+        let want_naive = rebuilt_reference(naive, &live_sorted, &coords);
+        assert_matches_reference(naive, &linear, &live_sorted, &want_naive, "linear/naive");
+        assert_matches_reference(naive, &cover, &live_sorted, &want_naive, "cover/naive");
+        assert_matches_reference(naive, &vp, &live_sorted, &want_naive, "vp/naive");
+        assert_matches_reference(naive, &rtree, &live_sorted, &want_naive, "rtree/naive");
 
         // The maintained stream agrees with the rebuild at every step.
         assert_eq!(stream.live(), live_sorted.len());
@@ -177,11 +204,12 @@ fn run_churn_scenario(n0: usize, k: usize, t_plus: f64, ops: &[Op]) {
 
         // Heuristic RDT+: the churned run replays the rebuilt run exactly
         // (determinism under monotone renumbering), exact or not.
-        let want_plus = rebuilt_reference(&plus, &live_sorted, &coords);
-        assert_matches_reference(&plus, &linear, &live_sorted, &want_plus, "linear/rdt+");
-        assert_matches_reference(&plus, &cover, &live_sorted, &want_plus, "cover/rdt+");
-        assert_matches_reference(&plus, &vp, &live_sorted, &want_plus, "vp/rdt+");
-        assert_matches_reference(&plus, &rtree, &live_sorted, &want_plus, "rtree/rdt+");
+        let rdt_plus = || plus.fresh();
+        let want_plus = rebuilt_reference(rdt_plus, &live_sorted, &coords);
+        assert_matches_reference(rdt_plus, &linear, &live_sorted, &want_plus, "linear/rdt+");
+        assert_matches_reference(rdt_plus, &cover, &live_sorted, &want_plus, "cover/rdt+");
+        assert_matches_reference(rdt_plus, &vp, &live_sorted, &want_plus, "vp/rdt+");
+        assert_matches_reference(rdt_plus, &rtree, &live_sorted, &want_plus, "rtree/rdt+");
     }
 }
 

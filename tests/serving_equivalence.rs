@@ -18,7 +18,8 @@
 //!    sequential reference *of that epoch alone*, and submissions made
 //!    after the publish are answered under the new epoch — the warm-cache
 //!    successor ([`rknn::serve::advance_snapshot`]) and a cold re-prepared
-//!    snapshot both behave this way.
+//!    snapshot both behave this way, and so does a publish made while an
+//!    earlier batch is still queued, which the engine counts as one swap.
 //!
 //! Coordinates live on the tie-heavy half-integer grid (the adversarial
 //! case for `(dist, id)` ordering), so any cross-epoch or cross-worker
@@ -30,7 +31,7 @@ use rknn::core::{Dataset, Euclidean, Neighbor, PointId};
 use rknn::index::{KnnIndex, LinearScan};
 use rknn::rdt::algorithm::{RdtAlgorithm, RknnAlgorithm};
 use rknn::rdt::RdtParams;
-use rknn::serve::{advance_snapshot, ChurnOp, Engine, EngineConfig, QueryError, Snapshot};
+use rknn::serve::{advance_snapshot, ChurnOp, Engine, EngineConfig, QueryError, Snapshot, Ticket};
 use std::sync::Arc;
 
 /// Tie-heavy half-integer lattice rows.
@@ -312,5 +313,102 @@ fn cold_published_successor_serves_any_algorithm() {
     for (query, epoch, got) in &late {
         assert_eq!(*epoch, 1, "post-publish submissions see the successor");
         assert_eq!(got, &ref1[*query], "late q={query}");
+    }
+}
+
+/// A warm-cache successor published while an earlier batch is still
+/// queued: every response matches the reference of the epoch it reports,
+/// the second batch sees the successor, and the engine counts exactly one
+/// swap and loses no ticket.
+#[test]
+fn publish_with_tickets_outstanding_splits_responses_by_epoch() {
+    let n = 200;
+    let k = 3;
+    let ds = grid_dataset(n);
+    let params = RdtParams::new(k, 50.0);
+    // Queries stay on ids live in both epochs; the last id is removed.
+    let victim = n - 1;
+    let queries: Vec<PointId> = (0..victim).collect();
+
+    let index0 = LinearScan::build(ds.clone(), Euclidean);
+    let mut ref_algo = RdtAlgorithm::new(params);
+    ref_algo.prepare(&index0);
+    let ref0 = sequential_reference(&ref_algo, &index0);
+
+    for workers in [1usize, 2] {
+        let engine = Engine::new(
+            Snapshot::prepare(
+                0,
+                LinearScan::build(ds.clone(), Euclidean),
+                RdtAlgorithm::new(params),
+            ),
+            EngineConfig {
+                workers,
+                queue_capacity: queries.len(),
+                ..EngineConfig::default()
+            },
+        );
+        // The first batch goes in without waiting; only its first ticket
+        // is awaited before the successor is derived and published.
+        let mut first = queries.iter().map(|&q| {
+            let ticket = engine.submit(q).expect("each shard holds the whole batch");
+            (q, ticket)
+        });
+        let (head_query, head) = first.next().expect("non-empty batch");
+        let head = head.wait().expect("no faults injected");
+        let outstanding: Vec<(PointId, Ticket)> = first.collect();
+
+        let ops = vec![ChurnOp::Insert(vec![0.5, 1.5]), ChurnOp::Remove(victim)];
+        let (next, _) = advance_snapshot(&engine.snapshot(), &ops).expect("grid rows insert");
+        engine.publish(next);
+        let (second, _) = drive(&engine, &queries);
+        let ref1 = {
+            let successor = engine.snapshot();
+            assert_eq!(successor.epoch(), 1);
+            let mut cold = RdtAlgorithm::new(params);
+            cold.prepare(successor.index());
+            sequential_reference(&cold, successor.index())
+        };
+
+        let mut responses = vec![(head_query, head.epoch, digest(&head.neighbors))];
+        for (q, ticket) in outstanding {
+            let r = ticket.wait().expect("no faults injected");
+            responses.push((q, r.epoch, digest(&r.neighbors)));
+        }
+        for &(_, epoch, _) in &second {
+            assert_eq!(
+                epoch, 1,
+                "workers={workers}: post-publish submission pinned epoch 0"
+            );
+        }
+        responses.extend(second);
+
+        let mut epochs: Vec<u64> = Vec::new();
+        for (query, epoch, got) in &responses {
+            let want = match epoch {
+                0 => &ref0[*query],
+                1 => &ref1[*query],
+                other => panic!("unknown epoch {other}"),
+            };
+            assert_eq!(
+                got, want,
+                "workers={workers} q={query}: answer does not match epoch {epoch}'s reference"
+            );
+            if !epochs.contains(epoch) {
+                epochs.push(*epoch);
+            }
+        }
+        assert!(
+            epochs.len() >= 2,
+            "workers={workers}: saw epochs {epochs:?}"
+        );
+
+        let stats = engine.shutdown();
+        assert_eq!(stats.swaps, 1, "workers={workers}: one publish, one swap");
+        assert_eq!(
+            stats.completed, stats.submitted,
+            "workers={workers}: lost tickets"
+        );
+        assert_eq!(stats.submitted as usize, 2 * queries.len());
     }
 }
